@@ -112,9 +112,11 @@ class CascadeDynamics:
     """Tank levels: h' = (q_in - q_out)/surface with q_out = c.sqrt(h).
 
     The square root is smoothed as sqrt(max(h, 1e-6)) so the dynamics
-    stay differentiable when a tank runs empty.  rhs broadcasts over
-    leading axes (levels on the trailing axis); the partials expect a
-    single state.
+    stay differentiable when a tank runs empty; under the floor the
+    outflow partial is zero.  Every method broadcasts over leading axes
+    (levels on the trailing axis).  The state partial is diagonal plus
+    one subdiagonal, so tangent and cotangent apply it as elementwise
+    vector operations and never form it as a matrix.
     """
 
     coeff: np.ndarray
@@ -127,50 +129,43 @@ class CascadeDynamics:
         inflow = np.concatenate([u, q[..., :-1]], axis=-1)
         return (inflow - q) / self.surface
 
-    def jac_state(self, w, u):
-        dq = np.where(
+    def linearize(self, w):
+        """What tangent and cotangent need of the states w: dq_out/dw."""
+        return np.where(
             w > _EPS_H, self.coeff / (2.0 * np.sqrt(np.maximum(w, _EPS_H))), 0.0
         )
-        jac = np.diag(-dq / self.surface)
-        rows = np.arange(1, w.size)
-        jac[rows, rows - 1] = dq[:-1] / self.surface[1:]
-        return jac
 
-    def jac_control(self, w, u):
-        jac = np.zeros((w.size, 1))
-        jac[0, 0] = 1.0 / self.surface[0]
-        return jac
+    def tangent(self, lin, dw, du):
+        """Derivatives of rhs at linearize(w) along the columns of (dw, du).
+
+        dw has shape (..., n_tanks, k) and du (..., 1, k): k directions
+        at once, the result shaped like dw.
+        """
+        dq = lin[..., None] * dw
+        out = -dq
+        out[..., 1:, :] += dq[..., :-1, :]
+        out[..., :1, :] += du
+        return out / self.surface[:, None]
+
+    def cotangent(self, lin, lam):
+        """Adjoint of tangent: (lam.d(rhs)/dw, lam.d(rhs)/du) at linearize(w)."""
+        t = lam / self.surface
+        # q_i drains tank i and, but for the last tank, fills tank i+1
+        dq_bar = -t
+        dq_bar[..., :-1] += t[..., 1:]
+        return lin * dq_bar, t[..., :1]
 
 
-def rk4_step(f, s, u, dt, n_substeps=4):
-    """Classical RK4 over equal substeps, forward values only.
+def _rk4_stages(f, s, u, dt, n_substeps):
+    """Classical RK4 over equal substeps; keeps every stage state.
 
-    Broadcasts over leading axes of (s, u) whenever f.rhs does.
+    Returns (w_next, stages) with one (w1, w2, w3, w4) tuple per substep,
+    the states at which the four slopes were taken.  The derivative
+    kernels linearize all stages in one broadcast call.
     """
     w = np.asarray(s, dtype=float)
     h = dt / n_substeps
-    for _ in range(n_substeps):
-        k1 = f.rhs(w, u)
-        k2 = f.rhs(w + 0.5 * h * k1, u)
-        k3 = f.rhs(w + 0.5 * h * k2, u)
-        k4 = f.rhs(w + h * k3, u)
-        w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return w
-
-
-def rk4_step_with_tangents(f, s, u, dt, n_substeps=4):
-    """One shooting-interval integration with exact discrete tangents.
-
-    Returns (w_next, dw_next/ds, dw_next/du).  The tangent matrices
-    differentiate the RK4 recursion itself, not the underlying flow, so
-    they match finite differences of this map to rounding.
-    """
-    w = np.asarray(s, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    eye = np.eye(w.size)
-    A = np.eye(w.size)
-    B = np.zeros((w.size, u.size))
-    h = dt / n_substeps
+    stages = []
     for _ in range(n_substeps):
         k1 = f.rhs(w, u)
         w2 = w + 0.5 * h * k1
@@ -179,21 +174,66 @@ def rk4_step_with_tangents(f, s, u, dt, n_substeps=4):
         k3 = f.rhs(w3, u)
         w4 = w + h * k3
         k4 = f.rhs(w4, u)
-        # stage tangents by the chain rule through the stage states
-        K1 = f.jac_state(w, u)
-        K2 = f.jac_state(w2, u) @ (eye + 0.5 * h * K1)
-        K3 = f.jac_state(w3, u) @ (eye + 0.5 * h * K2)
-        K4 = f.jac_state(w4, u) @ (eye + h * K3)
-        L1 = f.jac_control(w, u)
-        L2 = f.jac_state(w2, u) @ (0.5 * h * L1) + f.jac_control(w2, u)
-        L3 = f.jac_state(w3, u) @ (0.5 * h * L2) + f.jac_control(w3, u)
-        L4 = f.jac_state(w4, u) @ (h * L3) + f.jac_control(w4, u)
-        A_sub = eye + (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
-        B_sub = (h / 6.0) * (L1 + 2.0 * (L2 + L3) + L4)
+        stages.append((w, w2, w3, w4))
         w = w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        A = A_sub @ A
-        B = A_sub @ B + B_sub
-    return w, A, B
+    return w, stages
+
+
+def rk4_step(f, s, u, dt, n_substeps=4):
+    """Classical RK4 over equal substeps, forward values only.
+
+    Broadcasts over leading axes of (s, u) whenever f.rhs does.
+    """
+    return _rk4_stages(f, s, u, dt, n_substeps)[0]
+
+
+def rk4_step_with_tangents(f, s, u, dt, n_substeps=4):
+    """Shooting-interval integration with exact discrete tangents.
+
+    Returns (w_next, dw_next/ds, dw_next/du) per interval: s has shape
+    (..., n_tanks) and u (..., n_u), and the leading axes batch
+    independent intervals.  The tangents differentiate the RK4 recursion
+    itself, not the underlying flow, so they match finite differences of
+    this map to rounding.  Both seeds ride forward together as the
+    columns of one (..., n_tanks, n_tanks + n_u) tangent.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    w_next, stages = _rk4_stages(f, s, u, dt, n_substeps)
+    nw, nu = w_next.shape[-1], u.shape[-1]
+    seeds = np.eye(nw + nu)
+    du = seeds[nw:]
+    T = np.broadcast_to(seeds[:nw], w_next.shape + (nw + nu,))
+    h = dt / n_substeps
+    for l1, l2, l3, l4 in f.linearize(np.array(stages)):
+        d1 = f.tangent(l1, T, du)
+        d2 = f.tangent(l2, T + 0.5 * h * d1, du)
+        d3 = f.tangent(l3, T + 0.5 * h * d2, du)
+        d4 = f.tangent(l4, T + h * d3, du)
+        T = T + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+    return w_next, T[..., :nw], T[..., nw:]
+
+
+def rk4_step_adjoint(f, s, u, lam, dt, n_substeps=4):
+    """Reverse sweep: (w_next, lam.dw_next/ds, lam.dw_next/du).
+
+    Batched like rk4_step_with_tangents, with lam shaped like s.  The
+    forward pass keeps its stage states and the sweep runs back through
+    them with f.cotangent, so the cost is a small multiple of one
+    integration and no tangent matrix is formed.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    w_next, stages = _rk4_stages(f, s, u, dt, n_substeps)
+    h = dt / n_substeps
+    s_bar = np.asarray(lam, dtype=float)
+    u_bar = 0.0
+    for l1, l2, l3, l4 in f.linearize(np.array(stages))[::-1]:
+        b4, c4 = f.cotangent(l4, (h / 6.0) * s_bar)
+        b3, c3 = f.cotangent(l3, (h / 3.0) * s_bar + h * b4)
+        b2, c2 = f.cotangent(l2, (h / 3.0) * s_bar + 0.5 * h * b3)
+        b1, c1 = f.cotangent(l1, (h / 6.0) * s_bar + 0.5 * h * b2)
+        s_bar = s_bar + (b1 + b2 + b3 + b4)
+        u_bar = u_bar + (c1 + c2 + c3 + c4)
+    return w_next, s_bar, u_bar
 
 
 def steady_state(cfg, u_s):
@@ -336,35 +376,40 @@ def cascade_problem(cfg, steady):
     dt, sub = cfg.dt, cfg.n_substeps
     s_at = [state_slice(cfg, i) for i in range(H + 1)]
     u_at = [control_slice(cfg, i) for i in range(H)]
+    # all shooting nodes (H + 1, nw), all controls (H, 1), and the
+    # (H, nw) equality rows that chain interval i into s_{i+1}
+    node = np.arange(H + 1)[:, None] * (nw + 1)
+    s_idx = node + np.arange(nw)
+    u_idx = node[:-1] + nw
+    chain = nw + np.arange(H * nw).reshape(H, nw)
+    jac_fixed = np.zeros((m, n))
+    jac_fixed[np.arange(nw), s_idx[0]] = 1.0
+    jac_fixed[chain, s_idx[1:]] = -1.0
 
     def g(x):
+        s = x[s_idx]
         out = np.empty(m)
-        out[:nw] = x[s_at[0]]
-        for i in range(H):
-            w_next = rk4_step(dyn, x[s_at[i]], x[u_at[i]], dt, sub)
-            out[(i + 1) * nw : (i + 2) * nw] = w_next - x[s_at[i + 1]]
+        out[:nw] = s[0]
+        out[nw:] = (rk4_step(dyn, s[:-1], x[u_idx], dt, sub) - s[1:]).ravel()
         return out
 
     def g_jac(x):
-        jac = np.zeros((m, n))
-        jac[:nw, s_at[0]] = np.eye(nw)
-        for i in range(H):
-            _, A, B = rk4_step_with_tangents(dyn, x[s_at[i]], x[u_at[i]], dt, sub)
-            rows = slice((i + 1) * nw, (i + 2) * nw)
-            jac[rows, s_at[i]] = A
-            jac[rows, u_at[i]] = B
-            jac[rows, s_at[i + 1]] = -np.eye(nw)
+        _, A, B = rk4_step_with_tangents(dyn, x[s_idx[:-1]], x[u_idx], dt, sub)
+        jac = jac_fixed.copy()
+        jac[chain[..., None], s_idx[:-1, None, :]] = A
+        jac[chain[..., None], u_idx[:, None, :]] = B
         return jac
 
     def g_adjoint(x, y):
+        lam = y[nw:].reshape(H, nw)
+        _, s_bar, u_bar = rk4_step_adjoint(dyn, x[s_idx[:-1]], x[u_idx], lam, dt, sub)
+        nodes_bar = np.zeros((H + 1, nw))
+        nodes_bar[:-1] = s_bar
+        nodes_bar[1:] -= lam
+        nodes_bar[0] += y[:nw]
         out = np.zeros(n)
-        out[s_at[0]] += y[:nw]
-        for i in range(H):
-            _, A, B = rk4_step_with_tangents(dyn, x[s_at[i]], x[u_at[i]], dt, sub)
-            yi = y[(i + 1) * nw : (i + 2) * nw]
-            out[s_at[i]] += A.T @ yi
-            out[u_at[i]] += B.T @ yi
-            out[s_at[i + 1]] -= yi
+        out[s_idx] = nodes_bar
+        out[u_idx] = u_bar
         return out
 
     lower = np.full(n, -np.inf)

@@ -22,6 +22,7 @@ import numpy as np
 from .config import build_problem, load_scenario, parse_config_text
 from .errors import ConfigError, ScpTrackError, StepError
 from .traceio import (
+    counters_summary,
     summarize_trace,
     summary_line,
     write_bench_csv,
@@ -135,14 +136,7 @@ def _run_scenario(name, cfg):
                 eps=cfg.fascp_eps,
                 max_iter=cfg.fascp_max_iter,
             )
-            summary = {
-                "records": len(trace.records),
-                "max_oracle_error": None,
-                "mean_oracle_error": None,
-                "max_region_violation": None,
-                "solver_iters": trace.counters.solver_iters,
-                "jacobian_evals": trace.counters.jacobian_evals,
-            }
+            summary = counters_summary(len(trace.records), trace.counters)
             return ("ok" if trace.converged else "not_converged", summary)
         trace = track(problem, list(cfg.schedule), z0, cfg.tracker)
         summary = summarize_trace(trace)

@@ -15,10 +15,16 @@ TRACE_HEADER = (
     "region_violation,jac_error,oracle_error"
 )
 SOLVE_HEADER = "j,step_inf_norm,kkt_total,error_vs_oracle"
-BENCH_HEADER = (
-    "scenario,status,records,max_oracle_error,mean_oracle_error,"
-    "max_region_violation,solver_iters,jacobian_evals"
+# headline numbers of one run: the summary line and the bench CSV columns
+SUMMARY_FIELDS = (
+    "records",
+    "max_oracle_error",
+    "mean_oracle_error",
+    "max_region_violation",
+    "solver_iters",
+    "jacobian_evals",
 )
+BENCH_HEADER = ",".join(("scenario", "status") + SUMMARY_FIELDS)
 
 
 def fmt_float(value):
@@ -84,38 +90,41 @@ def write_solve_csv(path, trace, errors=None):
             )
 
 
+def counters_summary(records, counters):
+    """Summary of a run that carries only counts; other fields None."""
+    summary = dict.fromkeys(SUMMARY_FIELDS)
+    summary.update(
+        records=records,
+        solver_iters=counters.solver_iters,
+        jacobian_evals=counters.jacobian_evals,
+    )
+    return summary
+
+
 def summarize_trace(trace):
     """Headline numbers of one tracking run, missing ones as None."""
+    summary = counters_summary(len(trace.records), trace.counters)
     oracle_errors = [r.oracle_error for r in trace.records if r.oracle_error is not None]
-    violations = [r.region_violation for r in trace.records]
-    return {
-        "records": len(trace.records),
-        "max_oracle_error": max(oracle_errors) if oracle_errors else None,
-        "mean_oracle_error": (
-            sum(oracle_errors) / len(oracle_errors) if oracle_errors else None
-        ),
-        "max_region_violation": max(violations) if violations else None,
-        "solver_iters": trace.counters.solver_iters,
-        "jacobian_evals": trace.counters.jacobian_evals,
-    }
+    if oracle_errors:
+        summary["max_oracle_error"] = max(oracle_errors)
+        summary["mean_oracle_error"] = sum(oracle_errors) / len(oracle_errors)
+    if trace.records:
+        summary["max_region_violation"] = max(r.region_violation for r in trace.records)
+    return summary
+
+
+def _summary_field(value):
+    if value is None:
+        return ""
+    return fmt_float(value) if isinstance(value, float) else str(value)
 
 
 def summary_line(summary):
-    parts = []
-    for key in (
-        "max_oracle_error",
-        "mean_oracle_error",
-        "max_region_violation",
-        "solver_iters",
-        "jacobian_evals",
-    ):
-        value = summary[key]
-        if value is None:
-            parts.append(f"{key}=-")
-        elif isinstance(value, float):
-            parts.append(f"{key}={fmt_float(value)}")
-        else:
-            parts.append(f"{key}={value}")
+    parts = [
+        f"{key}={_summary_field(summary[key]) or '-'}"
+        for key in SUMMARY_FIELDS
+        if key != "records"
+    ]
     return "summary " + " ".join(parts)
 
 
@@ -129,27 +138,6 @@ def write_bench_csv(path, rows):
         fh.write(BENCH_HEADER + "\n")
         for name, status, summary in rows:
             if summary is None:
-                summary = {
-                    "records": None,
-                    "max_oracle_error": None,
-                    "mean_oracle_error": None,
-                    "max_region_violation": None,
-                    "solver_iters": None,
-                    "jacobian_evals": None,
-                }
-            fh.write(
-                ",".join(
-                    (
-                        name,
-                        status,
-                        "" if summary["records"] is None else str(summary["records"]),
-                        fmt_float(summary["max_oracle_error"]),
-                        fmt_float(summary["mean_oracle_error"]),
-                        fmt_float(summary["max_region_violation"]),
-                        "" if summary["solver_iters"] is None else str(summary["solver_iters"]),
-                        "" if summary["jacobian_evals"] is None
-                        else str(summary["jacobian_evals"]),
-                    )
-                )
-                + "\n"
-            )
+                summary = dict.fromkeys(SUMMARY_FIELDS)
+            fields = (_summary_field(summary[key]) for key in SUMMARY_FIELDS)
+            fh.write(",".join((name, status, *fields)) + "\n")

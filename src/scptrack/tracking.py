@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OracleError, StepError, UsageError
+from .errors import OracleError, ProjectionError, StepError, UsageError
 from .jacobians import (
     EvalCounters,
     HessianStrategy,
@@ -96,7 +96,8 @@ class TrackingTrace:
     sample; each processed sample appends one record, so a completed run
     over N samples holds N + 1 records.  An aborted run additionally
     holds one record for the failed sample (held iterate, failure
-    status) and stops there.
+    status) and stops there; when the diagnostics of a record fail
+    (oracle or projection), the run stops without that record.
     """
 
     records: list = field(default_factory=list)
@@ -380,6 +381,20 @@ def _make_record(problem, xi, state, status, iters, config, oracle, k):
     )
 
 
+def _append_record(trace, problem, xi, state, status, iters, config, oracle, k):
+    """Append record k; a failed diagnostic aborts the trace instead."""
+    try:
+        trace.records.append(
+            _make_record(problem, xi, state, status, iters, config, oracle, k)
+        )
+    except (OracleError, ProjectionError) as err:
+        note = f"record {k}: {err}"
+        trace.message = f"{trace.message}; {note}" if trace.message else note
+        trace.aborted = True
+        return False
+    return True
+
+
 def track(problem, xi_sequence, z0, config=None, oracle=None):
     """Drive the configured step variant across a parameter schedule.
 
@@ -391,7 +406,9 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
     point per sample comes from a tight full-step solve warm-started at
     the current iterate (or from the supplied oracle callable).  A
     failed sample appends a record with the failure status and the held
-    iterate, marks the trace aborted and returns it.
+    iterate, marks the trace aborted and returns it.  An oracle or
+    projection failure while evaluating a record likewise returns the
+    trace aborted, holding the records finished before it.
     """
     config = config or TrackerConfig()
     counters = EvalCounters()
@@ -414,7 +431,8 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
         raise UsageError("parameter schedule is empty")
     xi = problem.check_xi(xi)
     fn = oracle if oracle is not None else oracle_solution
-    trace.records.append(_make_record(problem, xi, state, None, None, config, fn, 0))
+    if not _append_record(trace, problem, xi, state, None, None, config, fn, 0):
+        return trace
     k = 0
     while xi is not None:
         try:
@@ -423,16 +441,15 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
             trace.aborted = True
             trace.message = f"step {k + 1}: {err}"
             failed = err.solution
-            trace.records.append(
-                _make_record(
-                    problem, xi, err.state, failed.status, failed.iterations,
-                    config, None, k + 1,
-                )
+            _append_record(
+                trace, problem, xi, err.state, failed.status, failed.iterations,
+                config, None, k + 1,
             )
             return trace
-        trace.records.append(
-            _make_record(problem, xi, state, sol.status, sol.iterations, config, fn, k + 1)
-        )
+        if not _append_record(
+            trace, problem, xi, state, sol.status, sol.iterations, config, fn, k + 1
+        ):
+            return trace
         k += 1
         xi = sample(state.z, k)
         if xi is not None:

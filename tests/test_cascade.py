@@ -192,17 +192,48 @@ def test_problem_rejects_inconsistent_steady():
         cascade_problem(cfg, (steady[0] + 0.5, steady[1]))
 
 
-def test_problem_jacobian_and_adjoint_consistency():
-    cfg, steady = _default()
+def _nonuniform():
+    cfg = CascadeConfig(
+        n_tanks=8,
+        horizon=24,
+        outflow_coeff=np.linspace(0.8, 1.3, 8),
+        surface=np.linspace(1.5, 0.7, 8),
+    )
+    return cfg, steady_state(cfg, 1.0)
+
+
+@pytest.mark.parametrize("case", ["default", "nonuniform-8x24", "below-floor"])
+def test_problem_jacobian_and_adjoint_consistency(case):
+    cfg, steady = _nonuniform() if case == "nonuniform-8x24" else _default()
     problem = cascade_problem(cfg, steady)
     rng = np.random.default_rng(91)
     x = steady_primal(cfg, steady) + rng.normal(size=problem.n) * 0.05
+    if case == "below-floor":
+        # an empty tank: its outflow partial is zero at the first stage,
+        # and the forward difference step stays under the floor as well
+        x[state_slice(cfg, 2).start + 1] = 0.0
     jac = problem.g_jac(x)
     fd = finite_difference_jacobian(problem.g, x, problem.m, 1e-7)
     assert np.max(np.abs(jac - fd)) <= 1e-6
     for _ in range(5):
         y = rng.normal(size=problem.m)
         np.testing.assert_allclose(problem.g_adjoint(x, y), jac.T @ y, atol=1e-12)
+
+
+def test_batched_tangents_equal_stacked_intervals():
+    cfg, _ = _nonuniform()
+    dyn = CascadeDynamics(cfg.outflow_coeff, cfg.surface)
+    rng = np.random.default_rng(17)
+    s = rng.uniform(0.0, 2.0, size=(5, cfg.n_tanks))
+    s[2, 3] = 0.0  # one tank under the smoothing floor
+    u = rng.uniform(0.0, 3.0, size=(5, 1))
+    w, A, B = rk4_step_with_tangents(dyn, s, u, cfg.dt, cfg.n_substeps)
+    assert w.shape == (5, 8) and A.shape == (5, 8, 8) and B.shape == (5, 8, 1)
+    for i in range(5):
+        w_i, A_i, B_i = rk4_step_with_tangents(dyn, s[i], u[i], cfg.dt, cfg.n_substeps)
+        np.testing.assert_array_equal(w[i], w_i)
+        np.testing.assert_array_equal(A[i], A_i)
+        np.testing.assert_array_equal(B[i], B_i)
 
 
 def test_problem_has_first_order_model_only():

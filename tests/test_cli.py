@@ -100,6 +100,33 @@ def test_track_abort_writes_partial_trace(tmp_path):
     assert "infeasible" in lines[-1]
 
 
+def test_track_oracle_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):
+    from scptrack import tracking
+    from scptrack.errors import OracleError
+
+    calls = []
+    real = tracking.oracle_solution
+
+    def failing_oracle(problem, xi, hint):
+        calls.append(xi)
+        if len(calls) == 4:
+            raise OracleError("reference solve failed")
+        return real(problem, xi, hint)
+
+    monkeypatch.setattr(tracking, "oracle_solution", failing_oracle)
+    out = tmp_path / "partial.csv"
+    text = SWEEP.format(variant="apcscp", jacobian="frozen", oracle="true", out=out)
+    cfg = _write(tmp_path / "run.cfg", text.replace("xi.step = 0.25", "xi.step = 0.05"))
+    assert main(["track", cfg]) == 2
+    lines = out.read_text().splitlines()
+    # header + the three records finished before the failing oracle call
+    assert lines[0] == TRACE_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+    captured = capsys.readouterr()
+    assert captured.out.startswith("summary ")
+    assert "aborted at record 3: reference solve failed" in captured.err
+
+
 def test_out_flag_overrides_config(tmp_path):
     configured = tmp_path / "a.csv"
     actual = tmp_path / "b.csv"

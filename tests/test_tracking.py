@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from scptrack.errors import StepError, UsageError
+from scptrack.errors import OracleError, StepError, UsageError
 from scptrack.jacobians import (
     EvalCounters,
     HessianStrategy,
@@ -188,6 +188,28 @@ def test_track_abort_appends_failure_record():
     assert last.step_status is SolveStatus.INFEASIBLE
     # held iterate: the failure record repeats the last good point
     np.testing.assert_allclose(last.x, trace.records[-2].x)
+
+
+def test_track_oracle_failure_keeps_finished_records():
+    problem = tutorial_problem()
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"), record_oracle_error=True)
+    calls = []
+
+    def oracle(problem, xi, hint):
+        calls.append(xi)
+        if len(calls) == 4:
+            raise OracleError("reference solve failed")
+        return oracle_solution(problem, xi, hint)
+
+    sweep = _sweep(count=10, start=1.2, step=0.05)
+    trace = track(problem, sweep, z0, config, oracle=oracle)
+    assert trace.aborted
+    assert trace.message == "record 3: reference solve failed"
+    # records 0-2 finished; the record whose oracle failed is left out
+    assert len(trace) == 3
+    assert [r.k for r in trace.records] == [0, 1, 2]
+    assert all(r.oracle_error is not None for r in trace.records)
 
 
 def test_retry_fresh_jacobian_repairs_bad_model():
