@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,17 +111,6 @@ def cmd_solve(config_path, out=None):
     return EXIT_OK if trace.converged else EXIT_RUNTIME
 
 
-def _bench_threads():
-    raw = os.environ.get("SCP_TRACK_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"SCP_TRACK_THREADS: not an integer: {raw!r}") from None
-    if threads < 1:
-        raise ConfigError("SCP_TRACK_THREADS must be >= 1")
-    return threads
-
-
 def _run_scenario(name, cfg):
     """One bench entry: (status, summary-or-None).  Never raises."""
     try:
@@ -168,20 +156,13 @@ def cmd_bench(config_path, out=None):
         base = os.path.dirname(os.path.abspath(config_path))
         paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in names]
         scenarios = [load_scenario(p) for p in paths]
-        threads = min(_bench_threads(), len(scenarios))
     except OSError as exc:
         return _fail_config(f"cannot read config {config_path}: {exc}")
     except ScpTrackError as exc:
         return _fail_config(exc)
 
     stems = [os.path.splitext(os.path.basename(n))[0] for n in names]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_scenario, stems, scenarios))
-    else:
-        results = [_run_scenario(n, cfg) for n, cfg in zip(stems, scenarios)]
-
-    rows = [(stem, status, summary) for stem, (status, summary) in zip(stems, results)]
+    rows = [(stem, *_run_scenario(stem, cfg)) for stem, cfg in zip(stems, scenarios)]
     write_bench_csv(out or pairs.get("output", "bench.csv"), rows)
     for stem, status, _ in rows:
         print(f"{stem}: {status}")

@@ -9,19 +9,26 @@ and second-order cones (cone members; ellipsoids via a square root of the
 shape matrix).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
 scaling and a 0.99 fraction-to-boundary rule.  Numerically dependent
 equality rows are removed up front by rank-revealing QR.
+
+Iterates are certified in ``_finish`` on the natural-map residuals of the
+returned (x, y).  The rescue paths that remain all fire in the test suite: the
+dual refit, the primal polish (the active-set Newton kernel of ``region``),
+the best-iterate restore, the ``_safe_project`` fallback, the tikhonov retry
+and the regularised bordered solves.  Regions with no cone at all are solved
+as an equality-constrained QP.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
 from .errors import ProjectionError
-from .region import _active_normals, _active_rows, _boundary_terms, project_region
+from .region import _active_normals, _active_set, _active_set_newton, project_region
 from .subproblem import (
     SolveStatus,
     SolverOptions,
@@ -248,6 +255,7 @@ def _solve_bordered(Hm, A, rhs):
     if p:
         K[:n, n:] = A.T
         K[n:, :n] = A
+    # rescue: the shifts catch a singular matrix, e.g. no curvature on a free direction
     for reg in (0.0, 1e-12, 1e-8):
         Kr = np.array(K)
         if reg:
@@ -269,7 +277,8 @@ def _solve_bordered(Hm, A, rhs):
 def _safe_project(region, v):
     try:
         return project_region(region, v)
-    except ProjectionError as err:  # non-converged iterates can sit far out
+    except ProjectionError as err:
+        # rescue: a Dykstra run that misses its tolerance, from points far out
         return err.best
 
 
@@ -302,59 +311,27 @@ def _primal_polish(sp, x, y, tik):
     """Newton refinement of (x, y) on the KKT system of the active set at x.
 
     The interior-point iterate is accurate to about sqrt(mu) when a curved
-    member is active; one Newton solve on the boundary equations restores
-    full precision.  Candidates are screened by the caller through the
-    natural-map residuals, so a wrong active-set guess is harmless.
+    member is active; the active-set Newton solve on the boundary equations
+    and the equality rows restores full precision.  Candidates are screened
+    by the caller through the natural-map residuals, so a wrong active-set
+    guess is harmless.
     """
-    region = sp.region
-    n, m = sp.n, sp.m
     scale = 1.0 + float(np.linalg.norm(x))
-    for eps_act in (1e-7 * scale, 1e-5 * scale, 1e-3 * scale):
-        A, b, curved = _active_rows(region, x, eps_act)
-        la, k = A.shape[0], len(curved)
-        p = np.array(x)
-        yy = np.array(y)
-        w = np.zeros(la)
-        mu = np.zeros(k)
-        ok = False
-        for _ in range(40):
-            terms = [_boundary_terms(mm, p, scale) for mm in curved]
-            if any(t is None for t in terms):
-                break
-            grads = np.array([t[1] for t in terms]) if k else np.zeros((0, n))
-            hsum = sum(m_i * t[2] for m_i, t in zip(mu, terms)) if k else 0.0
-            F = np.concatenate(
-                [
-                    sp.gradient(p) + tik * p + sp.A_eq.T @ yy + A.T @ w + grads.T @ mu,
-                    sp.A_eq @ (p - sp.x_ref) + sp.b_eq,
-                    A @ p - b,
-                    np.array([t[0] for t in terms]),
-                ]
-            )
-            if np.max(np.abs(F)) <= 1e-12 * scale:
-                ok = True
-                break
-            J = np.zeros((n + m + la + k, n + m + la + k))
-            J[:n, :n] = sp.H + tik * np.eye(n) + hsum
-            J[:n, n : n + m] = sp.A_eq.T
-            J[:n, n + m : n + m + la] = A.T
-            J[:n, n + m + la :] = grads.T
-            J[n : n + m, :n] = sp.A_eq
-            J[n + m : n + m + la, :n] = A
-            J[n + m + la :, :n] = grads
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            p = p + step[:n]
-            yy = yy + step[n : n + m]
-            w = w + step[n + m : n + m + la]
-            mu = mu + step[n + m + la :]
-        if ok:
-            return p, yy
+    hess = sp.H + tik * np.eye(sp.n)
+    r_eq = sp.A_eq @ sp.x_ref - sp.b_eq
+    for eps_act in (1e-7 * scale, 1e-5 * scale):
+        N, b, curved = _active_set(sp.region, x, eps_act)
+        E, r = np.vstack([sp.A_eq, N]), np.concatenate([r_eq, b])
+        w = np.concatenate([y, np.zeros(N.shape[0])])
+        sol = _active_set_newton(
+            lambda p: sp.gradient(p) + tik * p, hess, E, r, curved, x, w, scale, 1e-12 * scale
+        )
+        if sol is not None:
+            return sol[0], sol[1][: sp.m]
     return None
 
 
-def _finish(sp, x, y_kept, kept, s, z, status, iters, opts, regularized=False):
+def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
     y = np.zeros(sp.m)
     if kept.size:
         y[kept] = y_kept
@@ -363,7 +340,9 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts, regularized=False):
     grad0 = sp.gradient(x) + opts.tikhonov * x
     grad = grad0 + sp.A_eq.T @ y
     stat = float(np.linalg.norm(x - _safe_project(sp.region, x - grad)))
+    dist = None
     if stat > opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
+        # rescue: conic duals of constraints on zero rows of G that lag behind x
         y2 = _polish_duals(sp, x, grad0)
         if y2 is not None:
             grad2 = grad0 + sp.A_eq.T @ y2
@@ -371,6 +350,7 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts, regularized=False):
             if stat2 < stat:
                 y, stat = y2, stat2
     if stat > 10.0 * opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
+        # rescue: an x only sqrt(mu)-accurate because a curved member is active
         pol = _primal_polish(sp, x, y, opts.tikhonov)
         if pol is not None:
             x3, y3 = pol
@@ -378,11 +358,12 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts, regularized=False):
             stat3 = float(np.linalg.norm(x3 - _safe_project(sp.region, x3 - grad3)))
             dist3 = float(np.linalg.norm(x3 - _safe_project(sp.region, x3)))
             if stat3 < stat and dist3 <= opts.tol:
-                x, y, stat = x3, y3, stat3
+                x, y, stat, dist = x3, y3, stat3, dist3
     r_eq = sp.A_eq @ (x - sp.x_ref) + sp.b_eq
     eq = float(np.linalg.norm(r_eq))
     eq_kept = float(np.linalg.norm(r_eq[kept])) if kept.size < sp.m else eq
-    dist = float(np.linalg.norm(x - _safe_project(sp.region, x)))
+    if dist is None:
+        dist = float(np.linalg.norm(x - _safe_project(sp.region, x)))
     gap = float(s @ z) if s is not None else 0.0
     res = SubproblemResiduals(stat, eq, dist, gap)
     # the internal conic gap is reported but never gated on: natural-map
@@ -402,16 +383,16 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts, regularized=False):
         elif within:
             # the iteration stalled on a point that already meets the contract
             status = SolveStatus.OPTIMAL
-    return SubproblemSolution(
-        x=x, y=y, status=status, iterations=iters, residuals=res, regularized=regularized
-    )
+    return SubproblemSolution(x=x, y=y, status=status, iterations=iters, residuals=res)
 
 
 def _solve_no_cones(sp, P, q, A, b, kept, opts):
     """Equality-constrained QP fallback for regions without members."""
     n = sp.n
     x_ls, *_ = np.linalg.lstsq(A, b, rcond=None) if A.shape[0] else (np.zeros(n),)
-    if A.shape[0] and np.linalg.norm(A @ x_ls - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+    # the rows the presolve dropped count too: a duplicate row may disagree
+    b_all = sp.A_eq @ sp.x_ref - sp.b_eq
+    if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
         return _finish(sp, x_ls, np.zeros(kept.size), kept, None, None,
                        SolveStatus.INFEASIBLE, 0, opts)
     if A.shape[0]:
@@ -447,6 +428,7 @@ def _ipm(sp, opts, warm):
     b = (sp.A_eq @ sp.x_ref - sp.b_eq)[kept]
     G, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
+        # a region with no finite bound and no member leaves no cone to step in
         return _solve_no_cones(sp, P, q, A, b, kept, opts)
 
     p = A.shape[0]
@@ -477,7 +459,6 @@ def _ipm(sp, opts, warm):
             z = z + (1.0 - mz) * e
 
     best = None
-    best_ver = None
     n_ver = 0
     status = SolveStatus.MAX_ITER
     it = 0
@@ -511,8 +492,6 @@ def _ipm(sp, opts, warm):
             sol = _finish(sp, x, y, kept, s, z, SolveStatus.MAX_ITER, it, opts)
             if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 return sol
-            if best_ver is None or sol.residuals.total < best_ver.residuals.total:
-                best_ver = sol
 
         if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or np.linalg.norm(x) > 1e12:
             status = SolveStatus.UNBOUNDED
@@ -581,20 +560,14 @@ def _ipm(sp, opts, warm):
             break
 
     if status is SolveStatus.MAX_ITER and best is not None:
+        # rescue: a loop that ends on a worse iterate than one it passed
         _, bx, by, bs, bz, bpobj, bpres = best
         if bpres > _STALL_PRES:
             status = SolveStatus.INFEASIBLE
         elif bpobj < _DIVERGE_OBJ:
             status = SolveStatus.UNBOUNDED
         x, y, s, z = bx, by, bs, bz
-    sol = _finish(sp, x, y, kept, s, z, status, it, opts)
-    if (
-        best_ver is not None
-        and sol.status is SolveStatus.MAX_ITER
-        and best_ver.residuals.total < sol.residuals.total
-    ):
-        return replace(best_ver, iterations=it)
-    return sol
+    return _finish(sp, x, y, kept, s, z, status, it, opts)
 
 
 def solve_subproblem(sp, opts=None, warm=None):
@@ -612,6 +585,7 @@ def solve_subproblem(sp, opts=None, warm=None):
         and opts.tikhonov == 0.0
         and not np.any(sp.H)
     ):
+        # rescue: a zero curvature model whose linear objective runs off a ray
         tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
         sol2 = _ipm(sp, replace(opts, tikhonov=tik), warm)
         return replace(sol2, regularized=True)

@@ -4,6 +4,10 @@ projection onto the intersection.
 
 Member projections are computed from a 1D secular equation in the Lagrange
 multiplier (eigendecomposition cached per member); Dykstra then combines them.
+
+Both polishing steps share one active-set Newton kernel, ``_active_set_newton``:
+``_polish_projection`` turns a slow Dykstra run into an exactly verified
+projection with it, and ``ipm._primal_polish`` refines interior-point iterates.
 """
 
 from __future__ import annotations
@@ -290,30 +294,33 @@ def region_violation(region, x):
     return worst
 
 
+def _active_set(region, x, eps):
+    """Members active at x (within eps): linear rows as outward normals N with
+    offsets b (N x = b on their boundary), then the curved members."""
+    lo, up = region.lower, region.upper
+    at_lo = np.flatnonzero(np.isfinite(lo) & (x - lo <= eps))
+    at_up = np.flatnonzero(np.isfinite(up) & (up - x <= eps))
+    affine = [m for m in region.affine if m.b - m.a @ x <= eps]
+    box = np.zeros((at_lo.size + at_up.size, region.n))
+    box[np.arange(at_lo.size), at_lo] = -1.0
+    box[np.arange(at_lo.size, box.shape[0]), at_up] = 1.0
+    N = np.vstack([box] + [m.a for m in affine])
+    b = np.concatenate([-lo[at_lo], up[at_up], [m.b for m in affine]])
+    curved = [m for m in region.cones + region.ellipsoids if m.violation(x) >= -eps]
+    return N, b, curved
+
+
 def _active_normals(region, x, eps):
     """Outward normals of the members active at x (within eps)."""
-    normals = []
-    lo, up = region.lower, region.upper
-    for j in np.flatnonzero(np.isfinite(lo)):
-        if x[j] - lo[j] <= eps:
-            row = np.zeros(region.n)
-            row[j] = -1.0
-            normals.append(row)
-    for j in np.flatnonzero(np.isfinite(up)):
-        if up[j] - x[j] <= eps:
-            row = np.zeros(region.n)
-            row[j] = 1.0
-            normals.append(row)
-    for m in region.affine:
-        if m.b - m.a @ x <= eps:
-            normals.append(np.array(m.a))
-    for m in region.cones:
-        if m.violation(x) >= -eps:
+    N, _, curved = _active_set(region, x, eps)
+    normals = list(N)
+    for m in curved:
+        if isinstance(m, SecondOrderCone):
+            # at the apex the subgradient -e stands in for the normal
             u = m.D @ x + m.d
             nu = np.linalg.norm(u)
             normals.append((m.D.T @ u / nu if nu > 0.0 else np.zeros(region.n)) - m.e)
-    for m in region.ellipsoids:
-        if m.violation(x) >= -eps:
+        else:
             normals.append(2.0 * m.shape @ (x - m.center))
     return normals
 
@@ -349,52 +356,16 @@ def _boundary_terms(m, p, scale):
     return m.violation(p), 2.0 * m.shape @ diff, 2.0 * m.shape
 
 
-def _active_rows(region, x, eps_act):
-    """Guessed active set at x: linear rows (A, b with A x = b) and curved members."""
-    n = region.n
-    rows, rhs = [], []
-    lo, up = region.lower, region.upper
-    for j in np.flatnonzero(np.isfinite(lo)):
-        if x[j] - lo[j] <= eps_act:
-            row = np.zeros(n)
-            row[j] = 1.0
-            rows.append(row)
-            rhs.append(lo[j])
-    for j in np.flatnonzero(np.isfinite(up)):
-        if up[j] - x[j] <= eps_act:
-            row = np.zeros(n)
-            row[j] = 1.0
-            rows.append(row)
-            rhs.append(up[j])
-    for m in region.affine:
-        if m.b - m.a @ x <= eps_act:
-            rows.append(np.array(m.a))
-            rhs.append(m.b)
-    curved = [
-        m
-        for m in tuple(region.cones) + tuple(region.ellipsoids)
-        if m.violation(x) >= -eps_act
-    ]
-    A = np.vstack(rows) if rows else np.zeros((0, n))
-    return A, np.asarray(rhs, dtype=float), curved
+def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
+    """Newton's method for min f(p) s.t. E p = r and every curved boundary.
 
-
-def _polish_projection(region, v, x, eps_act, scale):
-    """Exact projection candidate from the active set near x.
-
-    Newton's method on the projection KKT system of the guessed active rows
-    (box and affine actives as equalities, curved members by their boundary
-    equations); the candidate is returned only when it passes the KKT
-    verification, so a wrong guess costs nothing.
+    f has gradient grad and constant Hessian hess; the rows of E start from
+    multipliers w, the curved members from zero.  Returns (p, w) once the KKT
+    residual is at most tol in max norm, otherwise None (40 steps, a cone
+    apex or a non-finite step).  The active set is a guess: callers check p.
     """
-    n = region.n
-    A, b, curved = _active_rows(region, x, eps_act)
-    la, k = A.shape[0], len(curved)
-    if la + k == 0:
-        return None
-
+    n, le, k = x.size, E.shape[0], len(curved)
     p = np.array(x)
-    w = np.zeros(la)
     mu = np.zeros(k)
     for _ in range(40):
         terms = [_boundary_terms(m, p, scale) for m in curved]
@@ -402,30 +373,39 @@ def _polish_projection(region, v, x, eps_act, scale):
             return None
         grads = np.array([t[1] for t in terms]) if k else np.zeros((0, n))
         hsum = sum(m_i * t[2] for m_i, t in zip(mu, terms)) if k else 0.0
-        F = np.concatenate(
-            [
-                p - v + A.T @ w + grads.T @ mu,
-                A @ p - b,
-                np.array([t[0] for t in terms]),
-            ]
-        )
-        if np.max(np.abs(F)) <= 1e-13 * scale:
-            break
-        J = np.zeros((n + la + k, n + la + k))
-        J[:n, :n] = np.eye(n) + hsum
-        J[:n, n : n + la] = A.T
-        J[:n, n + la :] = grads.T
-        J[n : n + la, :n] = A
-        J[n + la :, :n] = grads
+        F = np.concatenate([grad(p) + E.T @ w + grads.T @ mu, E @ p - r, [t[0] for t in terms]])
+        if np.max(np.abs(F)) <= tol:
+            return p, w
+        J = np.zeros((n + le + k, n + le + k))
+        J[:n, :n] = hess + hsum
+        J[:n, n : n + le] = E.T
+        J[:n, n + le :] = grads.T
+        J[n : n + le, :n] = E
+        J[n + le :, :n] = grads
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         if not np.all(np.isfinite(step)):
             return None
         p = p + step[:n]
-        w = w + step[n : n + la]
-        mu = mu + step[n + la :]
-    else:
+        w = w + step[n : n + le]
+        mu = mu + step[n + le :]
+    return None
+
+
+def _polish_projection(region, v, x, eps_act, scale):
+    """Exact projection candidate from the active set near x.
+
+    The active-set Newton solve of min 0.5 ||p - v||^2 on the members active
+    at x; the candidate is returned only when it passes the KKT verification,
+    so a wrong guess costs nothing.
+    """
+    N, b, curved = _active_set(region, x, eps_act)
+    if N.shape[0] + len(curved) == 0:
         return None
-    return _verify_projection(region, v, p, scale)
+    sol = _active_set_newton(
+        lambda p: p - v, np.eye(region.n), N, b, curved, x, np.zeros(N.shape[0]),
+        scale, 1e-13 * scale,
+    )
+    return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 
 def project_region(region, v, tol=1e-10, max_iter=10000):
@@ -479,6 +459,7 @@ def project_region(region, v, tol=1e-10, max_iter=10000):
         if stalled >= 50:
             break
     if best[0] <= 1e-9 * scale:
+        # rescue: a feasible iterate whose optimality no check could confirm
         return best[2]
     raise ProjectionError(
         f"Dykstra projection did not reach tol={tol} in {max_iter} sweeps", best=best[2]

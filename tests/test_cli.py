@@ -259,13 +259,10 @@ def test_bench_matrix_rows_and_counters(tmp_path, capsys):
     assert frozen[-1] == "1"  # single Jacobian evaluation
 
 
-def test_bench_is_byte_identical_even_threaded(tmp_path, monkeypatch):
+def test_bench_rerun_is_byte_identical(tmp_path):
     bench = _bench_setup(tmp_path)
     assert main(["bench", bench]) == 0
     first = (tmp_path / "bench.csv").read_bytes()
-    assert main(["bench", bench]) == 0
-    assert (tmp_path / "bench.csv").read_bytes() == first
-    monkeypatch.setenv("SCP_TRACK_THREADS", "3")
     assert main(["bench", bench]) == 0
     assert (tmp_path / "bench.csv").read_bytes() == first
 
@@ -299,9 +296,3 @@ def test_bench_malformed_scenario_is_config_error(tmp_path):
     )
     assert main(["bench", bench]) == 1
     assert not (tmp_path / "bench.csv").exists()
-
-
-def test_bench_bad_thread_env_is_config_error(tmp_path, monkeypatch):
-    bench = _bench_setup(tmp_path)
-    monkeypatch.setenv("SCP_TRACK_THREADS", "lots")
-    assert main(["bench", bench]) == 1

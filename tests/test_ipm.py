@@ -45,8 +45,6 @@ def test_equality_qp_matches_kkt_solve():
     c = rng.normal(size=n)
     A = rng.normal(size=(m, n))
     x_feas = rng.normal(size=n) * 0.1
-    region = ConvexRegion(lower=np.full(n, -50.0), upper=np.full(n, 50.0))
-    sp = _plain(c, region, H=H, A=A, b=-(A @ x_feas))
 
     kkt = np.zeros((n + m, n + m))
     kkt[:n, :n] = H
@@ -55,10 +53,16 @@ def test_equality_qp_matches_kkt_solve():
     rhs = np.concatenate([-c, A @ x_feas])
     ref = np.linalg.solve(kkt, rhs)
 
-    sol = solve_subproblem(sp)
-    assert sol.status is SolveStatus.OPTIMAL
-    np.testing.assert_allclose(sol.x, ref[:n], atol=1e-7)
-    np.testing.assert_allclose(sol.y, ref[n:], atol=1e-6)
+    # an inactive box goes through the interior-point loop; the unbounded
+    # region has no cone and goes through the equality-constrained QP path
+    for region in (
+        ConvexRegion(lower=np.full(n, -50.0), upper=np.full(n, 50.0)),
+        ConvexRegion.unbounded(n),
+    ):
+        sol = solve_subproblem(_plain(c, region, H=H, A=A, b=-(A @ x_feas)))
+        assert sol.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, ref[:n], atol=1e-7)
+        np.testing.assert_allclose(sol.y, ref[n:], atol=1e-6)
 
 
 def test_ball_lp_closed_form():
@@ -133,11 +137,11 @@ def test_infeasible_cone_equality():
 
 
 def test_inconsistent_duplicate_rows_detected():
-    region = ConvexRegion(lower=[0.0, 0.0], upper=[2.0, 2.0])
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    sp = _plain([1.0, 0.0], region, A=A, b=np.array([-1.0, -1.5]))
-    sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
-    assert sol.status is SolveStatus.INFEASIBLE
+    for region in (ConvexRegion(lower=[0.0, 0.0], upper=[2.0, 2.0]), ConvexRegion.unbounded(2)):
+        sp = _plain([1.0, 0.0], region, A=A, b=np.array([-1.0, -1.5]))
+        sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
+        assert sol.status is SolveStatus.INFEASIBLE
 
 
 def test_consistent_duplicate_rows_solved():
@@ -154,6 +158,11 @@ def test_unbounded_direction_detected():
     sp = _plain([0.0, 1.0], region)
     sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
     assert sol.status is SolveStatus.UNBOUNDED
+    assert not sol.regularized
+    # by default the zero curvature model is retried with a tikhonov term
+    sol = solve_subproblem(sp)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.regularized
 
 
 def test_warm_start_reconverges_fast():
