@@ -5,16 +5,17 @@ The region is compiled to conic standard form
     min 0.5 x.P.x + q.x   s.t.  A x = b,   G x + s = h,   s in K,
 
 with K a product of a nonnegative orthant (finite bounds, affine members)
-and second-order cones (cone members; ellipsoids via a square root of the
-shape matrix).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
+and second-order cones (cone members, and ellipsoids through
+``Ellipsoid.cone``).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
 scaling and a 0.99 fraction-to-boundary rule.  Numerically dependent
 equality rows are removed up front by rank-revealing QR.
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y).  The rescue paths that remain all fire in the test suite: the
 dual refit, the primal polish (the active-set Newton kernel of ``region``),
-the best-iterate restore, the ``_safe_project`` fallback, the tikhonov retry
-and the regularised bordered solves.  Regions with no cone at all are solved
+the best-iterate restore, the ``_safe_project`` fallback (to the best Dykstra
+iterate that ``region.project_region`` raises with), the tikhonov retry and
+the regularised bordered solves.  Regions with no cone at all are solved
 as an equality-constrained QP.
 """
 
@@ -191,49 +192,20 @@ class _Scaling:
 
 
 def assemble_cones(region):
-    """Conic rows (G, h) and block structure for a region."""
-    n = region.n
-    rows, rhs = [], []
-    for i in np.flatnonzero(np.isfinite(region.lower)):
-        row = np.zeros(n)
-        row[i] = -1.0
-        rows.append(row)
-        rhs.append(-region.lower[i])
-    for i in np.flatnonzero(np.isfinite(region.upper)):
-        row = np.zeros(n)
-        row[i] = 1.0
-        rows.append(row)
-        rhs.append(region.upper[i])
-    for m in region.affine:
-        rows.append(np.array(m.a))
-        rhs.append(m.b)
-    l = len(rows)
-    soc_dims = []
-    for m in region.cones:
-        rows.append(-m.e)
-        rhs.append(m.f)
-        for r, dval in zip(m.D, m.d):
-            rows.append(-r)
-            rhs.append(dval)
-        soc_dims.append(m.D.shape[0] + 1)
-    for m in region.ellipsoids:
-        lam, u = np.linalg.eigh(m.shape)
-        keep = lam > 1e-14 * max(1.0, lam[-1])
-        dm = (np.sqrt(lam[keep])[:, None]) * u[:, keep].T
-        rows.append(np.zeros(n))
-        rhs.append(np.sqrt(m.radius))
-        off = dm @ m.center
-        for r, o in zip(dm, off):
-            rows.append(-r)
-            rhs.append(-o)
-        soc_dims.append(dm.shape[0] + 1)
-    if rows:
-        G = np.vstack(rows)
-        h = np.asarray(rhs, dtype=float)
-    else:
-        G = np.zeros((0, n))
-        h = np.zeros(0)
-    return G, h, _Cones(l, soc_dims)
+    """Conic rows (G, h) and block structure for a region.
+
+    The orthant holds the finite bounds and the affine members; each cone
+    member, then each ellipsoid (through its cone form), adds one block.
+    """
+    lo, up = np.isfinite(region.lower), np.isfinite(region.upper)
+    eye = np.eye(region.n)
+    cones = region.cones + tuple(m.cone for m in region.ellipsoids)
+    G = np.vstack([-eye[lo], eye[up]] + [m.a for m in region.affine]
+                  + [np.vstack([-m.e, -m.D]) for m in cones])
+    h = np.concatenate([-region.lower[lo], region.upper[up], [m.b for m in region.affine]]
+                       + [np.concatenate([[m.f], m.d]) for m in cones])
+    l = int(lo.sum() + up.sum()) + len(region.affine)
+    return G, h, _Cones(l, [m.D.shape[0] + 1 for m in cones])
 
 
 def _presolve_equalities(A, b):

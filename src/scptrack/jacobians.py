@@ -137,21 +137,23 @@ def full_jacobian(problem, x, fd_step=1e-7, counters=None):
     return finite_difference_jacobian(problem.g, x, problem.m, fd_step)
 
 
+def _evaluate_jacobian(strategy, problem, x, counters):
+    """A fresh Jacobian at x: finite differences for fd, full_jacobian otherwise."""
+    if strategy.kind != "fd":
+        return full_jacobian(problem, x, strategy.fd_step, counters)
+    if counters is not None:
+        counters.jacobian_evals += 1
+    return finite_difference_jacobian(problem.g, x, problem.m, strategy.fd_step)
+
+
 def update_jacobian(strategy, problem, A, x_old, x_new, g_old, g_new, k, counters=None):
     """Next Jacobian model after the step x_old -> x_new."""
     if strategy.kind == "frozen":
         return A
-    if strategy.kind == "exact" and problem.g_jac is not None:
-        if counters is not None:
-            counters.jacobian_evals += 1
-        return np.atleast_2d(np.asarray(problem.g_jac(x_new), dtype=float))
-    if strategy.kind in ("exact", "fd"):
-        if counters is not None:
-            counters.jacobian_evals += 1
-        return finite_difference_jacobian(problem.g, x_new, problem.m, strategy.fd_step)
+    reset = strategy.reset_period > 0 and k > 0 and k % strategy.reset_period == 0
+    if strategy.kind in ("exact", "fd") or reset:
+        return _evaluate_jacobian(strategy, problem, x_new, counters)
     # broyden
-    if strategy.reset_period > 0 and k > 0 and k % strategy.reset_period == 0:
-        return full_jacobian(problem, x_new, strategy.fd_step, counters)
     dx = x_new - x_old
     nrm = np.linalg.norm(dx)
     skip = strategy.skip_threshold
@@ -190,12 +192,7 @@ def init_state(problem, z0, jacobian, hessian, counters=None):
     seeded A, hence zero for exact initialization.
     """
     x0, y0 = z0.x, z0.y
-    if jacobian.kind == "fd":
-        if counters is not None:
-            counters.jacobian_evals += 1
-        A0 = finite_difference_jacobian(problem.g, x0, problem.m, jacobian.fd_step)
-    else:
-        A0 = full_jacobian(problem, x0, jacobian.fd_step, counters)
+    A0 = _evaluate_jacobian(jacobian, problem, x0, counters)
     H0 = update_hessian(hessian, problem, x0, y0)
     m0 = correction_vector(problem, x0, y0, A0)
     if counters is not None:

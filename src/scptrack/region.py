@@ -5,6 +5,12 @@ projection onto the intersection.
 Member projections are computed from a 1D secular equation in the Lagrange
 multiplier (eigendecomposition cached per member); Dykstra then combines them.
 
+Curved members own their geometry: ``boundary`` gives the violation and the
+outward gradient, ``curvature`` the Hessian of the boundary function, and
+``Ellipsoid.cone`` the ellipsoid as a second-order cone (the form ``ipm``
+compiles).  The active-set scan, the projection check, the Newton kernel and
+the tangent relaxation in ``tracking`` all go through these methods.
+
 Both polishing steps share one active-set Newton kernel, ``_active_set_newton``:
 ``_polish_projection`` turns a slow Dykstra run into an exactly verified
 projection with it, and ``ipm._primal_polish`` refines interior-point iterates.
@@ -126,6 +132,22 @@ class SecondOrderCone:
     def violation(self, x):
         return float(np.linalg.norm(self.D @ x + self.d) - (self.e @ x + self.f))
 
+    def boundary(self, x):
+        """Violation and outward gradient at x; the subgradient -e at the apex."""
+        u = self.D @ x + self.d
+        nu = np.linalg.norm(u)
+        grad = (self.D.T @ u / nu if nu > 0.0 else 0.0) - self.e
+        return float(nu - (self.e @ x + self.f)), grad
+
+    def curvature(self, x, scale):
+        """Hessian of the boundary function at x; None within 1e-12 scale of the apex."""
+        u = self.D @ x + self.d
+        nu = np.linalg.norm(u)
+        if nu <= 1e-12 * scale:
+            return None
+        uh = u / nu
+        return self.D.T @ (self.D - np.outer(uh, uh @ self.D)) / nu
+
     def project(self, v):
         t = float(self.e @ v + self.f)
         if t >= 0.0 and np.linalg.norm(self.D @ v + self.d) <= t:
@@ -218,9 +240,28 @@ class Ellipsoid:
         lam, u = np.linalg.eigh(self.shape)
         return np.maximum(lam, 0.0), u
 
+    @cached_property
+    def cone(self):
+        """The member as a cone, ||S^1/2 (x - center)|| <= sqrt(radius), with
+        S^1/2 taken over the numerically positive eigenvalues of the shape."""
+        lam, u = self._eig
+        keep = lam > 1e-14 * max(1.0, lam[-1])
+        root = np.sqrt(lam[keep])[:, None] * u[:, keep].T
+        return SecondOrderCone(root, -(root @ self.center), np.zeros(self.center.size),
+                               np.sqrt(self.radius))
+
     def violation(self, x):
         dx = x - self.center
         return float(dx @ self.shape @ dx - self.radius)
+
+    def boundary(self, x):
+        """Violation and outward gradient at x."""
+        dx = x - self.center
+        return float(dx @ self.shape @ dx - self.radius), 2.0 * self.shape @ dx
+
+    def curvature(self, x, scale):
+        """Hessian of the boundary function (constant)."""
+        return 2.0 * self.shape
 
     def project(self, v):
         if self.violation(v) <= 0.0:
@@ -313,16 +354,7 @@ def _active_set(region, x, eps):
 def _active_normals(region, x, eps):
     """Outward normals of the members active at x (within eps)."""
     N, _, curved = _active_set(region, x, eps)
-    normals = list(N)
-    for m in curved:
-        if isinstance(m, SecondOrderCone):
-            # at the apex the subgradient -e stands in for the normal
-            u = m.D @ x + m.d
-            nu = np.linalg.norm(u)
-            normals.append((m.D.T @ u / nu if nu > 0.0 else np.zeros(region.n)) - m.e)
-        else:
-            normals.append(2.0 * m.shape @ (x - m.center))
-    return normals
+    return list(N) + [m.boundary(x)[1] for m in curved]
 
 
 def _verify_projection(region, v, cand, scale):
@@ -341,21 +373,6 @@ def _verify_projection(region, v, cand, scale):
     return None
 
 
-def _boundary_terms(m, p, scale):
-    """(value, gradient, hessian) of a curved member's boundary function at p."""
-    if isinstance(m, SecondOrderCone):
-        u = m.D @ p + m.d
-        nu = np.linalg.norm(u)
-        if nu <= 1e-12 * scale:
-            return None
-        uh = u / nu
-        grad = m.D.T @ uh - m.e
-        hess = m.D.T @ (m.D - np.outer(uh, uh @ m.D)) / nu
-        return m.violation(p), grad, hess
-    diff = p - m.center
-    return m.violation(p), 2.0 * m.shape @ diff, 2.0 * m.shape
-
-
 def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
     """Newton's method for min f(p) s.t. E p = r and every curved boundary.
 
@@ -368,11 +385,12 @@ def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
     p = np.array(x)
     mu = np.zeros(k)
     for _ in range(40):
-        terms = [_boundary_terms(m, p, scale) for m in curved]
-        if any(t is None for t in terms):
+        hessians = [m.curvature(p, scale) for m in curved]
+        if any(h is None for h in hessians):
             return None
+        terms = [m.boundary(p) for m in curved]
         grads = np.array([t[1] for t in terms]) if k else np.zeros((0, n))
-        hsum = sum(m_i * t[2] for m_i, t in zip(mu, terms)) if k else 0.0
+        hsum = sum(m_i * h for m_i, h in zip(mu, hessians)) if k else 0.0
         F = np.concatenate([grad(p) + E.T @ w + grads.T @ mu, E @ p - r, [t[0] for t in terms]])
         if np.max(np.abs(F)) <= tol:
             return p, w
@@ -415,7 +433,9 @@ def project_region(region, v, tol=1e-10, max_iter=10000):
     a full sweep moves the iterate by at most tol and the iterate is feasible;
     for slow sweeps an active-set candidate is tried and accepted when it
     passes an exact optimality check (nearly parallel halfspaces make plain
-    Dykstra creep, and the candidate then short-circuits the crawl).
+    Dykstra creep, and the candidate then short-circuits the crawl).  A run
+    that verifies no point raises ProjectionError with the best iterate: the
+    least violated, then the closest to v.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (region.n,):
@@ -458,9 +478,6 @@ def project_region(region, v, tol=1e-10, max_iter=10000):
         stalled = stalled + 1 if change <= tol else 0
         if stalled >= 50:
             break
-    if best[0] <= 1e-9 * scale:
-        # rescue: a feasible iterate whose optimality no check could confirm
-        return best[2]
     raise ProjectionError(
         f"Dykstra projection did not reach tol={tol} in {max_iter} sweeps", best=best[2]
     )

@@ -146,35 +146,21 @@ class FascpTrace:
 def _linearize_region(region, x):
     """Tangent-halfspace relaxation of the curved members at x.
 
-    Box and affine members pass through unchanged.  Each cone member
-    becomes the first-order expansion of ||D x + d|| - (e.x + f) at x
-    (zero subgradient of the norm at u = 0); each ellipsoid becomes the
-    tangent halfspace of its boundary level set through x.  Members with
-    a vanishing gradient are dropped when locally satisfied and kept as
-    an unsatisfiable row otherwise, so infeasibility stays visible.
+    Box and affine members pass through unchanged.  Each curved member
+    becomes the first-order expansion of its boundary function at x (for
+    a cone at its apex, with the subgradient -e); for an ellipsoid this is
+    the tangent halfspace of its boundary level set through x.  Members
+    with a vanishing gradient are dropped when locally satisfied and kept
+    as an unsatisfiable row otherwise, so infeasibility stays visible.
     """
     if not (region.cones or region.ellipsoids):
         return region
     scale = 1.0 + float(np.linalg.norm(x))
     affine = list(region.affine)
-
-    def tangent(grad, phi):
-        if np.linalg.norm(grad) <= 1e-14 * scale and phi <= 0.0:
-            return
-        affine.append(AffineInequality(grad, float(grad @ x) - phi))
-
-    for m in region.cones:
-        u = m.D @ x + m.d
-        nu = float(np.linalg.norm(u))
-        if nu > 0.0:
-            grad = m.D.T @ (u / nu) - m.e
-        else:
-            grad = -np.array(m.e)
-        tangent(grad, nu - float(m.e @ x + m.f))
-    for m in region.ellipsoids:
-        dx = x - m.center
-        q = float(dx @ m.shape @ dx)
-        tangent(2.0 * (m.shape @ dx), q - m.radius)
+    for m in region.cones + region.ellipsoids:
+        phi, grad = m.boundary(x)
+        if np.linalg.norm(grad) > 1e-14 * scale or phi > 0.0:
+            affine.append(AffineInequality(grad, float(grad @ x) - phi))
     return ConvexRegion(region.lower, region.upper, tuple(affine), (), ())
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import feasible_samples, random_subproblem, subproblem_objective
 from scptrack.problem import PrimalDual
-from scptrack.ipm import solve_subproblem
+from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
+from scptrack.ipm import assemble_cones, solve_subproblem
 from scptrack.region import (
     AffineInequality,
     ConvexRegion,
@@ -211,3 +212,59 @@ def test_iteration_budget_is_respected():
     sp = random_subproblem("ellipsoid", rng)
     sol = solve_subproblem(sp, SolverOptions(max_iter=1, tikhonov_retry=False))
     assert sol.iterations <= 1
+
+
+def _assemble_rows_reference(region):
+    """Conic rows built one at a time, ellipsoids by their own square root."""
+    rows, rhs = [], []
+    for i in np.flatnonzero(np.isfinite(region.lower)):
+        rows.append(-np.eye(region.n)[i])
+        rhs.append(-region.lower[i])
+    for i in np.flatnonzero(np.isfinite(region.upper)):
+        rows.append(np.eye(region.n)[i])
+        rhs.append(region.upper[i])
+    for m in region.affine:
+        rows.append(m.a)
+        rhs.append(m.b)
+    l, dims = len(rows), []
+    for m in region.cones:
+        rows += [-m.e] + [-r for r in m.D]
+        rhs += [m.f] + list(m.d)
+        dims.append(m.D.shape[0] + 1)
+    for m in region.ellipsoids:
+        lam, u = np.linalg.eigh(m.shape)
+        keep = lam > 1e-14 * max(1.0, lam[-1])
+        root = np.sqrt(lam[keep])[:, None] * u[:, keep].T
+        rows += [np.zeros(region.n)] + [-r for r in root]
+        rhs += [np.sqrt(m.radius)] + list(-(root @ m.center))
+        dims.append(root.shape[0] + 1)
+    return np.array(rows).reshape(-1, region.n), np.array(rhs, dtype=float), l, dims
+
+
+def test_assemble_cones_matches_row_by_row_reference():
+    rng = np.random.default_rng(43)
+    regions = [ConvexRegion.unbounded(3)]
+    for n_tanks, horizon in ((3, 8), (8, 24)):
+        cfg = CascadeConfig(n_tanks=n_tanks, horizon=horizon)
+        regions.append(cascade_problem(cfg, steady_state(cfg, 1.0)).region)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        ranks = rng.integers(1, n + 1, size=rng.integers(0, 3))
+        ellipsoids = []
+        for k in ranks:
+            B = rng.normal(size=(n, k))
+            ellipsoids.append(Ellipsoid(rng.normal(size=n), B @ B.T, rng.uniform(0.5, 2.0)))
+        regions.append(ConvexRegion(
+            np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-3.0, -0.5, n)),
+            np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0.5, 3.0, n)),
+            tuple(AffineInequality(rng.normal(size=n), 1.0) for _ in range(rng.integers(0, 3))),
+            tuple(SecondOrderCone(rng.normal(size=(2, n)), rng.normal(size=2),
+                                  rng.normal(size=n), 2.0) for _ in range(rng.integers(0, 3))),
+            tuple(ellipsoids),
+        ))
+    for region in regions:
+        G, h, cones = assemble_cones(region)
+        G_ref, h_ref, l_ref, dims_ref = _assemble_rows_reference(region)
+        np.testing.assert_array_equal(G, G_ref)
+        np.testing.assert_array_equal(h, h_ref)
+        assert (cones.l, cones.soc_dims) == (l_ref, dims_ref)

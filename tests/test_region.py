@@ -5,7 +5,9 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import random_region
+from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
 from scptrack.errors import DimensionError, UsageError
+from scptrack.ipm import assemble_cones
 from scptrack.region import (
     AffineInequality,
     ConvexRegion,
@@ -173,3 +175,110 @@ def test_unbounded_region_projection_is_identity():
     region = ConvexRegion.unbounded(3)
     v = np.array([1e6, -1e6, 0.0])
     np.testing.assert_allclose(project_region(region, v), v)
+
+
+def _central_differences(fun, x, h=1e-6):
+    eye = np.eye(x.size)
+    return np.array([(fun(x + h * ei) - fun(x - h * ei)) / (2.0 * h) for ei in eye])
+
+
+def test_member_boundary_and_cone_form():
+    rng = np.random.default_rng(65)
+    for _ in range(5):
+        n = int(rng.integers(2, 6))
+        B = rng.normal(size=(n, n))
+        members = (
+            SecondOrderCone(rng.normal(size=(3, n)), rng.normal(size=3), rng.normal(size=n),
+                            rng.normal()),
+            Ellipsoid(rng.normal(size=n), B @ B.T / n + 0.1 * np.eye(n), rng.uniform(0.5, 2.0)),
+        )
+        for m in members:
+            x = rng.normal(size=n)
+            phi, grad = m.boundary(x)
+            assert phi == m.violation(x)
+            np.testing.assert_allclose(grad, _central_differences(m.violation, x), atol=1e-6)
+            hess = m.curvature(x, 1.0)
+            fd = _central_differences(lambda p: m.boundary(p)[1], x)
+            np.testing.assert_allclose(hess, fd, atol=1e-5)
+
+    # at the exact apex the subgradient -e stands in, and there is no Hessian
+    cone = SecondOrderCone(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), [-1.0, 2.0],
+                           [0.3, -0.2, 1.0], 0.5)
+    apex = np.array([1.0, -2.0, 0.7])
+    phi, grad = cone.boundary(apex)
+    assert phi == cone.violation(apex)
+    np.testing.assert_array_equal(grad, -cone.e)
+    assert cone.curvature(apex, 1.0) is None
+
+    # the cone form of an ellipsoid, full rank and rank-deficient
+    n = 4
+    B = rng.normal(size=(n, n))
+    thin = rng.normal(size=(n, 2))
+    for shape in (B @ B.T / n + 0.2 * np.eye(n), thin @ thin.T):
+        ell = Ellipsoid(rng.normal(size=n) * 0.3, shape, rng.uniform(0.5, 2.0))
+        cone = ell.cone
+        assert ell.cone is cone
+        np.testing.assert_allclose(cone.D.T @ cone.D, ell.shape, atol=1e-12)
+        for _ in range(200):
+            x = ell.center + rng.normal(size=n) * 2.0
+            q = ell.violation(x) + ell.radius
+            assert np.sign(cone.violation(x)) == np.sign(ell.violation(x))
+            assert cone.violation(x) == pytest.approx(
+                np.sqrt(max(q, 0.0)) - np.sqrt(ell.radius), abs=1e-9
+            )
+
+        # compiling the ellipsoid or its cone form gives the same conic rows
+        lower = np.array([-1.0, -np.inf, -2.0, -np.inf])
+        upper = np.array([np.inf, 1.0, 2.0, np.inf])
+        affine = (AffineInequality(rng.normal(size=n), 1.0),)
+        other = SecondOrderCone(rng.normal(size=(2, n)), rng.normal(size=2), np.zeros(n), 2.0)
+        with_ell = ConvexRegion(lower, upper, affine, (other,), (ell,))
+        with_cone = ConvexRegion(lower, upper, affine, (other, cone))
+        G1, h1, k1 = assemble_cones(with_ell)
+        G2, h2, k2 = assemble_cones(with_cone)
+        np.testing.assert_array_equal(G1, G2)
+        np.testing.assert_array_equal(h1, h2)
+        assert (k1.l, k1.soc_dims) == (k2.l, k2.soc_dims) == (5, [3, cone.D.shape[0] + 1])
+        # h - G x lies in the cone product exactly when x lies in the region
+        for _ in range(100):
+            x = rng.normal(size=n) * 1.5
+            viol = region_violation(with_ell, x)
+            if abs(viol) > 1e-9:
+                assert (k1.margin(h1 - G1 @ x) >= 0.0) == (viol < 0.0)
+
+
+def test_near_boundary_point_of_epigraph_cone_projects_to_itself():
+    # the steady start sits on the cascade's epigraph cone to rounding
+    cfg = CascadeConfig()
+    steady = steady_state(cfg, 1.0)
+    problem = cascade_problem(cfg, steady)
+    x = steady_start(cfg, steady).x
+    cone = problem.region.cones[0]
+    assert abs(cone.violation(x)) <= 1e-14
+    assert np.linalg.norm(cone.project(x) - x) <= 1e-12
+    assert np.linalg.norm(project_region(problem.region, x) - x) <= 1e-12
+
+
+def test_thin_ellipsoid_projection_matches_nlp_oracle():
+    # shape eigenvalues 1 and 1e-8: a long, narrow member
+    th = 0.3
+    Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    S = Q @ np.diag([1.0, 1e-8]) @ Q.T
+    ell = Ellipsoid(np.array([0.2, -0.1]), S, 1.0)
+    region = ConvexRegion(np.full(2, -np.inf), np.full(2, np.inf), ellipsoids=(ell,))
+    for coords in ([2.0, 3.0], [-3.0, -5000.0], [1.5, 9000.0]):
+        v = ell.center + Q @ np.array(coords)
+        assert ell.violation(v) > 0.0
+        ref = minimize(
+            lambda x: 0.5 * np.sum((x - v) ** 2),
+            v,
+            jac=lambda x: x - v,
+            constraints=[{"type": "ineq", "fun": lambda x: -ell.violation(x),
+                          "jac": lambda x: -2.0 * S @ (x - ell.center)}],
+            method="SLSQP",
+            options={"maxiter": 400, "ftol": 1e-14},
+        )
+        # SLSQP's own flag can report failure on a converged point
+        assert ell.violation(ref.x) <= 1e-8
+        assert np.linalg.norm(ell.project(v) - ref.x) <= 1e-6
+        assert np.linalg.norm(project_region(region, v) - ref.x) <= 1e-6

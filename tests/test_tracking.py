@@ -14,10 +14,18 @@ from scptrack.jacobians import (
     init_state,
 )
 from scptrack.problem import ParametricNLP, PrimalDual, kkt_residual
-from scptrack.region import ConvexRegion
+from scptrack.region import (
+    AffineInequality,
+    ConvexRegion,
+    Ellipsoid,
+    SecondOrderCone,
+    project_region,
+    region_violation,
+)
 from scptrack.subproblem import SolveStatus, SolverOptions
 from scptrack.tracking import (
     TrackerConfig,
+    _linearize_region,
     apcscp_step,
     fascp_solve,
     oracle_solution,
@@ -289,3 +297,49 @@ def test_oracle_solution_accuracy_and_warmth():
     z = oracle_solution(problem, 1.75, z_hint)
     assert np.linalg.norm(z.x - z_star.x) <= 1e-7
     assert kkt_residual(problem, z, 1.75).total <= 1e-8
+
+
+def test_linearize_region_tangent_rows():
+    rng = np.random.default_rng(71)
+    n = 3
+    box = (np.full(n, -3.0), np.full(n, 3.0))
+    halfspace = AffineInequality(rng.normal(size=n), 2.0)
+    B = rng.normal(size=(n, n))
+    cone = SecondOrderCone(rng.normal(size=(2, n)), rng.normal(size=2) * 0.2,
+                           rng.normal(size=n) * 0.3, 1.5)
+    ell = Ellipsoid(rng.normal(size=n) * 0.3, B @ B.T / n + 0.3 * np.eye(n), 2.0)
+    region = ConvexRegion(*box, (halfspace,), (cone,), (ell,))
+    members = (cone, ell)
+    for x in [rng.normal(size=n) * 2.0 for _ in range(3)] + [m.project(np.full(n, 5.0))
+                                                              for m in members]:
+        lin = _linearize_region(region, x)
+        assert lin.cones == () and lin.ellipsoids == ()
+        np.testing.assert_array_equal(lin.lower, region.lower)
+        np.testing.assert_array_equal(lin.upper, region.upper)
+        assert lin.affine[0] is halfspace and len(lin.affine) == 3
+        scale = 1.0 + np.linalg.norm(x)
+        for m, row in zip(members, lin.affine[1:]):
+            # exact at x, so a boundary point lies on its own hyperplane
+            assert row.violation(x) == pytest.approx(m.violation(x), abs=1e-12 * scale)
+            # convexity: every point of the member satisfies its tangent row
+            for _ in range(20):
+                y = m.project(rng.normal(size=n) * 3.0)
+                assert row.violation(y) <= 1e-9 * (1.0 + np.linalg.norm(y))
+        # and so does every point of the region, for every row
+        for _ in range(10):
+            y = project_region(region, rng.normal(size=n) * 3.0)
+            assert region_violation(lin, y) <= 1e-8
+
+    # at the apex of a ball cone the gradient vanishes: dropped when the
+    # member is satisfied there, kept as an unsatisfiable row when violated
+    center = np.array([0.5, -0.5, 1.0])
+    for f, kept in ((1.0, False), (-1.0, True)):
+        ball = SecondOrderCone(np.eye(n), -center, np.zeros(n), f)
+        lin = _linearize_region(ConvexRegion(*box, cones=(ball,)), center)
+        assert len(lin.affine) == int(kept)
+        if kept:
+            assert not lin.affine[0].a.any() and lin.affine[0].b < 0.0
+            assert region_violation(lin, rng.normal(size=n)) > 0.0
+    # an ellipsoid at its center: zero gradient, satisfied, dropped
+    lin = _linearize_region(ConvexRegion(*box, ellipsoids=(ell,)), ell.center)
+    assert lin.affine == ()
