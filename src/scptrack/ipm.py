@@ -13,10 +13,11 @@ equality rows are removed up front by rank-revealing QR.
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y).  The rescue paths that remain all fire in the test suite: the
 dual refit, the primal polish (the active-set Newton kernel of ``region``),
-the best-iterate restore, the ``_safe_project`` fallback (to the best Dykstra
-iterate that ``region.project_region`` raises with), the tikhonov retry and
-the regularised bordered solves.  Regions with no cone at all are solved
-as an equality-constrained QP.
+the best-iterate restore, the tikhonov retry and the regularised bordered
+solves.  The ``_safe_project`` fallback (to the best Dykstra iterate that
+``region.project_region`` raises with) is the exception: it catches only a
+Dykstra run that exhausts its sweeps, which no test reaches.  Regions with
+no cone at all are solved as an equality-constrained QP.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def _safe_project(region, v):
     try:
         return project_region(region, v)
     except ProjectionError as err:
-        # rescue: a Dykstra run that misses its tolerance, from points far out
+        # rescue: a Dykstra run that exhausts its sweeps (no test reaches it)
         return err.best
 
 

@@ -88,6 +88,7 @@ class IterateState:
     m_corr: np.ndarray
     k: int = 0
     g_x: Optional[np.ndarray] = None  # cached g(x), one evaluation per step
+    adj_y: Optional[np.ndarray] = None  # cached g'(x)^T y, when a step computed it
 
 
 def adjoint_product(problem, x, y):
@@ -102,11 +103,11 @@ def adjoint_product(problem, x, y):
     return out
 
 
-def correction_vector(problem, x, y, A):
-    """m = g'(x)^T y - A^T y; zero when A is the exact Jacobian."""
+def correction_vector(problem, x, y, A, adj=None):
+    """m = g'(x)^T y - A^T y (adj: g'(x)^T y, when already known); zero for exact A."""
     if A.shape != (problem.m, problem.n):
         raise DimensionError("jacobian model has wrong shape")
-    return adjoint_product(problem, x, y) - A.T @ y
+    return (adjoint_product(problem, x, y) if adj is None else adj) - A.T @ y
 
 
 def finite_difference_jacobian(g, x, m, step_scale=1e-7):
@@ -194,9 +195,10 @@ def init_state(problem, z0, jacobian, hessian, counters=None):
     x0, y0 = z0.x, z0.y
     A0 = _evaluate_jacobian(jacobian, problem, x0, counters)
     H0 = update_hessian(hessian, problem, x0, y0)
-    m0 = correction_vector(problem, x0, y0, A0)
+    adj0 = adjoint_product(problem, x0, y0)
+    m0 = correction_vector(problem, x0, y0, A0, adj0)
     if counters is not None:
         counters.adjoint_evals += 1
         counters.g_evals += 1
     g0 = np.atleast_1d(np.asarray(problem.g(x0), dtype=float))
-    return IterateState(z=z0, A=A0, H=H0, m_corr=m0, k=0, g_x=g0)
+    return IterateState(z=z0, A=A0, H=H0, m_corr=m0, k=0, g_x=g0, adj_y=adj0)

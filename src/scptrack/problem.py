@@ -86,29 +86,30 @@ class ParametricNLP:
         return xi
 
 
-def eval_constraints(problem, x, xi):
-    """Equality residual g(x) + M.xi."""
+def eval_constraints(problem, x, xi, g_x=None):
+    """Equality residual g(x) + M.xi (g_x: g(x) when the caller holds it)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionError(f"point has shape {x.shape}, expected ({problem.n},)")
     xi = problem.check_xi(xi)
-    g = np.atleast_1d(np.asarray(problem.g(x), dtype=float))
+    g = np.atleast_1d(np.asarray(problem.g(x) if g_x is None else g_x, dtype=float))
     if g.shape != (problem.m,):
         raise DimensionError(f"g returned shape {g.shape}, expected ({problem.m},)")
     return g + problem.M @ xi
 
 
-def kkt_residual(problem, z, xi, projection_tol=1e-10):
+def kkt_residual(problem, z, xi, projection_tol=1e-10, g_x=None, adj_y=None):
     """Natural-map KKT residual of z = (x, y) for the problem at xi.
 
     stationarity = ||x - P(x - (c + g'(x)^T y))||, equality = ||g(x) + M.xi||,
-    region_distance = ||x - P(x)||, with P the region projection.
+    region_distance = ||x - P(x)||, with P the region projection.  g_x = g(x)
+    and adj_y = g'(x)^T y are evaluated unless the caller already holds them.
     """
     x, y = z.x, z.y
     if y.shape != (problem.m,):
         raise DimensionError(f"multiplier has shape {y.shape}, expected ({problem.m},)")
-    eq = eval_constraints(problem, x, xi)
-    grad = problem.c + problem.g_adjoint(x, y)
+    eq = eval_constraints(problem, x, xi, g_x)
+    grad = problem.c + (problem.g_adjoint(x, y) if adj_y is None else adj_y)
     stat = np.linalg.norm(x - project_region(problem.region, x - grad, tol=projection_tol))
     dist = np.linalg.norm(x - project_region(problem.region, x, tol=projection_tol))
     return KKTResidual(float(stat), float(np.linalg.norm(eq)), float(dist))

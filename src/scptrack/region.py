@@ -2,8 +2,12 @@
 ellipsoid members, with exact member projections and Dykstra's alternating
 projection onto the intersection.
 
-Member projections are computed from a 1D secular equation in the Lagrange
-multiplier (eigendecomposition cached per member); Dykstra then combines them.
+Member projections solve a 1D secular equation in the Lagrange multiplier
+(eigendecomposition cached per member); Dykstra then combines them.  There
+is one secular solver, ``SecondOrderCone.project``: an ellipsoid projects
+through its cone form.  The equation decreases up to its pole, so that branch
+is bracketed from a Newton step and refined by Brent's method; only the
+branch beyond the pole is scanned on a grid.
 
 Curved members own their geometry: ``boundary`` gives the violation and the
 outward gradient, ``curvature`` the Hessian of the boundary function, and
@@ -35,39 +39,49 @@ def _freeze(a):
     return a
 
 
-def _scan_roots(gfun, grid):
-    """Roots of gfun bracketed by sign changes over an increasing grid."""
-    roots = []
-    g_prev, lam_prev = gfun(grid[0]), grid[0]
-    if g_prev == 0.0:
-        roots.append(lam_prev)
-    for lam in grid[1:]:
-        g = gfun(lam)
-        if g == 0.0:
-            roots.append(lam)
-        elif np.isfinite(g) and np.isfinite(g_prev) and g_prev * g < 0.0:
-            roots.append(brentq(gfun, lam_prev, lam, rtol=_ROOT_RTOL, maxiter=200))
-        g_prev, lam_prev = g, lam
-    return roots
+def _monotone_root(gfun, pole, slope):
+    """The root of gfun on [0, pole), where it decreases, or None.
+
+    lam = 0 whenever gfun(0) <= 0; otherwise a geometric bracket from the
+    Newton step gfun(0) / -slope that never steps onto the pole.
+    """
+    lo, g = 0.0, gfun(0.0)
+    if g <= 0.0:
+        return 0.0
+    step = g / -slope if slope < 0.0 else 1.0
+    hi = min(step if 0.0 < step < np.inf else 1.0, 0.5 * pole)
+    while lo < hi < min(pole, 2.0**64) and np.isfinite(g):
+        g = gfun(hi)
+        if g <= 0.0:
+            return hi if g == 0.0 else brentq(gfun, lo, hi, rtol=_ROOT_RTOL, maxiter=200)
+        lo, hi = hi, min(2.0 * hi, 0.5 * (hi + pole))
+    return None
 
 
-def _secular_root(gfun, pole, accept):
+def _secular_root(gfun, pole, accept, slope):
     """First multiplier lam >= 0 with gfun(lam) = 0 passing the accept test.
 
-    The secular function is rational in lam with at most one positive pole;
-    the search scans a geometric grid on both sides of the pole (or over
-    [0, inf) when there is none) and refines sign changes by Brent's method.
+    gfun is rational in lam with at most one positive pole and decreases on
+    [0, pole) (slope = gfun'(0)), so that branch is bracketed.  Beyond the
+    pole it is not monotone: that branch alone is scanned on a geometric
+    grid.  Both refine by Brent's method on gfun itself.
     """
-    if pole < np.inf:
-        seg_a = pole * (1.0 - 2.0 ** -np.arange(0, 48))
-        seg_b = pole * (1.0 + 2.0 ** np.concatenate([-np.arange(48, 0, -1), np.arange(0, 64)]))
-        grids = [seg_a, seg_b]
-    else:
-        grids = [np.concatenate([[0.0], 2.0 ** np.arange(-40, 64)])]
-    for grid in grids:
-        for lam in _scan_roots(gfun, grid):
-            if accept(lam):
-                return lam
+    lam = _monotone_root(gfun, pole, slope)
+    if lam is not None and accept(lam):
+        return lam
+    if pole == np.inf:
+        return None
+    grid = pole * (1.0 + 2.0 ** np.concatenate([-np.arange(48, 0, -1), np.arange(0, 64)]))
+    lam_prev, g_prev = grid[0], gfun(grid[0])
+    for lam in grid[1:]:
+        g = gfun(lam)
+        if np.isfinite(g) and np.isfinite(g_prev) and g_prev * g < 0.0:
+            root = brentq(gfun, lam_prev, lam, rtol=_ROOT_RTOL, maxiter=200)
+            if accept(root):
+                return root
+        elif g == 0.0 and accept(lam):
+            return lam
+        lam_prev, g_prev = lam, g
     return None
 
 
@@ -116,8 +130,7 @@ class SecondOrderCone:
         # curvature matrix of the squared-residual secular equation; a
         # rank-one downdate of D'D, so it has at most one negative eigenvalue
         m = self.D.T @ self.D - np.outer(self.e, self.e)
-        lam, u = np.linalg.eigh((m + m.T) / 2.0)
-        return lam, u
+        return np.linalg.eigh((m + m.T) / 2.0)
 
     @cached_property
     def _vertex(self):
@@ -131,6 +144,10 @@ class SecondOrderCone:
 
     def violation(self, x):
         return float(np.linalg.norm(self.D @ x + self.d) - (self.e @ x + self.f))
+
+    def _upper_nappe(self, x):
+        """e.x + f >= 0 to 1e-10 relative: x lies on the cone, not its mirror."""
+        return self.e @ x + self.f >= -1e-10 * (1.0 + np.linalg.norm(x))
 
     def boundary(self, x):
         """Violation and outward gradient at x; the subgradient -e at the apex."""
@@ -164,11 +181,10 @@ class SecondOrderCone:
             x = point(lam)
             return float(np.sum((self.D @ x + self.d) ** 2) - (self.e @ x + self.f) ** 2)
 
-        def on_cone(lam):
-            x = point(lam)
-            return self.e @ x + self.f >= -1e-10 * (1.0 + np.linalg.norm(x))
-
-        root = _secular_root(gap, pole, on_cone)
+        # on [0, pole) the gap has derivative -2 sum g_i^2 / (1 + lam mu_i)^3,
+        # with M = u diag(mu) u' and g = u'(M v + w)
+        slope = -2.0 * float(np.sum((lam_m * vu + wu) ** 2))
+        root = _secular_root(gap, pole, lambda lam: self._upper_nappe(point(lam)), slope)
         if root is not None:
             return point(root)
         if pole < np.inf:
@@ -188,10 +204,7 @@ class SecondOrderCone:
         rhs = vu - pole * wu
         if abs(rhs[0]) > 1e-9 * (1.0 + np.linalg.norm(rhs)):
             return None
-        denom = 1.0 + pole * lam_m
-        coords = np.zeros_like(rhs)
-        coords[1:] = rhs[1:] / denom[1:]
-        x_p = u @ coords
+        x_p = u @ np.concatenate([[0.0], rhs[1:] / (1.0 + pole * lam_m[1:])])
         u_neg = u[:, 0]
         r0 = self.D @ x_p + self.d
         du = self.D @ u_neg
@@ -203,14 +216,9 @@ class SecondOrderCone:
         disc = b * b - 4.0 * a * c
         if disc < 0.0:
             return None
-        best = None
-        for tau in ((-b - np.sqrt(disc)) / (2.0 * a), (-b + np.sqrt(disc)) / (2.0 * a)):
-            x = x_p + tau * u_neg
-            if self.e @ x + self.f >= -1e-10 * (1.0 + np.linalg.norm(x)):
-                d2 = float(np.sum((x - v) ** 2))
-                if best is None or d2 < best[0]:
-                    best = (d2, x)
-        return None if best is None else best[1]
+        taus = ((-b - np.sqrt(disc)) / (2.0 * a), (-b + np.sqrt(disc)) / (2.0 * a))
+        cands = [x for x in (x_p + tau * u_neg for tau in taus) if self._upper_nappe(x)]
+        return min(cands, key=lambda x: float(np.sum((x - v) ** 2)), default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,15 +244,11 @@ class Ellipsoid:
             raise UsageError("ellipsoid shape matrix must be positive semidefinite")
 
     @cached_property
-    def _eig(self):
-        lam, u = np.linalg.eigh(self.shape)
-        return np.maximum(lam, 0.0), u
-
-    @cached_property
     def cone(self):
         """The member as a cone, ||S^1/2 (x - center)|| <= sqrt(radius), with
-        S^1/2 taken over the numerically positive eigenvalues of the shape."""
-        lam, u = self._eig
+        S^1/2 taken over the numerically positive eigenvalues of the shape.
+        Projections onto the ellipsoid go through this form."""
+        lam, u = np.linalg.eigh(self.shape)
         keep = lam > 1e-14 * max(1.0, lam[-1])
         root = np.sqrt(lam[keep])[:, None] * u[:, keep].T
         return SecondOrderCone(root, -(root @ self.center), np.zeros(self.center.size),
@@ -266,18 +270,7 @@ class Ellipsoid:
     def project(self, v):
         if self.violation(v) <= 0.0:
             return np.array(v)
-        lam_s, u = self._eig
-        vu = u.T @ (v - self.center)
-
-        def gap(lam):
-            coords = vu / (1.0 + lam * lam_s)
-            return float(np.sum(lam_s * coords**2) - self.radius)
-
-        # strictly decreasing on [0, inf): the single root is the multiplier
-        root = _secular_root(gap, np.inf, lambda lam: True)
-        if root is None:
-            raise ProjectionError("ellipsoid projection bracket failed", best=v)
-        return self.center + u @ (vu / (1.0 + root * lam_s))
+        return self.cone.project(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,24 +483,17 @@ def extend_region(region, extra):
         AffineInequality(np.concatenate([m.a, pad]), m.b) for m in region.affine
     )
     cones = tuple(
-        SecondOrderCone(
-            np.hstack([m.D, np.zeros((m.D.shape[0], extra))]),
-            m.d,
-            np.concatenate([m.e, pad]),
-            m.f,
-        )
+        SecondOrderCone(np.pad(m.D, ((0, 0), (0, extra))), m.d, np.concatenate([m.e, pad]), m.f)
         for m in region.cones
     )
-    ellipsoids = []
-    for m in region.ellipsoids:
-        n = m.center.size
-        shape = np.zeros((n + extra, n + extra))
-        shape[:n, :n] = m.shape
-        ellipsoids.append(Ellipsoid(np.concatenate([m.center, pad]), shape, m.radius))
+    ellipsoids = tuple(
+        Ellipsoid(np.concatenate([m.center, pad]), np.pad(m.shape, (0, extra)), m.radius)
+        for m in region.ellipsoids
+    )
     return ConvexRegion(
         np.concatenate([region.lower, np.full(extra, -np.inf)]),
         np.concatenate([region.upper, np.full(extra, np.inf)]),
         affine,
         cones,
-        tuple(ellipsoids),
+        ellipsoids,
     )

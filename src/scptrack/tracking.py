@@ -24,6 +24,7 @@ from .jacobians import (
     HessianStrategy,
     IterateState,
     JacobianStrategy,
+    adjoint_product,
     correction_vector,
     full_jacobian,
     init_state,
@@ -176,16 +177,21 @@ def _attempt(problem, state, xi, config, counters, region=None):
     return sol
 
 
+def _corrected(problem, z, A, counters):
+    """One adjoint product at z: the correction vector against A, and g'(x)^T y."""
+    if counters is not None:
+        counters.adjoint_evals += 1
+    adj = adjoint_product(problem, z.x, z.y)
+    return correction_vector(problem, z.x, z.y, A, adj), adj
+
+
 def _refresh_state(problem, state, config, counters):
     """Hold the iterate, rebuild the models from an exact Jacobian."""
     A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters)
-    if config.variant == "apcscp":
-        if counters is not None:
-            counters.adjoint_evals += 1
-        m = correction_vector(problem, state.z.x, state.z.y, A)
-    else:
-        m = np.zeros(problem.n)
-    return replace(state, A=A, m_corr=m)
+    if config.variant != "apcscp":
+        return replace(state, A=A, m_corr=np.zeros(problem.n))
+    m, adj = _corrected(problem, state.z, A, counters)
+    return replace(state, A=A, m_corr=m, adj_y=adj)
 
 
 def _model_update(problem, state, config, sol, counters):
@@ -210,15 +216,14 @@ def _model_update(problem, state, config, sol, counters):
     A_new = update_jacobian(
         config.jacobian, problem, state.A, x_old, z_new.x, g_old, g_new, k_new, counters
     )
+    # exact-Jacobian variants carry no correction term
+    m_new, adj_new = np.zeros(problem.n), None
     if config.variant == "apcscp":
-        if counters is not None:
-            counters.adjoint_evals += 1
-        m_new = correction_vector(problem, z_new.x, z_new.y, A_new)
-    else:
-        # exact-Jacobian variants carry no correction term
-        m_new = np.zeros(problem.n)
+        m_new, adj_new = _corrected(problem, z_new, A_new, counters)
     H_new = update_hessian(config.hessian, problem, z_new.x, z_new.y)
-    return IterateState(z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new)
+    return IterateState(
+        z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new
+    )
 
 
 def _tracked_step(problem, state, xi, config, counters=None):
@@ -269,6 +274,11 @@ def rtgn_step(state, problem, xi_next, config, counters=None):
     return state
 
 
+def _state_kkt(problem, state, xi):
+    """KKT residual of the carried iterate, reusing its cached g and adjoint."""
+    return kkt_residual(problem, state.z, xi, g_x=state.g_x, adj_y=state.adj_y)
+
+
 def fascp_solve(problem, xi, z0, config=None, eps=1e-8, max_iter=50, kkt_stop=None):
     """Full-step iteration at a fixed parameter until the step stalls.
 
@@ -293,7 +303,7 @@ def fascp_solve(problem, xi, z0, config=None, eps=1e-8, max_iter=50, kkt_stop=No
     counters = EvalCounters()
     trace = FascpTrace(counters=counters)
     state = init_state(problem, z0, config.jacobian, config.hessian, counters)
-    kkt = kkt_residual(problem, state.z, xi)
+    kkt = _state_kkt(problem, state, xi)
     best = (kkt.total, state.z, kkt)
     for j in range(1, max_iter + 1):
         x_prev = state.z.x
@@ -304,7 +314,7 @@ def fascp_solve(problem, xi, z0, config=None, eps=1e-8, max_iter=50, kkt_stop=No
             err.trace = trace
             raise
         step_norm = float(np.max(np.abs(state.z.x - x_prev)))
-        kkt = kkt_residual(problem, state.z, xi)
+        kkt = _state_kkt(problem, state, xi)
         trace.records.append(FascpRecord(j, state.z, step_norm, kkt, sol.iterations))
         if kkt.total < best[0]:
             best = (kkt.total, state.z, kkt)
@@ -341,7 +351,7 @@ def oracle_solution(problem, xi, hint):
 def _make_record(problem, xi, state, status, iters, config, oracle, k):
     """Diagnostics of the carried iterate against P(xi)."""
     z = state.z
-    kkt = kkt_residual(problem, z, xi)
+    kkt = _state_kkt(problem, state, xi)
     viol = region_violation(problem.region, z.x)
     jac_err = None
     if problem.g_jac is not None:

@@ -53,6 +53,9 @@ def test_lorentz_cone_projection_closed_form():
     alpha = (5.0 + 0.0) / 2.0
     want = np.array([alpha * 3.0 / 5.0, alpha * 4.0 / 5.0, alpha])
     np.testing.assert_allclose(cone.project(v), want, atol=1e-9)
+    # the root lies beyond the pole of the secular equation (lam = 1.5 > 1)
+    np.testing.assert_allclose(cone.project(np.array([3.0, 4.0, -1.0])), [1.2, 1.6, 2.0],
+                               atol=1e-9)
 
 
 def test_ball_cone_projection():
@@ -282,3 +285,61 @@ def test_thin_ellipsoid_projection_matches_nlp_oracle():
         assert ell.violation(ref.x) <= 1e-8
         assert np.linalg.norm(ell.project(v) - ref.x) <= 1e-6
         assert np.linalg.norm(project_region(region, v) - ref.x) <= 1e-6
+
+
+def _onto_boundary(member, inside, outside):
+    """Bisect the segment inside -> outside to rounding; the outer end."""
+    for _ in range(100):
+        mid = 0.5 * (inside + outside)
+        if member.violation(mid) > 0.0:
+            outside = mid
+        else:
+            inside = mid
+    return outside
+
+
+def _near_boundary_members(rng, n):
+    """(member, inside point, outside points) for four member families."""
+    x0 = rng.normal(size=n)
+    out = []
+    for pole in (True, False):
+        B = rng.normal(size=(n - 1, n))
+        e = 2.0 * rng.normal(size=n) if pole else rng.normal(size=n)
+        # a row equal to e makes D'D - ee' positive semidefinite: no pole
+        D = B if pole else np.vstack([B, e])
+        d = rng.normal(size=D.shape[0])
+        f = float(np.linalg.norm(D @ x0 + d) - e @ x0 + 1.0)
+        cone = SecondOrderCone(D, d, e, f)
+        assert (np.linalg.eigvalsh(D.T @ D - np.outer(e, e))[0] < -1e-9) == pole
+        # e.x + f = -s < 0 puts a point outside the cone
+        far = []
+        for s in rng.uniform(0.1, 20.0, 16):
+            w = 5.0 * rng.normal(size=n)
+            far.append(x0 - (e @ x0 + f + s) / (e @ e) * e + w - (w @ e) / (e @ e) * e)
+        out.append((cone, x0, far))
+    for rank in (n, n - 2):
+        A = rng.normal(size=(n, rank))
+        ell = Ellipsoid(x0, A @ A.T + (0.1 * np.eye(n) if rank == n else 0.0), 1.5)
+        far = [x0 + 50.0 * A @ rng.normal(size=rank) for _ in range(16)]
+        out.append((ell, x0, far))
+    return out
+
+
+def test_near_boundary_points_project_to_themselves():
+    # points bisected onto a member's boundary (0 < violation <= 1e-12): the
+    # membership test and the root search must agree that they barely move
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for n in (3, 5, 8):
+        for member, inside, far in _near_boundary_members(rng, n):
+            kind = "cones" if isinstance(member, SecondOrderCone) else "ellipsoids"
+            for outside in far:
+                assert member.violation(outside) > 0.0
+                v = _onto_boundary(member, inside, outside)
+                assert 0.0 < member.violation(v) <= 1e-12
+                tol = 1e-9 * (1.0 + np.linalg.norm(v))
+                assert np.linalg.norm(member.project(v) - v) <= tol
+                region = ConvexRegion(v - 1.0, v + 1.0, **{kind: (member,)})
+                assert np.linalg.norm(project_region(region, v) - v) <= tol
+                checked += 1
+    assert checked == 3 * 4 * 16

@@ -124,12 +124,24 @@ def test_track_record_layout_and_counters():
 
 def test_track_frozen_apcscp_counts_one_jacobian():
     problem = tutorial_problem()
+    calls = {"g": 0, "g_adjoint": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    problem = replace(problem, g=counted("g", problem.g),
+                      g_adjoint=counted("g_adjoint", problem.g_adjoint))
     z0, _ = tutorial_solution(1.2)
     config = TrackerConfig(variant="apcscp", jacobian=JacobianStrategy("frozen"))
     trace = track(problem, _sweep(), z0, config)
     assert trace.counters.jacobian_evals == 1
     # one adjoint correction per step plus initialization
     assert trace.counters.adjoint_evals == len(trace.records)
+    # the records reuse the model update's g(x) and g'(x)^T y
+    assert calls == {"g": trace.counters.g_evals, "g_adjoint": trace.counters.adjoint_evals}
 
 
 def test_track_callable_source_stops_on_none():
