@@ -8,16 +8,21 @@ with K a product of a nonnegative orthant (finite bounds, affine members)
 and second-order cones (cone members, and ellipsoids through
 ``Ellipsoid.cone``).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
 scaling and a 0.99 fraction-to-boundary rule.  Numerically dependent
-equality rows are removed up front by rank-revealing QR.
+equality rows are removed up front by rank-revealing QR: a row is kept when
+its pivot exceeds 1e-10 ||A||_2, and the spectral norm is computed only for a
+pivot that |r_00| <= ||A||_2 <= ||A||_F leaves undecided.
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y).  The rescue paths that remain all fire in the test suite: the
 dual refit, the primal polish (the active-set Newton kernel of ``region``),
 the best-iterate restore, the tikhonov retry and the regularised bordered
-solves.  The ``_safe_project`` fallback (to the best Dykstra iterate that
-``region.project_region`` raises with) is the exception: it catches only a
-Dykstra run that exhausts its sweeps, which no test reaches.  Regions with
-no cone at all are solved as an equality-constrained QP.
+solves.  The dual refit is an unbounded minimum-norm least-squares fit; the
+bounded fit (``lsq_linear``) runs only when that fit gives an active normal a
+negative multiplier, which only its own test reaches.  The ``_safe_project``
+fallback (to the best Dykstra iterate that ``region.project_region`` raises
+with) is the exception: it catches only a Dykstra run that exhausts its
+sweeps, which no test reaches.  Regions with no cone at all are solved as an
+equality-constrained QP.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import ProjectionError
-from .region import _active_normals, _active_set, _active_set_newton, project_region
+from .region import (
+    _active_normals,
+    _active_set,
+    _active_set_newton,
+    _min_norm_lstsq,
+    project_region,
+)
 from .subproblem import (
     SolveStatus,
     SolverOptions,
@@ -209,14 +220,20 @@ def assemble_cones(region):
     return G, h, _Cones(l, [m.D.shape[0] + 1 for m in cones])
 
 
-def _presolve_equalities(A, b):
-    """Rows kept by rank-revealing QR (threshold 1e-10 * ||A||)."""
-    m = A.shape[0]
-    if m == 0:
+def _presolve_equalities(A):
+    """Rows kept by rank-revealing QR: pivots |r_ii| > 1e-10 ||A||_2."""
+    if A.size == 0:
         return np.array([], dtype=int)
     _, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    thresh = 1e-10 * max(np.linalg.norm(A, 2), 1e-300)
+    # |r_00| (the largest row norm) <= ||A||_2 <= ||A||_F, so only a pivot
+    # between those two thresholds needs the spectral norm; the factor-2
+    # margins absorb the rounding of the three norms
+    lo, hi = 1e-10 * diag[0], 1e-10 * np.linalg.norm(A)
+    if np.any((diag > 0.5 * lo) & (diag <= 2.0 * hi)):
+        thresh = 1e-10 * max(np.linalg.norm(A, 2), 1e-300)
+    else:
+        thresh = lo
     rank = int(np.sum(diag > thresh))
     return np.sort(piv[:rank])
 
@@ -259,9 +276,11 @@ def _polish_duals(sp, x, grad0):
     """Equality multipliers refit against the active normals at x.
 
     The interior-point duals for constraints that sit on zero rows of the
-    conic matrix converge slowly; a bounded least-squares refit of
-    grad0 + A_eq' y + N' lam = 0 (lam >= 0) recovers the limit multipliers
-    directly once x is accurate.
+    conic matrix converge slowly; a least-squares refit of
+    grad0 + A_eq' y + N' lam = 0 recovers the limit multipliers directly
+    once x is accurate.  The unbounded minimum-norm fit is kept when every
+    lam >= 0, and it is then what the bounded fit returns; only a negative
+    lam calls the bounded least squares (lam >= 0).
     """
     normals = _active_normals(sp.region, x, 1e-7 * (1.0 + float(np.linalg.norm(x))))
     nmat = np.array(normals).T if normals else np.zeros((sp.n, 0))
@@ -269,15 +288,16 @@ def _polish_duals(sp, x, grad0):
     if m + k == 0:
         return None
     M = np.hstack([sp.A_eq.T, nmat])
-    lb = np.concatenate([np.full(m, -np.inf), np.zeros(k)])
-    ub = np.full(m + k, np.inf)
     try:
-        res = scipy.optimize.lsq_linear(M, -grad0, bounds=(lb, ub))
+        sol = _min_norm_lstsq(M, -grad0)
+        if np.any(sol[m:] < 0.0):
+            lb = np.concatenate([np.full(m, -np.inf), np.zeros(k)])
+            sol = scipy.optimize.lsq_linear(M, -grad0, bounds=(lb, np.full(m + k, np.inf))).x
     except (ValueError, np.linalg.LinAlgError):
         return None
-    if not np.all(np.isfinite(res.x)):
+    if not np.all(np.isfinite(sol)):
         return None
-    return res.x[:m]
+    return sol[:m]
 
 
 def _primal_polish(sp, x, y, tik):
@@ -396,7 +416,7 @@ def _ipm(sp, opts, warm):
     P = sp.H + (tik * np.eye(n) if tik else 0.0)
     P = np.atleast_2d(P)
     q = sp.grad_const
-    kept = _presolve_equalities(sp.A_eq, sp.b_eq)
+    kept = _presolve_equalities(sp.A_eq)
     A = sp.A_eq[kept]
     b = (sp.A_eq @ sp.x_ref - sp.b_eq)[kept]
     G, h, cones = assemble_cones(sp.region)

@@ -18,14 +18,21 @@ the tangent relaxation in ``tracking`` all go through these methods.
 Both polishing steps share one active-set Newton kernel, ``_active_set_newton``:
 ``_polish_projection`` turns a slow Dykstra run into an exactly verified
 projection with it, and ``ipm._primal_polish`` refines interior-point iterates.
+Each Newton step is an LDL' solve of the symmetric KKT matrix.  The matrix
+is singular at the first step of a linear objective (zero Hessian block, the
+curved multipliers still at zero) and when an active box row repeats an
+equality row; those steps take the minimum-norm least-squares step
+(``_min_norm_lstsq``, complete orthogonal factorization) instead.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq, nnls
 
 from .errors import DimensionError, ProjectionError, UsageError
@@ -156,14 +163,17 @@ class SecondOrderCone:
         grad = (self.D.T @ u / nu if nu > 0.0 else 0.0) - self.e
         return float(nu - (self.e @ x + self.f)), grad
 
-    def curvature(self, x, scale):
-        """Hessian of the boundary function at x; None within 1e-12 scale of the apex."""
+    def curvature(self, x, scale, weight=1.0):
+        """weight times the Hessian of the boundary function at x (0.0 when
+        weight is 0); None within 1e-12 scale of the apex, whatever the weight."""
         u = self.D @ x + self.d
         nu = np.linalg.norm(u)
         if nu <= 1e-12 * scale:
             return None
+        if not weight:
+            return 0.0
         uh = u / nu
-        return self.D.T @ (self.D - np.outer(uh, uh @ self.D)) / nu
+        return weight * (self.D.T @ (self.D - np.outer(uh, uh @ self.D)) / nu)
 
     def project(self, v):
         t = float(self.e @ v + self.f)
@@ -263,9 +273,9 @@ class Ellipsoid:
         dx = x - self.center
         return float(dx @ self.shape @ dx - self.radius), 2.0 * self.shape @ dx
 
-    def curvature(self, x, scale):
-        """Hessian of the boundary function (constant)."""
-        return 2.0 * self.shape
+    def curvature(self, x, scale, weight=1.0):
+        """weight times the Hessian of the boundary function (constant)."""
+        return weight * (2.0 * self.shape) if weight else 0.0
 
     def project(self, v):
         if self.violation(v) <= 0.0:
@@ -366,6 +376,32 @@ def _verify_projection(region, v, cand, scale):
     return None
 
 
+def _min_norm_lstsq(M, rhs):
+    """Minimum-norm least-squares solution of M z = rhs by complete orthogonal
+    factorization (gelsy), with numpy's rank cutoff eps * max(M.shape)."""
+    z, *_ = scipy.linalg.lstsq(M, rhs, cond=np.finfo(float).eps * max(M.shape),
+                               lapack_driver="gelsy")
+    return z
+
+
+def _newton_step(J, F):
+    """Solution of J step = -F for the symmetric KKT matrix J.
+
+    An LDL' (Bunch-Kaufman) solve; when J is singular or too ill-conditioned
+    for it (LinAlgError, LinAlgWarning), the minimum-norm least-squares step.
+    None when J or F is not finite.
+    """
+    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(F))):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            return scipy.linalg.solve(J, -F, assume_a="sym", check_finite=False)
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+            pass
+    return _min_norm_lstsq(J, -F)
+
+
 def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
     """Newton's method for min f(p) s.t. E p = r and every curved boundary.
 
@@ -373,28 +409,38 @@ def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
     multipliers w, the curved members from zero.  Returns (p, w) once the KKT
     residual is at most tol in max norm, otherwise None (40 steps, a cone
     apex or a non-finite step).  The active set is a guess: callers check p.
+
+    Each step is an LDL' solve of the symmetric KKT matrix.  That matrix can
+    be singular without any dependent constraint: with hess = 0 (a linear
+    objective) and the curved multipliers still at zero, the first step's
+    Hessian block vanishes, and the matrix has rank 2 rank [E; grads] < its
+    size whenever fewer than n constraints are active.  Those steps, and
+    truly dependent rows (a box-active coordinate that an equality row also
+    fixes), take the minimum-norm least-squares step instead.
     """
     n, le, k = x.size, E.shape[0], len(curved)
     p = np.array(x)
     mu = np.zeros(k)
     for _ in range(40):
-        hessians = [m.curvature(p, scale) for m in curved]
-        if any(h is None for h in hessians):
-            return None
         terms = [m.boundary(p) for m in curved]
         grads = np.array([t[1] for t in terms]) if k else np.zeros((0, n))
-        hsum = sum(m_i * h for m_i, h in zip(mu, hessians)) if k else 0.0
         F = np.concatenate([grad(p) + E.T @ w + grads.T @ mu, E @ p - r, [t[0] for t in terms]])
-        if np.max(np.abs(F)) <= tol:
+        converged = np.max(np.abs(F)) <= tol
+        # the apex check runs on every iteration; a Hessian is formed only
+        # for a step to take and a nonzero multiplier
+        hessians = [m.curvature(p, scale, 0.0 if converged else m_i) for m, m_i in zip(curved, mu)]
+        if any(h is None for h in hessians):
+            return None
+        if converged:
             return p, w
         J = np.zeros((n + le + k, n + le + k))
-        J[:n, :n] = hess + hsum
+        J[:n, :n] = hess + sum(hessians)
         J[:n, n : n + le] = E.T
         J[:n, n + le :] = grads.T
         J[n : n + le, :n] = E
         J[n + le :, :n] = grads
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if not np.all(np.isfinite(step)):
+        step = _newton_step(J, F)
+        if step is None or not np.all(np.isfinite(step)):
             return None
         p = p + step[:n]
         w = w + step[n : n + le]

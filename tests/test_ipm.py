@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from conftest import feasible_samples, random_subproblem, subproblem_objective
 from scptrack.problem import PrimalDual
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
-from scptrack.ipm import assemble_cones, solve_subproblem
+from scptrack.ipm import _polish_duals, _presolve_equalities, assemble_cones, solve_subproblem
 from scptrack.region import (
     AffineInequality,
     ConvexRegion,
@@ -268,3 +270,54 @@ def test_assemble_cones_matches_row_by_row_reference():
         np.testing.assert_array_equal(G, G_ref)
         np.testing.assert_array_equal(h, h_ref)
         assert (cones.l, cones.soc_dims) == (l_ref, dims_ref)
+
+
+def test_dual_refit_bounds_a_negative_normal_multiplier():
+    # the unbounded fit of grad0 + A' y + N' lam = 0 gives an active normal a
+    # negative lam, so the refit must return the bounded fit's y
+    rng = np.random.default_rng(11)
+    n = 4
+    lower = np.array([0.0, 0.0, -np.inf, -np.inf])
+    region = ConvexRegion(lower, np.full(n, np.inf))
+    A = rng.normal(size=(2, n))
+    sp = _plain(np.zeros(n), region, A=A, b=np.zeros(2))
+    x = np.array([0.0, 0.0, 1.0, -1.0])  # both lower bounds active
+    N = -np.eye(n)[:2]
+    M = np.hstack([A.T, N.T])
+    grad0 = -(M @ np.array([0.5, -1.0, 2.0, -3.0])) + 0.1 * rng.normal(size=n)
+    unbounded, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
+    assert np.any(unbounded[2:] < 0.0)
+    bounded = scipy.optimize.lsq_linear(M, -grad0, bounds=([-np.inf, -np.inf, 0.0, 0.0], np.inf))
+    y = _polish_duals(sp, x, grad0)
+    np.testing.assert_allclose(y, bounded.x[:2], rtol=1e-12, atol=1e-14)
+    assert np.max(np.abs(y - unbounded[:2])) > 1e-3
+
+    # with every normal multiplier nonnegative the unbounded fit is returned
+    grad0 = -(M @ np.array([0.5, -1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(_polish_duals(sp, x, grad0), [0.5, -1.0], rtol=1e-12)
+
+
+def _spectral_rule(A):
+    _, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return np.sort(piv[: int(np.sum(diag > 1e-10 * np.linalg.norm(A, 2)))]), diag
+
+
+def test_presolve_keeps_the_spectral_norm_rule_rows():
+    # a last pivot swept through 1e-10 |r_00| <= 1e-10 ||A||_2 <= 1e-10 ||A||_F:
+    # inside that band the spectral norm decides, outside it any of the three does
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    banded = set()
+    for delta in np.geomspace(2e-11, 2e-9, 15):
+        for A in (
+            np.vstack([Q[:9], Q[0] + delta * Q[10]]),  # ||A||_F > ||A||_2 = |r_00| sqrt 2
+            np.vstack([Q[0] + 1e-3 * Q[1:10], Q[0] + 1e-3 * Q[1] + delta * Q[11]]),  # ||A||_2 ~ 3 |r_00|
+        ):
+            ref, diag = _spectral_rule(A)
+            np.testing.assert_array_equal(_presolve_equalities(A), ref)
+            if 1e-10 * diag[0] < diag[-1] <= 1e-10 * np.linalg.norm(A):
+                banded.add(ref.size)
+    assert banded == {A.shape[0] - 1, A.shape[0]}
+    for empty in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3))):
+        assert _presolve_equalities(empty).size == 0

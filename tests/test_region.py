@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from conftest import random_region
+from scptrack import region as region_module
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
 from scptrack.errors import DimensionError, UsageError
 from scptrack.ipm import assemble_cones
@@ -13,6 +14,8 @@ from scptrack.region import (
     ConvexRegion,
     Ellipsoid,
     SecondOrderCone,
+    _active_set_newton,
+    _newton_step,
     extend_region,
     project_region,
     region_violation,
@@ -203,6 +206,8 @@ def test_member_boundary_and_cone_form():
             hess = m.curvature(x, 1.0)
             fd = _central_differences(lambda p: m.boundary(p)[1], x)
             np.testing.assert_allclose(hess, fd, atol=1e-5)
+            np.testing.assert_array_equal(m.curvature(x, 1.0, -2.5), -2.5 * hess)
+            assert m.curvature(x, 1.0, 0.0) == 0.0
 
     # at the exact apex the subgradient -e stands in, and there is no Hessian
     cone = SecondOrderCone(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), [-1.0, 2.0],
@@ -211,7 +216,9 @@ def test_member_boundary_and_cone_form():
     phi, grad = cone.boundary(apex)
     assert phi == cone.violation(apex)
     np.testing.assert_array_equal(grad, -cone.e)
+    # the apex check holds whatever the weight
     assert cone.curvature(apex, 1.0) is None
+    assert cone.curvature(apex, 1.0, 0.0) is None
 
     # the cone form of an ellipsoid, full rank and rank-deficient
     n = 4
@@ -343,3 +350,63 @@ def test_near_boundary_points_project_to_themselves():
                 assert np.linalg.norm(project_region(region, v) - v) <= tol
                 checked += 1
     assert checked == 3 * 4 * 16
+
+
+def _kkt_matrix(H, C):
+    n, m = H.shape[0], C.shape[0]
+    J = np.zeros((n + m, n + m))
+    J[:n, :n] = H
+    J[:n, n:] = C.T
+    J[n:, :n] = C
+    return J
+
+
+def test_newton_step_matches_minimum_norm_least_squares(monkeypatch):
+    # the LDL' solve where the KKT matrix is nonsingular, the minimum-norm
+    # step where it is not; both agree with the SVD least-squares step
+    fallbacks = []
+    fallback = region_module._min_norm_lstsq
+    monkeypatch.setattr(region_module, "_min_norm_lstsq",
+                        lambda M, rhs: fallbacks.append(M.shape) or fallback(M, rhs))
+    rng = np.random.default_rng(7)
+    n = 8
+    B = rng.normal(size=(n, n))
+    C = rng.normal(size=(3, n))
+    A = rng.normal(size=(2, n))
+    A[1] = np.eye(n)[2]  # an equality row fixing x_2 ...
+    box = -np.eye(n)[2:3]  # ... and the lower bound of x_2, active too
+    cases = [
+        (_kkt_matrix(B @ B.T / n + np.eye(n), C), False),
+        # a linear objective at the first step (curved multipliers still at
+        # zero): rank J = 2 rank C although C has full row rank
+        (_kkt_matrix(np.zeros((n, n)), C), True),
+        (_kkt_matrix(np.eye(n), np.vstack([A, box])), True),
+    ]
+    for J, singular in cases:
+        rank = np.linalg.matrix_rank(J)
+        assert (rank < J.shape[0]) == singular
+        F = rng.normal(size=J.shape[0])
+        fallbacks.clear()
+        step = _newton_step(J, F)
+        ref, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert fallbacks == ([J.shape] if singular else [])
+    assert cases[1][0].shape[0] - np.linalg.matrix_rank(cases[1][0]) == n - 3
+
+
+def test_newton_kernel_rejects_non_finite_systems():
+    v = np.array([2.0, 1.0, 3.0])
+    cone = SecondOrderCone(np.eye(3)[:2], np.zeros(2), np.eye(3)[2], 0.0)
+    x = np.array([1.5, 0.5, 1.0])
+    E = np.eye(3)[:1]
+    r = np.array([1.5])
+    w = np.zeros(1)
+
+    def run(grad, hess):
+        return _active_set_newton(grad, hess, E, r, [cone], x, w, 1.0, 1e-13)
+
+    assert run(lambda p: p - v, np.eye(3)) is not None
+    for bad in (np.nan, np.inf):
+        # a non-finite residual F, then a non-finite matrix J
+        assert run(lambda p: bad * (p - v), np.eye(3)) is None
+        assert run(lambda p: p - v, np.full((3, 3), bad)) is None
