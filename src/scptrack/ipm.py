@@ -7,22 +7,27 @@ The region is compiled to conic standard form
 with K a product of a nonnegative orthant (finite bounds, affine members)
 and second-order cones (cone members, and ellipsoids through
 ``Ellipsoid.cone``).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
-scaling and a 0.99 fraction-to-boundary rule.  Numerically dependent
-equality rows are removed up front by rank-revealing QR: a row is kept when
-its pivot exceeds 1e-10 ||A||_2, and the spectral norm is computed only for a
-pivot that |r_00| <= ||A||_2 <= ||A||_F leaves undecided.
+scaling and a 0.99 fraction-to-boundary rule.  Each cone block of the scaling
+is kept as (eta, v), W = eta (2 v v' - J), and applied by products; no block
+matrix is formed.  Numerically dependent equality rows are removed up front
+by one pivoted QR of A': a row is kept when its pivot exceeds
+1e-10 ||A||_2, and the spectral norm is computed only for a pivot that
+|r_00| <= ||A||_2 <= ||A||_F leaves undecided.  The same QR gives a basis Z
+of the null space of the kept rows and their pseudo-inverse, so each
+iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
+n minus the number of kept rows, instead of the bordered KKT matrix.
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y).  The rescue paths that remain all fire in the test suite: the
 dual refit, the primal polish (the active-set Newton kernel of ``region``),
-the best-iterate restore, the tikhonov retry and the regularised bordered
-solves.  The dual refit is an unbounded minimum-norm least-squares fit; the
-bounded fit (``lsq_linear``) runs only when that fit gives an active normal a
-negative multiplier, which only its own test reaches.  The ``_safe_project``
-fallback (to the best Dykstra iterate that ``region.project_region`` raises
-with) is the exception: it catches only a Dykstra run that exhausts its
-sweeps, which no test reaches.  Regions with no cone at all are solved as an
-equality-constrained QP.
+the best-iterate restore, the tikhonov retry and the 1e-12 shift of a
+singular reduced Hessian.  The dual refit is an unbounded minimum-norm
+least-squares fit; the bounded fit (``lsq_linear``) runs only when that fit
+gives an active normal a negative multiplier, which only its own test
+reaches.  The ``_safe_project`` fallback (to the best Dykstra iterate that
+``region.project_region`` raises with) is the exception: it catches only a
+Dykstra run that exhausts its sweeps, which no test reaches.  Regions with no
+cone at all are solved as an equality-constrained QP on the same null space.
 """
 
 from __future__ import annotations
@@ -145,7 +150,13 @@ class _Cones:
 
 
 class _Scaling:
-    """Nesterov-Todd scaling point: W z = W^{-1} s = lam."""
+    """Nesterov-Todd scaling point: W z = W^{-1} s = lam.
+
+    An orthant entry is the scalar sqrt(s_i / z_i).  A second-order-cone block
+    is kept as (eta, [Jv; v], v'v), J = diag(1, -1, ..., -1), with
+    W = eta (2 v v' - J) and W^{-1} = (2 Jv Jv' - J) / eta, so a product costs
+    one or two dot products and no block matrix is formed.
+    """
 
     def __init__(self, cones, s, z):
         self.cones = cones
@@ -158,8 +169,8 @@ class _Scaling:
             self.w_orth = np.sqrt(ratio)
         else:
             self.w_orth = np.empty(0)
-        self.soc_W = []
-        self.soc_Winv = []
+        self.w_orth2 = self.w_orth**2
+        self.soc = []
         for sl in cones.slices:
             sb, zb = s[sl], z[sl]
             js = max((sb[0] - np.linalg.norm(sb[1:])) * (sb[0] + np.linalg.norm(sb[1:])), 1e-280)
@@ -173,33 +184,42 @@ class _Scaling:
             v = np.array(wbar)
             v[0] += 1.0
             v /= np.sqrt(2.0 * (wbar[0] + 1.0))
-            eta = (js / jz) ** 0.25
-            jmat = np.diag(np.concatenate([[1.0], -np.ones(sl.stop - sl.start - 1)]))
-            W = eta * (2.0 * np.outer(v, v) - jmat)
-            Winv = (2.0 * np.outer(jmat @ v, jmat @ v) - jmat) / eta
-            self.soc_W.append(W)
-            self.soc_Winv.append(Winv)
+            jv = -v
+            jv[0] = v[0]
+            # rows Jv and v, so both dot products of W^{-2} u are one product
+            self.soc.append((float((js / jz) ** 0.25), np.array([jv, v]), float(v @ v)))
         self.lam = self.mul_w(z)
 
     def mul_w(self, u):
         out = np.empty(self.cones.dim)
         out[: self.cones.l] = self.w_orth * u[: self.cones.l]
-        for W, sl in zip(self.soc_W, self.cones.slices):
-            out[sl] = W @ u[sl]
+        for (eta, (_, v), _), sl in zip(self.soc, self.cones.slices):
+            blk = u[sl] * eta  # -eta J u, then + 2 eta (v'u) v
+            blk[0] = -blk[0]
+            blk += (2.0 * eta * float(v @ u[sl])) * v
+            out[sl] = blk
+        return out
+
+    def mul_winv(self, u):
+        """W^{-1} u for a vector u, or for each column of a matrix u."""
+        out = np.empty(u.shape)
+        l = self.cones.l
+        out[:l] = u[:l] / self.w_orth.reshape((l,) + (1,) * (u.ndim - 1))
+        for (eta, (jv, _), _), sl in zip(self.soc, self.cones.slices):
+            blk = u[sl] / eta  # -J u / eta, then + 2 Jv (Jv'u) / eta
+            blk[0] = -blk[0]
+            blk += np.multiply.outer((2.0 / eta) * jv, jv @ u[sl])
+            out[sl] = blk
         return out
 
     def mul_winv2(self, u):
+        """W^{-2} u in one pass: (u + (4 v'v a - 2 b) Jv - 2 a v) / eta^2, a = Jv'u, b = v'u."""
         out = np.empty(self.cones.dim)
-        out[: self.cones.l] = u[: self.cones.l] / self.w_orth**2
-        for Winv, sl in zip(self.soc_Winv, self.cones.slices):
-            out[sl] = Winv @ (Winv @ u[sl])
-        return out
-
-    def winv2_mat(self, G):
-        out = np.empty_like(G)
-        out[: self.cones.l] = G[: self.cones.l] / self.w_orth[:, None] ** 2
-        for Winv, sl in zip(self.soc_Winv, self.cones.slices):
-            out[sl] = Winv @ (Winv @ G[sl])
+        out[: self.cones.l] = u[: self.cones.l] / self.w_orth2
+        for (eta, jv_v, vv), sl in zip(self.soc, self.cones.slices):
+            ub = u[sl]
+            a, b = jv_v @ ub
+            out[sl] = (ub + np.array([4.0 * vv * a - 2.0 * b, -2.0 * a]) @ jv_v) / eta**2
         return out
 
 
@@ -221,10 +241,17 @@ def assemble_cones(region):
 
 
 def _presolve_equalities(A):
-    """Rows kept by rank-revealing QR: pivots |r_ii| > 1e-10 ||A||_2."""
+    """Kept rows of A, a basis Z of their null space, and their pseudo-inverse.
+
+    One pivoted QR, A'[:, piv] = [Y Z] R.  Row piv[i] is kept when its pivot
+    |r_ii| exceeds 1e-10 ||A||_2; the kept rows (returned in sorted order) have
+    full row rank, Z spans their null space and A+ = Y R11^{-T} (columns in
+    the kept order) is their pseudo-inverse, A A+ = I.
+    """
+    n = A.shape[1]
     if A.size == 0:
-        return np.array([], dtype=int)
-    _, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
+        return np.array([], dtype=int), np.eye(n), np.zeros((n, 0))
+    q, r, piv = scipy.linalg.qr(A.T, pivoting=True)
     diag = np.abs(np.diag(r))
     # |r_00| (the largest row norm) <= ||A||_2 <= ||A||_F, so only a pivot
     # between those two thresholds needs the spectral norm; the factor-2
@@ -235,33 +262,71 @@ def _presolve_equalities(A):
     else:
         thresh = lo
     rank = int(np.sum(diag > thresh))
-    return np.sort(piv[:rank])
+    order = np.argsort(piv[:rank])
+    aplus = scipy.linalg.solve_triangular(r[:rank, :rank], q[:, :rank].T, check_finite=False).T
+    return piv[:rank][order], q[:, rank:], aplus[:, order]
 
 
-def _solve_bordered(Hm, A, rhs):
-    n, p = Hm.shape[0], A.shape[0]
-    K = np.zeros((n + p, n + p))
-    K[:n, :n] = Hm
-    if p:
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-    # rescue: the shifts catch a singular matrix, e.g. no curvature on a free direction
-    for reg in (0.0, 1e-12, 1e-8):
-        Kr = np.array(K)
-        if reg:
-            Kr[:n, :n] += reg * max(1.0, np.abs(Hm).max()) * np.eye(n)
-            if p:
-                Kr[n:, n:] -= reg * np.eye(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                lu = scipy.linalg.lu_factor(Kr)
-            except (scipy.linalg.LinAlgError, ValueError):
-                continue
-            sol = scipy.linalg.lu_solve(lu, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol, lu
-    raise np.linalg.LinAlgError("bordered KKT system is numerically singular")
+class _NullSpaceKKT:
+    """The Newton system of the conic iteration, solved on the null space of A.
+
+    For residuals (rx, ry, rz) and a scaling W (the identity at the cold
+    start), the step solves
+
+        Hm dx + A' dy = -rx - G' W^{-2} rz,   A dx = -ry,   dz = W^{-2} (G dx + rz),
+
+    with Hm = P + G' W^{-2} G.  With Z a basis of null(A) and A+ the
+    pseudo-inverse of A, dx = -A+ ry + Z w, where the reduced Hessian
+    Z' Hm Z = Z'PZ + (W^{-1} G Z)' (W^{-1} G Z) is the only matrix formed and
+    LU-factored, and dy = A+' (-rx - P dx - G' dz).
+    """
+
+    def __init__(self, P, G, Z, aplus):
+        self.P, self.G, self.Z, self.aplus = P, G, Z, aplus
+        self.GZ = G @ Z
+        self.ZPZ = Z.T @ P @ Z
+        self.W = None
+        self.lu = None
+
+    def reduced_hessian(self, W=None):
+        """Z' Hm Z for the scaling W (None: the identity)."""
+        RZ = self.GZ if W is None else W.mul_winv(self.GZ)
+        return self.ZPZ + RZ.T @ RZ
+
+    def factor(self, W=None):
+        """LU-factor Z' Hm Z for W; returns the diagonal shift that was needed."""
+        self.W = W
+        Hr = self.reduced_hessian(W)
+        # rescue: a shift catches a singular reduced Hessian, e.g. no curvature
+        # on a free direction
+        for reg in (0.0, 1e-12):
+            Hs = Hr + reg * max(1.0, np.abs(Hr).max()) * np.eye(len(Hr)) if reg else Hr
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                try:
+                    lu = scipy.linalg.lu_factor(Hs)
+                except (scipy.linalg.LinAlgError, ValueError):
+                    continue
+            pivots = np.diag(lu[0])
+            if np.all(np.isfinite(pivots) & (pivots != 0.0)):
+                self.lu = lu
+                return reg
+        raise np.linalg.LinAlgError("reduced KKT matrix is numerically singular")
+
+    def _winv2(self, u):
+        return u if self.W is None else self.W.mul_winv2(u)
+
+    def solve(self, rx, ry, rz):
+        """(dx, dy, dz) for the last factored W."""
+        G = self.G
+        xp = -(self.aplus @ ry)
+        t = -rx - self.P @ xp - G.T @ self._winv2(G @ xp + rz)
+        dx = xp + self.Z @ scipy.linalg.lu_solve(self.lu, self.Z.T @ t, check_finite=False)
+        dz = self._winv2(G @ dx + rz)
+        dy = self.aplus.T @ (-rx - self.P @ dx - G.T @ dz)
+        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
+            raise np.linalg.LinAlgError("non-finite KKT step")
+        return dx, dy, dz
 
 
 def _safe_project(region, v):
@@ -379,35 +444,25 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
     return SubproblemSolution(x=x, y=y, status=status, iterations=iters, residuals=res)
 
 
-def _solve_no_cones(sp, P, q, A, b, kept, opts):
+def _solve_no_cones(sp, P, q, b, kept, Z, aplus, opts):
     """Equality-constrained QP fallback for regions without members."""
-    n = sp.n
-    x_ls, *_ = np.linalg.lstsq(A, b, rcond=None) if A.shape[0] else (np.zeros(n),)
+    x_ls = aplus @ b
     # the rows the presolve dropped count too: a duplicate row may disagree
     b_all = sp.A_eq @ sp.x_ref - sp.b_eq
     if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
         return _finish(sp, x_ls, np.zeros(kept.size), kept, None, None,
                        SolveStatus.INFEASIBLE, 0, opts)
-    if A.shape[0]:
-        _, sv, vt = np.linalg.svd(A)
-        rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
-        N = vt[rank:].T
-    else:
-        N = np.eye(n)
-    Hr = N.T @ P @ N
-    gr = N.T @ (P @ x_ls + q)
-    lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0) if Hr.size else (np.zeros(0), np.zeros((0, 0)))
+    Hr = Z.T @ P @ Z
+    gr = Z.T @ (P @ x_ls + q)
+    x = x_ls
     if Hr.size:
-        null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]) if lam.size else 1.0)
+        lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0)
+        null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
             return _finish(sp, x_ls, np.zeros(kept.size), kept, None, None,
                            SolveStatus.UNBOUNDED, 0, opts)
-        v = -u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask)
-        x = x_ls + N @ v
-    else:
-        x = x_ls
-    y, *_ = np.linalg.lstsq(A.T, -(P @ x + q), rcond=None) if A.shape[0] else (np.zeros(0),)
-    return _finish(sp, x, y, kept, None, None, SolveStatus.OPTIMAL, 0, opts)
+        x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
+    return _finish(sp, x, -aplus.T @ (P @ x + q), kept, None, None, SolveStatus.OPTIMAL, 0, opts)
 
 
 def _ipm(sp, opts, warm):
@@ -416,16 +471,17 @@ def _ipm(sp, opts, warm):
     P = sp.H + (tik * np.eye(n) if tik else 0.0)
     P = np.atleast_2d(P)
     q = sp.grad_const
-    kept = _presolve_equalities(sp.A_eq)
+    kept, Z, aplus = _presolve_equalities(sp.A_eq)
     A = sp.A_eq[kept]
     b = (sp.A_eq @ sp.x_ref - sp.b_eq)[kept]
     G, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
         # a region with no finite bound and no member leaves no cone to step in
-        return _solve_no_cones(sp, P, q, A, b, kept, opts)
+        return _solve_no_cones(sp, P, q, b, kept, Z, aplus, opts)
 
     p = A.shape[0]
     e = cones.unit()
+    kkt = _NullSpaceKKT(P, G, Z, aplus)
 
     if warm is not None and opts.warm_start:
         x = np.array(warm.x, dtype=float)
@@ -437,11 +493,11 @@ def _ipm(sp, opts, warm):
         if cones.margin(z) <= 0.0:
             z = np.array(e)
     else:
-        Hm = P + G.T @ G
-        rhs = np.concatenate([-q + G.T @ h, b])
-        sol, _ = _solve_bordered(Hm, A, rhs)
-        x, y = sol[:n], sol[n:]
-        zhat = G @ x - h
+        try:
+            kkt.factor()
+            x, y, zhat = kkt.solve(q, -b, -h)  # min 0.5 x'Px + q'x + 0.5 ||Gx - h||^2
+        except np.linalg.LinAlgError:
+            return _unsolved(sp)
         s = -zhat
         ms = cones.margin(s)
         if ms <= 0.0:
@@ -497,37 +553,24 @@ def _ipm(sp, opts, warm):
 
         W = _Scaling(cones, s, z)
         lam = W.lam
-        Hm = P + G.T @ W.winv2_mat(G)
-
-        # predictor: target zero complementarity
-        dlam_aff = -lam
-        rz_mod = rz + W.mul_w(dlam_aff)
-        rhs = np.concatenate([-rx - G.T @ W.mul_winv2(rz_mod), -ry])
         try:
-            sol_vec, lu = _solve_bordered(Hm, A, rhs)
+            kkt.factor(W)
+
+            # predictor: target zero complementarity, dlam = -lam
+            dx, dy, dz = kkt.solve(rx, ry, rz - W.mul_w(lam))
+            ds = -rz - G @ dx
+            alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
+            gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
+            sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
+
+            # corrector: recentre and compensate the affine cross term
+            corr = cones.prod(W.mul_winv(ds), W.mul_w(dz))  # (W^-1 ds) o (W dz)
+            rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
+            dlam = cones.inv_prod(lam, rhs_comp)
+            dx, dy, dz = kkt.solve(rx, ry, rz + W.mul_w(dlam))
         except np.linalg.LinAlgError:
             status = SolveStatus.MAX_ITER
             break
-        dx = sol_vec[:n]
-        dy = sol_vec[n:]
-        dz = W.mul_winv2(G @ dx + rz_mod)
-        ds = -rz - G @ dx
-        alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
-        gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
-        sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
-
-        # corrector: recentre and compensate the affine cross term
-        corr = cones.prod(W.mul_winv2(W.mul_w(ds)), W.mul_w(dz))  # (W^-1 ds) o (W dz)
-        rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
-        dlam = cones.inv_prod(lam, rhs_comp)
-        rz_mod = rz + W.mul_w(dlam)
-        rhs = np.concatenate([-rx - G.T @ W.mul_winv2(rz_mod), -ry])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            sol_vec = scipy.linalg.lu_solve(lu, rhs)
-        dx = sol_vec[:n]
-        dy = sol_vec[n:]
-        dz = W.mul_winv2(G @ dx + rz_mod)
         ds = -rz - G @ dx
 
         alpha = min(1.0, opts.step_fraction * min(cones.max_step(s, ds), cones.max_step(z, dz)))
@@ -563,14 +606,25 @@ def _ipm(sp, opts, warm):
     return _finish(sp, x, y, kept, s, z, status, it, opts)
 
 
+def _unsolved(sp):
+    """No certified point: max_iter at x_ref after no iteration, residuals infinite."""
+    return SubproblemSolution(x=np.array(sp.x_ref), y=np.zeros(sp.m), status=SolveStatus.MAX_ITER,
+                              iterations=0, residuals=SubproblemResiduals(*[np.inf] * 4))
+
+
 def solve_subproblem(sp, opts=None, warm=None):
     """Solve one convex subproblem; see SolverOptions for controls.
 
     When the curvature model is zero and the solve diverges toward an
     unbounded ray, one retry with tikhonov = 1e-6 (1 + ||c||) is attempted
-    and flagged on the returned solution (tikhonov_retry option).
+    and flagged on the returned solution (tikhonov_retry option).  Data with
+    a nan or inf entry, and a cold start whose KKT system cannot be solved,
+    return status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
+    residuals; the tracker then ends its trace as aborted.
     """
     opts = opts or SolverOptions()
+    if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
+        return _unsolved(sp)
     sol = _ipm(sp, opts, warm)
     if (
         sol.status is SolveStatus.UNBOUNDED

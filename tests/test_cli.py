@@ -100,6 +100,24 @@ def test_track_abort_writes_partial_trace(tmp_path):
     assert "infeasible" in lines[-1]
 
 
+def test_track_nan_sample_writes_partial_trace(tmp_path):
+    # a nan parameter makes that sample's subproblem data non-finite
+    out = tmp_path / "nan.csv"
+    cfg = _write(
+        tmp_path / "run.cfg",
+        "problem = cascade\nvariant = pcscp\n"
+        "cascade.n_tanks = 2\ncascade.horizon = 3\n"
+        "xi.schedule = explicit\n"
+        "xi.values = 1.0 1.0; 1.1 1.1; nan nan; 1.0 1.0\n"
+        f"output = {out}\n",
+    )
+    assert main(["track", cfg]) == 2
+    lines = out.read_text().splitlines()
+    # header + start + two clean samples + the failed sample, nothing after
+    assert len(lines) == 5
+    assert lines[-1].split(",")[2:4] == ["max_iter", "0"]
+
+
 def test_track_oracle_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):
     from scptrack import tracking
     from scptrack.errors import OracleError

@@ -8,7 +8,15 @@ import scipy.optimize
 from conftest import feasible_samples, random_subproblem, subproblem_objective
 from scptrack.problem import PrimalDual
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
-from scptrack.ipm import _polish_duals, _presolve_equalities, assemble_cones, solve_subproblem
+from scptrack.ipm import (
+    _Cones,
+    _NullSpaceKKT,
+    _Scaling,
+    _polish_duals,
+    _presolve_equalities,
+    assemble_cones,
+    solve_subproblem,
+)
 from scptrack.region import (
     AffineInequality,
     ConvexRegion,
@@ -315,9 +323,141 @@ def test_presolve_keeps_the_spectral_norm_rule_rows():
             np.vstack([Q[0] + 1e-3 * Q[1:10], Q[0] + 1e-3 * Q[1] + delta * Q[11]]),  # ||A||_2 ~ 3 |r_00|
         ):
             ref, diag = _spectral_rule(A)
-            np.testing.assert_array_equal(_presolve_equalities(A), ref)
+            np.testing.assert_array_equal(_presolve_equalities(A)[0], ref)
             if 1e-10 * diag[0] < diag[-1] <= 1e-10 * np.linalg.norm(A):
                 banded.add(ref.size)
     assert banded == {A.shape[0] - 1, A.shape[0]}
     for empty in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3))):
-        assert _presolve_equalities(empty).size == 0
+        assert _presolve_equalities(empty)[0].size == 0
+
+
+def _close(got, want, rtol):
+    assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1e-300)
+
+
+def _interior(cones, rng):
+    """A point strictly inside the cone product."""
+    u = rng.normal(size=cones.dim)
+    u[: cones.l] = rng.uniform(0.1, 2.0, cones.l)
+    for sl in cones.slices:
+        u[sl.start] = np.linalg.norm(u[sl.start + 1 : sl.stop]) + rng.uniform(0.1, 1.0)
+    return u
+
+
+def _dense_w(W):
+    """Block-diagonal W from the scaling's parts: sqrt(s/z) and eta (2 v v' - J)."""
+    Wd = np.zeros((W.cones.dim, W.cones.dim))
+    Wd[: W.cones.l, : W.cones.l] = np.diag(W.w_orth)
+    for (eta, (_, v), _), sl in zip(W.soc, W.cones.slices):
+        J = np.diag(np.r_[1.0, -np.ones(v.size - 1)])
+        Wd[sl, sl] = eta * (2.0 * np.outer(v, v) - J)
+    return Wd
+
+
+def _mixed_region(rng, n):
+    B = rng.normal(size=(n, n))
+    return ConvexRegion(
+        np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-3.0, -0.5, n)),
+        np.where(rng.random(n) < 0.3, np.inf, rng.uniform(0.5, 3.0, n)),
+        (AffineInequality(rng.normal(size=n), 1.0),),
+        (SecondOrderCone(rng.normal(size=(3, n)), rng.normal(size=3), rng.normal(size=n), 2.0),),
+        (Ellipsoid(rng.normal(size=n), B @ B.T + 0.1 * np.eye(n), 1.5),),
+    )
+
+
+def test_nt_scaling_products_match_dense_blocks():
+    rng = np.random.default_rng(61)
+    cones = _Cones(4, [2, 5, 3])
+    for _ in range(5):
+        s, z = _interior(cones, rng), _interior(cones, rng)
+        W = _Scaling(cones, s, z)
+        Wd = _dense_w(W)
+        Wi = np.linalg.inv(Wd)
+        # the defining property of the Nesterov-Todd point
+        _close(Wd @ z, W.lam, 1e-12)
+        _close(Wi @ s, W.lam, 1e-12)
+        u, U = rng.normal(size=cones.dim), rng.normal(size=(cones.dim, 3))
+        _close(W.mul_w(u), Wd @ u, 1e-12)
+        _close(W.mul_winv(u), Wi @ u, 1e-12)
+        _close(W.mul_winv(U), Wi @ U, 1e-12)
+        _close(W.mul_winv2(u), Wi @ Wi @ u, 1e-12)
+
+
+def test_reduced_hessian_matches_dense_hm():
+    # with no equality row Z = I and the reduced Hessian is Hm itself
+    rng = np.random.default_rng(63)
+    n = 6
+    region = _mixed_region(rng, n)
+    G, h, cones = assemble_cones(region)
+    assert cones.l > 0 and len(cones.soc_dims) == 2
+    B = rng.normal(size=(n, n))
+    P = B @ B.T
+    W = _Scaling(cones, _interior(cones, rng), _interior(cones, rng))
+    Wi = np.linalg.inv(_dense_w(W))
+    for m in (0, 2):
+        _, Z, aplus = _presolve_equalities(rng.normal(size=(m, n)) if m else np.zeros((0, n)))
+        kkt = _NullSpaceKKT(P, G, Z, aplus)
+        _close(kkt.reduced_hessian(W), Z.T @ (P + G.T @ Wi @ Wi @ G) @ Z, 1e-12)
+        _close(kkt.reduced_hessian(), Z.T @ (P + G.T @ G) @ Z, 1e-12)
+        if not m:
+            np.testing.assert_array_equal(Z, np.eye(n))
+
+
+@pytest.mark.parametrize("p", [0, 3, 7])
+def test_null_space_step_matches_dense_bordered_solve(p):
+    rng = np.random.default_rng(65 + p)
+    n = 7
+    region = _mixed_region(rng, n)
+    G, h, cones = assemble_cones(region)
+    B = rng.normal(size=(n, n))
+    P = 0.1 * B @ B.T
+    A = rng.normal(size=(p, n))
+    kept, Z, aplus = _presolve_equalities(A)
+    assert kept.size == p and Z.shape == (n, n - p)
+    kkt = _NullSpaceKKT(P, G, Z, aplus)
+    W = _Scaling(cones, _interior(cones, rng), _interior(cones, rng))
+    assert kkt.factor(W) == 0.0
+    Wi2 = np.linalg.matrix_power(np.linalg.inv(_dense_w(W)), 2)
+    rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=cones.dim)
+    K = np.block([[P + G.T @ Wi2 @ G, A.T], [A, np.zeros((p, p))]])
+    ref = np.linalg.solve(K, np.concatenate([-rx - G.T @ Wi2 @ rz, -ry]))
+    dx, dy, dz = kkt.solve(rx, ry, rz)
+    _close(dx, ref[:n], 1e-10)
+    _close(dy, ref[n:], 1e-10)
+    _close(dz, Wi2 @ (G @ ref[:n] + rz), 1e-10)
+
+
+def test_singular_reduced_hessian_takes_the_shift(monkeypatch):
+    # x2 is free, costs nothing and has no curvature: Z' Hm Z is exactly singular
+    region = ConvexRegion(lower=[0.0, -1.0, -np.inf], upper=[1.0, 1.0, np.inf])
+    G, h, cones = assemble_cones(region)
+    W = _Scaling(cones, np.ones(cones.dim), np.ones(cones.dim))
+    for A in (np.zeros((0, 3)), np.array([[1.0, 1.0, 0.0]])):
+        _, Z, aplus = _presolve_equalities(A)
+        assert _NullSpaceKKT(np.zeros((3, 3)), G, Z, aplus).factor(W) == 1e-12
+
+    shifts = []
+    factor = _NullSpaceKKT.factor
+
+    def spy(self, W=None):
+        shifts.append(factor(self, W))
+        return shifts[-1]
+
+    monkeypatch.setattr(_NullSpaceKKT, "factor", spy)
+    sol = solve_subproblem(_plain([1.0, -1.0, 0.0], region))
+    assert sol.status is SolveStatus.OPTIMAL
+    np.testing.assert_allclose(sol.x[:2], [0.0, 1.0], atol=1e-8)
+    assert 1e-12 in shifts
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_return_max_iter(bad):
+    region = ConvexRegion(lower=-np.ones(3), upper=np.ones(3))
+    A = np.array([[1.0, 1.0, 0.0]])
+    for c, b in (([bad, 1.0, 0.0], [0.0]), ([1.0, 1.0, 0.0], [bad])):
+        sp = _plain(c, region, A=A, b=np.array(b))
+        for warm in (None, PrimalDual(np.zeros(3), np.zeros(1))):
+            sol = solve_subproblem(sp, warm=warm)
+            assert sol.status is SolveStatus.MAX_ITER
+            assert sol.iterations == 0
+            assert sol.residuals.total == np.inf

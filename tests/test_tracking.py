@@ -355,3 +355,16 @@ def test_linearize_region_tangent_rows():
     # an ellipsoid at its center: zero gradient, satisfied, dropped
     lin = _linearize_region(ConvexRegion(*box, ellipsoids=(ell,)), ell.center)
     assert lin.affine == ()
+
+
+def test_non_finite_sample_aborts_with_finished_records():
+    # a nan parameter reaches the subproblem through its equality right-hand side
+    problem = tutorial_problem()
+    z0, _ = tutorial_solution(1.2)
+    xs = _sweep(5)
+    xs[3] = np.array([np.nan])
+    trace = track(problem, xs, z0, TrackerConfig())
+    assert trace.aborted
+    ok = SolveStatus.OPTIMAL
+    assert [r.step_status for r in trace.records] == [None, ok, ok, ok, SolveStatus.MAX_ITER]
+    assert trace.records[-1].solver_iters == 0
