@@ -18,11 +18,7 @@ class UnsupportedObjectiveError(ScpTrackError, TypeError):
 
 
 class ProjectionError(ScpTrackError, RuntimeError):
-    """Projection iteration did not converge; carries the best iterate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Projection iteration did not converge."""
 
 
 class StepError(ScpTrackError, RuntimeError):

@@ -19,15 +19,14 @@ n minus the number of kept rows, instead of the bordered KKT matrix.
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y).  The rescue paths that remain all fire in the test suite: the
-dual refit, the primal polish (the active-set Newton kernel of ``region``),
-the best-iterate restore, the tikhonov retry and the 1e-12 shift of a
-singular reduced Hessian.  The dual refit is an unbounded minimum-norm
-least-squares fit; the bounded fit (``lsq_linear``) runs only when that fit
-gives an active normal a negative multiplier, which only its own test
-reaches.  The ``_safe_project`` fallback (to the best Dykstra iterate that
-``region.project_region`` raises with) is the exception: it catches only a
-Dykstra run that exhausts its sweeps, which no test reaches.  Regions with no
-cone at all are solved as an equality-constrained QP on the same null space.
+dual refit, the primal polish (the working-set solve of ``region``), the
+best-iterate restore, the tikhonov retry and the 1e-12 shift of a singular
+reduced Hessian.  The dual refit is an unbounded minimum-norm least-squares
+fit; the bounded fit (``lsq_linear``) runs only when that fit gives an active
+normal a negative multiplier, which only its own test reaches.  A
+certification projection that verifies no point raises ``ProjectionError``,
+and the solve then returns max_iter with no iterate.  Regions with no cone at
+all are solved as an equality-constrained QP on the same null space.
 """
 
 from __future__ import annotations
@@ -40,13 +39,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import ProjectionError
-from .region import (
-    _active_normals,
-    _active_set,
-    _active_set_newton,
-    _min_norm_lstsq,
-    project_region,
-)
+from .region import _active_normals, _min_norm_lstsq, _working_set_solve, project_region
 from .subproblem import (
     SolveStatus,
     SolverOptions,
@@ -229,15 +222,11 @@ def assemble_cones(region):
     The orthant holds the finite bounds and the affine members; each cone
     member, then each ellipsoid (through its cone form), adds one block.
     """
-    lo, up = np.isfinite(region.lower), np.isfinite(region.upper)
-    eye = np.eye(region.n)
+    N, b = region.rows
     cones = region.cones + tuple(m.cone for m in region.ellipsoids)
-    G = np.vstack([-eye[lo], eye[up]] + [m.a for m in region.affine]
-                  + [np.vstack([-m.e, -m.D]) for m in cones])
-    h = np.concatenate([-region.lower[lo], region.upper[up], [m.b for m in region.affine]]
-                       + [np.concatenate([[m.f], m.d]) for m in cones])
-    l = int(lo.sum() + up.sum()) + len(region.affine)
-    return G, h, _Cones(l, [m.D.shape[0] + 1 for m in cones])
+    G = np.vstack([N] + [np.vstack([-m.e, -m.D]) for m in cones])
+    h = np.concatenate([b] + [np.concatenate([[m.f], m.d]) for m in cones])
+    return G, h, _Cones(b.size, [m.D.shape[0] + 1 for m in cones])
 
 
 def _presolve_equalities(A):
@@ -329,14 +318,6 @@ class _NullSpaceKKT:
         return dx, dy, dz
 
 
-def _safe_project(region, v):
-    try:
-        return project_region(region, v)
-    except ProjectionError as err:
-        # rescue: a Dykstra run that exhausts its sweeps (no test reaches it)
-        return err.best
-
-
 def _polish_duals(sp, x, grad0):
     """Equality multipliers refit against the active normals at x.
 
@@ -366,27 +347,18 @@ def _polish_duals(sp, x, grad0):
 
 
 def _primal_polish(sp, x, y, tik):
-    """Newton refinement of (x, y) on the KKT system of the active set at x.
+    """Working-set refinement of (x, y) from the constraints active at x.
 
     The interior-point iterate is accurate to about sqrt(mu) when a curved
-    member is active; the active-set Newton solve on the boundary equations
-    and the equality rows restores full precision.  Candidates are screened
-    by the caller through the natural-map residuals, so a wrong active-set
-    guess is harmless.
+    member is active; the working-set Newton solve on the boundary equations,
+    with the equality rows fixed, restores full precision.  Candidates are
+    screened by the caller through the natural-map residuals.
     """
     scale = 1.0 + float(np.linalg.norm(x))
-    hess = sp.H + tik * np.eye(sp.n)
-    r_eq = sp.A_eq @ sp.x_ref - sp.b_eq
-    for eps_act in (1e-7 * scale, 1e-5 * scale):
-        N, b, curved = _active_set(sp.region, x, eps_act)
-        E, r = np.vstack([sp.A_eq, N]), np.concatenate([r_eq, b])
-        w = np.concatenate([y, np.zeros(N.shape[0])])
-        sol = _active_set_newton(
-            lambda p: sp.gradient(p) + tik * p, hess, E, r, curved, x, w, scale, 1e-12 * scale
-        )
-        if sol is not None:
-            return sol[0], sol[1][: sp.m]
-    return None
+    return _working_set_solve(
+        sp.region, lambda p: sp.gradient(p) + tik * p, sp.H + tik * np.eye(sp.n), sp.A_eq,
+        sp.A_eq @ sp.x_ref - sp.b_eq, y, x, 1e-7 * scale, scale, 1e-12 * scale,
+    )
 
 
 def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
@@ -397,14 +369,14 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
     # tikhonov term (when active) belongs in the gradient
     grad0 = sp.gradient(x) + opts.tikhonov * x
     grad = grad0 + sp.A_eq.T @ y
-    stat = float(np.linalg.norm(x - _safe_project(sp.region, x - grad)))
+    stat = float(np.linalg.norm(x - project_region(sp.region, x - grad)))
     dist = None
     if stat > opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
         # rescue: conic duals of constraints on zero rows of G that lag behind x
         y2 = _polish_duals(sp, x, grad0)
         if y2 is not None:
             grad2 = grad0 + sp.A_eq.T @ y2
-            stat2 = float(np.linalg.norm(x - _safe_project(sp.region, x - grad2)))
+            stat2 = float(np.linalg.norm(x - project_region(sp.region, x - grad2)))
             if stat2 < stat:
                 y, stat = y2, stat2
     if stat > 10.0 * opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
@@ -413,15 +385,15 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
         if pol is not None:
             x3, y3 = pol
             grad3 = sp.gradient(x3) + opts.tikhonov * x3 + sp.A_eq.T @ y3
-            stat3 = float(np.linalg.norm(x3 - _safe_project(sp.region, x3 - grad3)))
-            dist3 = float(np.linalg.norm(x3 - _safe_project(sp.region, x3)))
+            stat3 = float(np.linalg.norm(x3 - project_region(sp.region, x3 - grad3)))
+            dist3 = float(np.linalg.norm(x3 - project_region(sp.region, x3)))
             if stat3 < stat and dist3 <= opts.tol:
                 x, y, stat, dist = x3, y3, stat3, dist3
     r_eq = sp.A_eq @ (x - sp.x_ref) + sp.b_eq
     eq = float(np.linalg.norm(r_eq))
     eq_kept = float(np.linalg.norm(r_eq[kept])) if kept.size < sp.m else eq
     if dist is None:
-        dist = float(np.linalg.norm(x - _safe_project(sp.region, x)))
+        dist = float(np.linalg.norm(x - project_region(sp.region, x)))
     gap = float(s @ z) if s is not None else 0.0
     res = SubproblemResiduals(stat, eq, dist, gap)
     # the internal conic gap is reported but never gated on: natural-map
@@ -618,22 +590,25 @@ def solve_subproblem(sp, opts=None, warm=None):
     When the curvature model is zero and the solve diverges toward an
     unbounded ray, one retry with tikhonov = 1e-6 (1 + ||c||) is attempted
     and flagged on the returned solution (tikhonov_retry option).  Data with
-    a nan or inf entry, and a cold start whose KKT system cannot be solved,
-    return status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
+    a nan or inf entry, a cold start whose KKT system cannot be solved, and a
+    certification projection that verifies no point (ProjectionError) return
+    status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
     residuals; the tracker then ends its trace as aborted.
     """
     opts = opts or SolverOptions()
     if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
         return _unsolved(sp)
-    sol = _ipm(sp, opts, warm)
-    if (
-        sol.status is SolveStatus.UNBOUNDED
-        and opts.tikhonov_retry
-        and opts.tikhonov == 0.0
-        and not np.any(sp.H)
-    ):
-        # rescue: a zero curvature model whose linear objective runs off a ray
-        tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
-        sol2 = _ipm(sp, replace(opts, tikhonov=tik), warm)
-        return replace(sol2, regularized=True)
+    try:
+        sol = _ipm(sp, opts, warm)
+        if (
+            sol.status is SolveStatus.UNBOUNDED
+            and opts.tikhonov_retry
+            and opts.tikhonov == 0.0
+            and not np.any(sp.H)
+        ):
+            # rescue: a zero curvature model whose linear objective runs off a ray
+            tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
+            sol = replace(_ipm(sp, replace(opts, tikhonov=tik), warm), regularized=True)
+    except ProjectionError:
+        return _unsolved(sp)
     return sol

@@ -12,17 +12,20 @@ branch beyond the pole is scanned on a grid.
 Curved members own their geometry: ``boundary`` gives the violation and the
 outward gradient, ``curvature`` the Hessian of the boundary function, and
 ``Ellipsoid.cone`` the ellipsoid as a second-order cone (the form ``ipm``
-compiles).  The active-set scan, the projection check, the Newton kernel and
-the tangent relaxation in ``tracking`` all go through these methods.
+compiles).  The linear constraints are built once, as ``ConvexRegion.rows``.
+The working set, the projection check, the Newton kernel and the tangent
+relaxation in ``tracking`` all go through these.
 
-Both polishing steps share one active-set Newton kernel, ``_active_set_newton``:
-``_polish_projection`` turns a slow Dykstra run into an exactly verified
-projection with it, and ``ipm._primal_polish`` refines interior-point iterates.
-Each Newton step is an LDL' solve of the symmetric KKT matrix.  The matrix
-is singular at the first step of a linear objective (zero Hessian block, the
-curved multipliers still at zero) and when an active box row repeats an
-equality row; those steps take the minimum-norm least-squares step
-(``_min_norm_lstsq``, complete orthogonal factorization) instead.
+Both polishing steps share one working-set solve, ``_working_set_solve``:
+``_polish_projection`` turns a slow Dykstra run (at most 100 sweeps) into an
+exactly verified projection with it, and ``ipm._primal_polish`` refines
+interior-point iterates.  Each round of it is solved by the Newton kernel
+``_active_set_newton``, whose steps are LDL' solves of the symmetric KKT
+matrix.  The matrix is singular at the first step of a linear objective
+(zero Hessian block, the curved multipliers still at zero) and when an
+active box row repeats an equality row; those steps take the minimum-norm
+least-squares step (``_min_norm_lstsq``, complete orthogonal factorization)
+instead.
 """
 
 from __future__ import annotations
@@ -203,7 +206,7 @@ class SecondOrderCone:
                 return hard
         attained, E, r = self._vertex
         if not attained:
-            raise ProjectionError("cone member projection found no valid root", best=v)
+            raise ProjectionError("cone member projection found no valid root")
         corr, *_ = np.linalg.lstsq(E, E @ v - r, rcond=None)
         return v - corr
 
@@ -302,6 +305,8 @@ class ConvexRegion:
         n = self.lower.size
         if self.upper.size != n:
             raise DimensionError("box bounds have different lengths")
+        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+            raise UsageError("box bound is nan")
         if np.any(self.lower > self.upper):
             raise UsageError("box has lower > upper")
         for m in self.affine:
@@ -322,6 +327,16 @@ class ConvexRegion:
     def members(self):
         return tuple(self.affine) + tuple(self.cones) + tuple(self.ellipsoids)
 
+    @cached_property
+    def rows(self):
+        """The linear constraints as N x <= b: the finite lower bounds
+        (-x_i <= -lower_i), the finite upper bounds, then the affine members."""
+        lo, up = np.isfinite(self.lower), np.isfinite(self.upper)
+        eye = np.eye(self.n)
+        N = np.vstack([-eye[lo], eye[up]] + [m.a for m in self.affine])
+        b = np.concatenate([-self.lower[lo], self.upper[up], [m.b for m in self.affine]])
+        return _freeze(N), _freeze(b)
+
     def clip_box(self, v):
         return np.clip(v, self.lower, self.upper)
 
@@ -338,26 +353,11 @@ def region_violation(region, x):
     return worst
 
 
-def _active_set(region, x, eps):
-    """Members active at x (within eps): linear rows as outward normals N with
-    offsets b (N x = b on their boundary), then the curved members."""
-    lo, up = region.lower, region.upper
-    at_lo = np.flatnonzero(np.isfinite(lo) & (x - lo <= eps))
-    at_up = np.flatnonzero(np.isfinite(up) & (up - x <= eps))
-    affine = [m for m in region.affine if m.b - m.a @ x <= eps]
-    box = np.zeros((at_lo.size + at_up.size, region.n))
-    box[np.arange(at_lo.size), at_lo] = -1.0
-    box[np.arange(at_lo.size, box.shape[0]), at_up] = 1.0
-    N = np.vstack([box] + [m.a for m in affine])
-    b = np.concatenate([-lo[at_lo], up[at_up], [m.b for m in affine]])
-    curved = [m for m in region.cones + region.ellipsoids if m.violation(x) >= -eps]
-    return N, b, curved
-
-
 def _active_normals(region, x, eps):
     """Outward normals of the members active at x (within eps)."""
-    N, _, curved = _active_set(region, x, eps)
-    return list(N) + [m.boundary(x)[1] for m in curved]
+    N, b = region.rows
+    curved = [m for m in region.cones + region.ellipsoids if m.violation(x) >= -eps]
+    return list(N[b - N @ x <= eps]) + [m.boundary(x)[1] for m in curved]
 
 
 def _verify_projection(region, v, cand, scale):
@@ -406,9 +406,9 @@ def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
     """Newton's method for min f(p) s.t. E p = r and every curved boundary.
 
     f has gradient grad and constant Hessian hess; the rows of E start from
-    multipliers w, the curved members from zero.  Returns (p, w) once the KKT
-    residual is at most tol in max norm, otherwise None (40 steps, a cone
-    apex or a non-finite step).  The active set is a guess: callers check p.
+    multipliers w, the curved members from zero.  Returns (p, w, mu), with mu
+    the curved members' multipliers, once the KKT residual is at most tol in
+    max norm, otherwise None (40 steps, a cone apex or a non-finite step).
 
     Each step is an LDL' solve of the symmetric KKT matrix.  That matrix can
     be singular without any dependent constraint: with hess = 0 (a linear
@@ -432,7 +432,7 @@ def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
         if any(h is None for h in hessians):
             return None
         if converged:
-            return p, w
+            return p, w, mu
         J = np.zeros((n + le + k, n + le + k))
         J[:n, :n] = hess + sum(hessians)
         J[:n, n : n + le] = E.T
@@ -448,33 +448,72 @@ def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
     return None
 
 
-def _polish_projection(region, v, x, eps_act, scale):
-    """Exact projection candidate from the active set near x.
+def _working_set_solve(region, grad, hess, A, r, y, x, eps, scale, tol):
+    """Working-set solve of min f(p) s.t. A p = r and p in the region.
 
-    The active-set Newton solve of min 0.5 ||p - v||^2 on the members active
-    at x; the candidate is returned only when it passes the KKT verification,
-    so a wrong guess costs nothing.
+    f has gradient grad and constant Hessian hess; the fixed rows A p = r
+    start from multipliers y.  The working set starts from the rows of
+    ``region.rows`` and the curved members active at x within eps, and each
+    round solves on it with ``_active_set_newton``.  The round then adds the
+    most violated constraint outside the set or, when none is violated by
+    more than tol, drops the one with the most negative multiplier (below
+    -tol) inside it (Nocedal & Wright, Numerical Optimization, 16.5).
+    Returns (p, y) with y the multipliers of the fixed rows once neither
+    exists; None when a Newton solve fails or 2 (rows + curved) + 1 rounds
+    do not settle the set.
     """
-    N, b, curved = _active_set(region, x, eps_act)
-    if N.shape[0] + len(curved) == 0:
-        return None
-    sol = _active_set_newton(
-        lambda p: p - v, np.eye(region.n), N, b, curved, x, np.zeros(N.shape[0]),
-        scale, 1e-13 * scale,
-    )
+    N, b = region.rows
+    curved = region.cones + region.ellipsoids
+
+    def slack(p):
+        return np.concatenate([N @ p - b, [m.violation(p) for m in curved]])
+
+    on = slack(x) >= -eps
+    p = x
+    for _ in range(2 * on.size + 1):
+        rows = on[: b.size]
+        sol = _active_set_newton(
+            grad, hess, np.vstack([A, N[rows]]), np.concatenate([r, b[rows]]),
+            [m for m, k in zip(curved, on[b.size :]) if k], p,
+            np.concatenate([y, np.zeros(np.count_nonzero(rows))]), scale, tol,
+        )
+        if sol is None:
+            return None
+        p, w, mu = sol
+        viol = np.where(on, -np.inf, slack(p))
+        mult = np.full(on.size, np.inf)
+        mult[on] = np.concatenate([w[A.shape[0] :], mu])
+        if viol.max(initial=0.0) > tol:
+            on[np.argmax(viol)] = True
+        elif mult.min(initial=0.0) < -tol:
+            on[np.argmin(mult)] = False
+        else:
+            return p, w[: A.shape[0]]
+    return None
+
+
+def _polish_projection(region, v, x, scale):
+    """Exact projection candidate from the working set near x.
+
+    The working-set solve of min 0.5 ||p - v||^2 from the members active at
+    x; the candidate is returned only when it passes the KKT verification.
+    """
+    n = region.n
+    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), np.zeros((0, n)), np.zeros(0),
+                             np.zeros(0), x, 1e-9 * scale, scale, 1e-13 * scale)
     return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 
-def project_region(region, v, tol=1e-10, max_iter=10000):
+def project_region(region, v, tol=1e-10, max_iter=100):
     """Euclidean projection of v onto the region via Dykstra's iteration.
 
-    Sweeps cycle through the box and every member.  The iteration stops when
-    a full sweep moves the iterate by at most tol and the iterate is feasible;
-    for slow sweeps an active-set candidate is tried and accepted when it
-    passes an exact optimality check (nearly parallel halfspaces make plain
-    Dykstra creep, and the candidate then short-circuits the crawl).  A run
-    that verifies no point raises ProjectionError with the best iterate: the
-    least violated, then the closest to v.
+    Sweeps cycle through the box and every member.  When a sweep moves the
+    iterate by at most tol, and every 20 sweeps, a working-set candidate from
+    the iterate is tried and accepted when it passes an exact optimality
+    check (nearly parallel halfspaces make plain Dykstra creep, and the
+    candidate then short-circuits the crawl); a feasible iterate that stops
+    moving is checked directly.  A run that verifies no point raises
+    ProjectionError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (region.n,):
@@ -489,8 +528,6 @@ def project_region(region, v, tol=1e-10, max_iter=10000):
     projectors = [region.clip_box] + [m.project for m in members]
     x = np.array(v)
     corrections = [np.zeros_like(v) for _ in projectors]
-    best = (np.inf, np.inf, x)
-    stalled = 0
     for sweep in range(1, max_iter + 1):
         x_prev = x
         for i, proj in enumerate(projectors):
@@ -498,28 +535,15 @@ def project_region(region, v, tol=1e-10, max_iter=10000):
             corrections[i] = x + corrections[i] - y
             x = y
         change = float(np.max(np.abs(x - x_prev)))
-        viol = max(region_violation(region, x), 0.0)
-        key = (viol, float(np.linalg.norm(x - v)), x)
-        if key[:2] < best[:2]:
-            best = key
         if change <= tol or sweep % 20 == 0:
-            # the ladder reaches far because sweeps can creep: tiny steps do
-            # not mean the iterate is near the projection, so wide active-set
-            # guesses are tried and the verification keeps wrong ones out
-            for eps_act in (1e-9, 1e-6, 1e-3, 3e-2, 3e-1):
-                cand = _polish_projection(region, v, x, eps_act * scale, scale)
-                if cand is not None:
-                    return cand
-        if change <= tol and viol <= 1e-9 * scale:
+            cand = _polish_projection(region, v, x, scale)
+            if cand is not None:
+                return cand
+        if change <= tol and region_violation(region, x) <= 1e-9 * scale:
             cand = _verify_projection(region, v, np.array(x), scale)
             if cand is not None:
                 return cand
-        stalled = stalled + 1 if change <= tol else 0
-        if stalled >= 50:
-            break
-    raise ProjectionError(
-        f"Dykstra projection did not reach tol={tol} in {max_iter} sweeps", best=best[2]
-    )
+    raise ProjectionError(f"Dykstra projection did not reach tol={tol} in {max_iter} sweeps")
 
 
 def extend_region(region, extra):

@@ -1,11 +1,15 @@
 """Conic subproblem solver against closed-form and sampled oracles."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
 from conftest import feasible_samples, random_subproblem, subproblem_objective
+from scptrack import ipm as ipm_module
+from scptrack.errors import ProjectionError
 from scptrack.problem import PrimalDual
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
 from scptrack.ipm import (
@@ -461,3 +465,41 @@ def test_non_finite_data_return_max_iter(bad):
             assert sol.status is SolveStatus.MAX_ITER
             assert sol.iterations == 0
             assert sol.residuals.total == np.inf
+
+
+def test_certification_where_an_ellipsoid_crosses_a_box_corner():
+    # the answer sits on the lower x_1 face and on the ellipsoid, a corner
+    # where the certification projections cannot rely on Dykstra alone
+    ell = Ellipsoid([-0.41, 0.32], [[0.76, -0.09], [-0.09, 0.69]], 2.69)
+    region = ConvexRegion([-1.36, -1.35], [0.42, 2.38], ellipsoids=(ell,))
+    H = np.array([[1.51, -0.27], [-0.27, 0.08]])
+    x_ref = np.array([0.38, 0.22])
+    sp = ConvexSubproblem(c=np.array([-0.95, 1.51]), m_corr=np.array([0.07, 0.16]), H=H,
+                          x_ref=x_ref, A_eq=np.zeros((0, 2)), b_eq=np.zeros(0), region=region)
+    start = time.perf_counter()
+    sol = solve_subproblem(sp)
+    elapsed = time.perf_counter() - start
+    assert sol.status is SolveStatus.OPTIMAL
+    assert elapsed < 1.0
+    ref = scipy.optimize.minimize(
+        lambda x: subproblem_objective(sp, x), x_ref,
+        bounds=list(zip(region.lower, region.upper)),
+        constraints=[{"type": "ineq", "fun": lambda x: -ell.violation(x)}],
+        method="SLSQP", options={"maxiter": 400, "ftol": 1e-14},
+    )
+    assert region_violation(region, ref.x) <= 1e-9
+    assert abs(subproblem_objective(sp, sol.x) - subproblem_objective(sp, ref.x)) <= 1e-6
+
+
+def test_projection_error_in_certification_returns_max_iter(monkeypatch):
+    def fail(region, v, tol=1e-10, max_iter=100):
+        raise ProjectionError("no verified projection")
+
+    monkeypatch.setattr(ipm_module, "project_region", fail)
+    region = ConvexRegion(lower=-np.ones(2), upper=np.ones(2))
+    x_ref = np.array([0.5, -0.5])
+    sol = solve_subproblem(_plain([1.0, -1.0], region, x_ref=x_ref))
+    assert sol.status is SolveStatus.MAX_ITER
+    assert sol.iterations == 0
+    np.testing.assert_array_equal(sol.x, x_ref)
+    assert sol.residuals.total == np.inf

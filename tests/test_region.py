@@ -1,7 +1,11 @@
 """Projection and membership tests against closed-form oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from conftest import random_region
@@ -16,6 +20,7 @@ from scptrack.region import (
     SecondOrderCone,
     _active_set_newton,
     _newton_step,
+    _working_set_solve,
     extend_region,
     project_region,
     region_violation,
@@ -165,6 +170,10 @@ def test_extend_region_leaves_new_coordinates_free():
 def test_region_validation_errors():
     with pytest.raises(UsageError):
         ConvexRegion(lower=[1.0], upper=[0.0])
+    # a nan bound is neither finite nor infinite: region.rows would drop it
+    for lower, upper in (([np.nan, -1.0, -1.0], [1.0, 1.0, 1.0]), ([-1.0], [np.nan])):
+        with pytest.raises(UsageError):
+            ConvexRegion(lower=lower, upper=upper)
     with pytest.raises(DimensionError):
         ConvexRegion(lower=[0.0, 0.0], upper=[1.0])
     with pytest.raises(DimensionError):
@@ -410,3 +419,100 @@ def test_newton_kernel_rejects_non_finite_systems():
         # a non-finite residual F, then a non-finite matrix J
         assert run(lambda p: bad * (p - v), np.eye(3)) is None
         assert run(lambda p: p - v, np.full((3, 3), bad)) is None
+
+
+def test_working_set_drops_faces_the_answer_leaves(monkeypatch):
+    # each start point sits on a face that the projection of v leaves, so the
+    # first round's multiplier of that face is negative and the face is dropped
+    calls = []
+    newton = region_module._active_set_newton
+
+    def spy(grad, hess, E, r, curved, x, w, scale, tol):
+        calls.append((E.shape[0], len(curved)))
+        return newton(grad, hess, E, r, curved, x, w, scale, tol)
+
+    monkeypatch.setattr(region_module, "_active_set_newton", spy)
+    ball = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
+    region = ConvexRegion([-2.0, -2.0], [0.8, 2.0], ellipsoids=(ball,))
+    cases = [
+        # on the face x_0 <= 0.8 and the ball; the answer is on the ball only,
+        # and the face's multiplier in the first round is -3.7
+        (np.array([0.8, -0.6]), np.array([0.3, -3.0]), [(1, 1), (0, 1)]),
+        # on the ball; v lies inside it, so the answer is v with no face at all
+        (np.array([0.6, 0.8]), np.array([0.1, 0.2]), [(0, 1), (0, 0)]),
+    ]
+    for x, v, rounds in cases:
+        calls.clear()
+        p, y = _working_set_solve(region, lambda p: p - v, np.eye(2), np.zeros((0, 2)),
+                                  np.zeros(0), np.zeros(0), x, 1e-9, 1.0, 1e-13)
+        assert calls == rounds
+        assert y.size == 0
+        want = v if region_violation(region, v) <= 0.0 else v / np.linalg.norm(v)
+        np.testing.assert_allclose(p, want, atol=1e-12)
+
+
+@st.composite
+def _crossing_regions(draw):
+    """A box with one ellipsoid or cone member that sticks out through one of
+    its faces, and a point to project."""
+    n = draw(st.integers(2, 6))
+    floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    lo = -1.0 - draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    hi = 1.0 + draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    center = lo + (hi - lo) * draw(arrays(float, n, elements=st.floats(0.2, 0.8)))
+    B = draw(arrays(float, (n, n), elements=floats))
+    shape = B @ B.T / n + 0.2 * np.eye(n)
+    # the member reaches past the face x_i = hi_i (or lo_i) by the factor 1 + t
+    i, upper, t = draw(st.integers(0, n - 1)), draw(st.booleans()), draw(st.floats(0.05, 1.0))
+    dist = hi[i] - center[i] if upper else center[i] - lo[i]
+    radius = (dist * (1.0 + t)) ** 2 / np.linalg.inv(shape)[i, i]
+    ell = Ellipsoid(center, shape, radius)
+    # a convex member holding every vertex holds the whole box
+    vertices = itertools.product(*zip(lo, hi))
+    assume(any(ell.violation(np.array(x)) > 0.0 for x in vertices))
+    if draw(st.booleans()):
+        members = {"ellipsoids": (ell,)}
+    else:
+        # the cone form, tilted: e != 0 can give the secular equation a pole
+        tilt = 0.5 * draw(arrays(float, n, elements=floats))
+        cone = ell.cone
+        members = {"cones": (SecondOrderCone(cone.D, cone.d, tilt, cone.f - tilt @ center),)}
+    # q: where a line in the face plane, from the face point below the
+    # member's tip, leaves the member; v: q pushed out along both normals
+    sign = 1.0 if upper else -1.0
+    tip = center + sign * np.sqrt(radius / np.linalg.inv(shape)[i, i]) * np.linalg.inv(shape)[:, i]
+    tip[i] = hi[i] if upper else lo[i]
+    d = draw(arrays(float, n, elements=floats))
+    d[i] = 0.0
+    assume(np.linalg.norm(d) > 0.1)
+    u = tip - center
+    a, b, c = d @ shape @ d, 2.0 * d @ shape @ u, u @ shape @ u - radius
+    assume(c < 0.0)
+    q = tip + (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a) * d
+    normal = shape @ (q - center)
+    v = q + draw(st.floats(0.0, 2.0)) * normal / np.linalg.norm(normal)
+    v[i] += sign * draw(st.floats(0.0, 2.0))
+    return ConvexRegion(lo, hi, **members), v
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_crossing_regions())
+def test_projection_matches_slsqp_where_members_cross_box_faces(case):
+    # the family where the box and a curved member are both active at the
+    # projection; Dykstra alone creeps there
+    region, v = case
+    (member,) = region.members
+    ref = minimize(
+        lambda x: 0.5 * np.sum((x - v) ** 2),
+        region.clip_box(v),
+        jac=lambda x: x - v,
+        bounds=list(zip(region.lower, region.upper)),
+        constraints=[{"type": "ineq", "fun": lambda x: -member.boundary(x)[0],
+                      "jac": lambda x: -member.boundary(x)[1]}],
+        method="SLSQP",
+        options={"maxiter": 400, "ftol": 1e-15},
+    )
+    # SLSQP's own flag is not checked: it can report failure on a converged point
+    p = project_region(region, v)
+    assert region_violation(region, p) <= 1e-9
+    assert np.linalg.norm(p - ref.x) <= 1e-6

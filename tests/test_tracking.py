@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from scptrack.errors import OracleError, StepError, UsageError
+from scptrack import ipm as ipm_module
+from scptrack.errors import OracleError, ProjectionError, StepError, UsageError
 from scptrack.jacobians import (
     EvalCounters,
     HessianStrategy,
@@ -368,3 +369,26 @@ def test_non_finite_sample_aborts_with_finished_records():
     ok = SolveStatus.OPTIMAL
     assert [r.step_status for r in trace.records] == [None, ok, ok, ok, SolveStatus.MAX_ITER]
     assert trace.records[-1].solver_iters == 0
+
+
+def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):
+    # the third sample's interior-point solve raises ProjectionError
+    calls = []
+    ipm = ipm_module._ipm
+
+    def flaky(sp, opts, warm):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ProjectionError("no verified projection")
+        return ipm(sp, opts, warm)
+
+    monkeypatch.setattr(ipm_module, "_ipm", flaky)
+    problem = tutorial_problem()
+    z0, _ = tutorial_solution(1.2)
+    trace = track(problem, _sweep(5), z0, TrackerConfig())
+    assert trace.aborted
+    ok = SolveStatus.OPTIMAL
+    assert [r.step_status for r in trace.records] == [None, ok, ok, SolveStatus.MAX_ITER]
+    assert trace.records[-1].solver_iters == 0
+    # the failure record holds the last good iterate
+    np.testing.assert_array_equal(trace.records[-1].x, trace.records[-2].x)
