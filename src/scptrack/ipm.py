@@ -21,12 +21,18 @@ Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y).  The rescue paths that remain all fire in the test suite: the
 dual refit, the primal polish (the working-set solve of ``region``), the
 best-iterate restore, the tikhonov retry and the 1e-12 shift of a singular
-reduced Hessian.  The dual refit is an unbounded minimum-norm least-squares
-fit; the bounded fit (``lsq_linear``) runs only when that fit gives an active
-normal a negative multiplier, which only its own test reaches.  A
-certification projection that verifies no point raises ``ProjectionError``,
-and the solve then returns max_iter with no iterate.  Regions with no cone at
-all are solved as an equality-constrained QP on the same null space.
+reduced Hessian.  The two certification rescues reuse the presolve's
+(kept, Z, A+): the dual refit fits the normal multipliers on Z' N' and
+recovers the kept rows' multipliers through A+, and the primal polish keeps
+the kept rows fixed on their null space, so neither solves a system that
+stacks the equality rows.  The dual refit is an unbounded minimum-norm
+least-squares fit; the bounded fit (``lsq_linear``, on the full rows) runs
+only when that fit gives an active normal a negative multiplier, which only
+its own test reaches.  The dropped rows get multiplier 0 and are re-checked
+on all of A_eq.  A certification projection that verifies no point raises
+``ProjectionError``, and the solve then returns max_iter with no iterate.
+Regions with no cone at all are solved as an equality-constrained QP on the
+same null space.
 """
 
 from __future__ import annotations
@@ -39,7 +45,13 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import ProjectionError
-from .region import _active_normals, _min_norm_lstsq, _working_set_solve, project_region
+from .region import (
+    _active_normals,
+    _FixedRows,
+    _min_norm_lstsq,
+    _working_set_solve,
+    project_region,
+)
 from .subproblem import (
     SolveStatus,
     SolverOptions,
@@ -318,50 +330,66 @@ class _NullSpaceKKT:
         return dx, dy, dz
 
 
-def _polish_duals(sp, x, grad0):
+def _polish_duals(sp, x, grad0, presolve):
     """Equality multipliers refit against the active normals at x.
 
     The interior-point duals for constraints that sit on zero rows of the
     conic matrix converge slowly; a least-squares refit of
     grad0 + A_eq' y + N' lam = 0 recovers the limit multipliers directly
-    once x is accurate.  The unbounded minimum-norm fit is kept when every
-    lam >= 0, and it is then what the bounded fit returns; only a negative
-    lam calls the bounded least squares (lam >= 0).
+    once x is accurate.  The fit runs on the presolve's null space
+    (kept, Z, A+): lam is the minimum-norm fit of Z' N' lam = -Z' grad0, and
+    y = -A+' (grad0 + N' lam) on the kept rows, 0 on the dropped ones.  That
+    fit is kept when every lam >= 0; only a negative lam calls the bounded
+    least squares (lam >= 0) on the full [A_eq' N'].
     """
+    kept, Z, aplus = presolve
     normals = _active_normals(sp.region, x, 1e-7 * (1.0 + float(np.linalg.norm(x))))
     nmat = np.array(normals).T if normals else np.zeros((sp.n, 0))
     m, k = sp.m, nmat.shape[1]
     if m + k == 0:
         return None
-    M = np.hstack([sp.A_eq.T, nmat])
+    y = np.zeros(m)
     try:
-        sol = _min_norm_lstsq(M, -grad0)
-        if np.any(sol[m:] < 0.0):
+        lam = _min_norm_lstsq(Z.T @ nmat, -(Z.T @ grad0))
+        y[kept] = -(aplus.T @ (grad0 + nmat @ lam))
+        if np.any(lam < 0.0):
+            M = np.hstack([sp.A_eq.T, nmat])
             lb = np.concatenate([np.full(m, -np.inf), np.zeros(k)])
-            sol = scipy.optimize.lsq_linear(M, -grad0, bounds=(lb, np.full(m + k, np.inf))).x
+            y = scipy.optimize.lsq_linear(M, -grad0, bounds=(lb, np.full(m + k, np.inf))).x[:m]
     except (ValueError, np.linalg.LinAlgError):
         return None
-    if not np.all(np.isfinite(sol)):
+    if not np.all(np.isfinite(y)):
         return None
-    return sol[:m]
+    return y
 
 
-def _primal_polish(sp, x, y, tik):
+def _primal_polish(sp, x, y, tik, presolve):
     """Working-set refinement of (x, y) from the constraints active at x.
 
     The interior-point iterate is accurate to about sqrt(mu) when a curved
-    member is active; the working-set Newton solve on the boundary equations,
-    with the equality rows fixed, restores full precision.  Candidates are
-    screened by the caller through the natural-map residuals.
+    member is active; the working-set Newton solve on the boundary equations
+    restores full precision.  The kept equality rows are its fixed rows,
+    eliminated through the presolve's (Z, A+) as in the interior point, so
+    each Newton step solves a KKT matrix of order n - rank A_eq plus the
+    working set.  Returns (x, y) with 0 on the dropped rows, which the caller
+    re-checks on all of A_eq; candidates are screened by the caller through
+    the natural-map residuals.
     """
+    kept, Z, aplus = presolve
     scale = 1.0 + float(np.linalg.norm(x))
-    return _working_set_solve(
-        sp.region, lambda p: sp.gradient(p) + tik * p, sp.H + tik * np.eye(sp.n), sp.A_eq,
-        sp.A_eq @ sp.x_ref - sp.b_eq, y, x, 1e-7 * scale, scale, 1e-12 * scale,
-    )
+    fixed = _FixedRows(sp.A_eq[kept], (sp.A_eq @ sp.x_ref - sp.b_eq)[kept], Z, aplus)
+    sol = _working_set_solve(sp.region, lambda p: sp.gradient(p) + tik * p,
+                             sp.H + tik * np.eye(sp.n), fixed, y[kept], x, 1e-7 * scale, scale,
+                             1e-12 * scale)
+    if sol is None:
+        return None
+    y_full = np.zeros(sp.m)
+    y_full[kept] = sol[1]
+    return sol[0], y_full
 
 
-def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
+def _finish(sp, x, y_kept, presolve, s, z, status, iters, opts):
+    kept = presolve[0]
     y = np.zeros(sp.m)
     if kept.size:
         y[kept] = y_kept
@@ -373,7 +401,7 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
     dist = None
     if stat > opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
         # rescue: conic duals of constraints on zero rows of G that lag behind x
-        y2 = _polish_duals(sp, x, grad0)
+        y2 = _polish_duals(sp, x, grad0, presolve)
         if y2 is not None:
             grad2 = grad0 + sp.A_eq.T @ y2
             stat2 = float(np.linalg.norm(x - project_region(sp.region, x - grad2)))
@@ -381,7 +409,7 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
                 y, stat = y2, stat2
     if stat > 10.0 * opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
         # rescue: an x only sqrt(mu)-accurate because a curved member is active
-        pol = _primal_polish(sp, x, y, opts.tikhonov)
+        pol = _primal_polish(sp, x, y, opts.tikhonov, presolve)
         if pol is not None:
             x3, y3 = pol
             grad3 = sp.gradient(x3) + opts.tikhonov * x3 + sp.A_eq.T @ y3
@@ -416,13 +444,14 @@ def _finish(sp, x, y_kept, kept, s, z, status, iters, opts):
     return SubproblemSolution(x=x, y=y, status=status, iterations=iters, residuals=res)
 
 
-def _solve_no_cones(sp, P, q, b, kept, Z, aplus, opts):
+def _solve_no_cones(sp, P, q, b, presolve, opts):
     """Equality-constrained QP fallback for regions without members."""
+    kept, Z, aplus = presolve
     x_ls = aplus @ b
     # the rows the presolve dropped count too: a duplicate row may disagree
     b_all = sp.A_eq @ sp.x_ref - sp.b_eq
     if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
-        return _finish(sp, x_ls, np.zeros(kept.size), kept, None, None,
+        return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
                        SolveStatus.INFEASIBLE, 0, opts)
     Hr = Z.T @ P @ Z
     gr = Z.T @ (P @ x_ls + q)
@@ -431,10 +460,10 @@ def _solve_no_cones(sp, P, q, b, kept, Z, aplus, opts):
         lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0)
         null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
-            return _finish(sp, x_ls, np.zeros(kept.size), kept, None, None,
+            return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
                            SolveStatus.UNBOUNDED, 0, opts)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, -aplus.T @ (P @ x + q), kept, None, None, SolveStatus.OPTIMAL, 0, opts)
+    return _finish(sp, x, -aplus.T @ (P @ x + q), presolve, None, None, SolveStatus.OPTIMAL, 0, opts)
 
 
 def _ipm(sp, opts, warm):
@@ -443,13 +472,13 @@ def _ipm(sp, opts, warm):
     P = sp.H + (tik * np.eye(n) if tik else 0.0)
     P = np.atleast_2d(P)
     q = sp.grad_const
-    kept, Z, aplus = _presolve_equalities(sp.A_eq)
+    presolve = kept, Z, aplus = _presolve_equalities(sp.A_eq)
     A = sp.A_eq[kept]
     b = (sp.A_eq @ sp.x_ref - sp.b_eq)[kept]
     G, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
         # a region with no finite bound and no member leaves no cone to step in
-        return _solve_no_cones(sp, P, q, b, kept, Z, aplus, opts)
+        return _solve_no_cones(sp, P, q, b, presolve, opts)
 
     p = A.shape[0]
     e = cones.unit()
@@ -510,7 +539,7 @@ def _ipm(sp, opts, warm):
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol) and n_ver < 60:
             n_ver += 1
-            sol = _finish(sp, x, y, kept, s, z, SolveStatus.MAX_ITER, it, opts)
+            sol = _finish(sp, x, y, presolve, s, z, SolveStatus.MAX_ITER, it, opts)
             if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 return sol
 
@@ -575,7 +604,7 @@ def _ipm(sp, opts, warm):
         elif bpobj < _DIVERGE_OBJ:
             status = SolveStatus.UNBOUNDED
         x, y, s, z = bx, by, bs, bz
-    return _finish(sp, x, y, kept, s, z, status, it, opts)
+    return _finish(sp, x, y, presolve, s, z, status, it, opts)
 
 
 def _unsolved(sp):

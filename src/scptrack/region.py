@@ -20,12 +20,15 @@ Both polishing steps share one working-set solve, ``_working_set_solve``:
 ``_polish_projection`` turns a slow Dykstra run (at most 100 sweeps) into an
 exactly verified projection with it, and ``ipm._primal_polish`` refines
 interior-point iterates.  Each round of it is solved by the Newton kernel
-``_active_set_newton``, whose steps are LDL' solves of the symmetric KKT
-matrix.  The matrix is singular at the first step of a linear objective
-(zero Hessian block, the curved multipliers still at zero) and when an
-active box row repeats an equality row; those steps take the minimum-norm
-least-squares step (``_min_norm_lstsq``, complete orthogonal factorization)
-instead.
+``_active_set_newton``.  Rows held fixed (``_FixedRows``: the polish's
+equality rows, none for the projection) are eliminated through a basis Z of
+their null space and their pseudo-inverse, as the interior point does, so
+each step (``_kkt_step``) LDL'-solves only the reduced KKT matrix
+[[Z' H Z, (BZ)'], [BZ, 0]], B the working rows and curved gradients.  That
+matrix is singular at the first step of a linear objective (zero Hessian
+block, the curved multipliers still at zero) and when an active box row
+repeats a fixed row; those steps take the minimum-norm least-squares step
+(``_min_norm_lstsq``, complete orthogonal factorization) instead.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -402,65 +406,117 @@ def _newton_step(J, F):
     return _min_norm_lstsq(J, -F)
 
 
-def _active_set_newton(grad, hess, E, r, curved, x, w, scale, tol):
-    """Newton's method for min f(p) s.t. E p = r and every curved boundary.
+class _FixedRows(NamedTuple):
+    """Rows A p = r that a working-set solve keeps fixed.
 
-    f has gradient grad and constant Hessian hess; the rows of E start from
-    multipliers w, the curved members from zero.  Returns (p, w, mu), with mu
-    the curved members' multipliers, once the KKT residual is at most tol in
-    max norm, otherwise None (40 steps, a cone apex or a non-finite step).
+    A has full row rank, Z is an orthonormal basis of its null space and
+    aplus its pseudo-inverse (A aplus = I), as ``ipm._presolve_equalities``
+    returns them.  With no row Z is never read, and ``none`` leaves it None.
+    """
 
-    Each step is an LDL' solve of the symmetric KKT matrix.  That matrix can
+    A: np.ndarray
+    r: np.ndarray
+    Z: np.ndarray | None
+    aplus: np.ndarray
+
+    @classmethod
+    def none(cls, n):
+        return cls(np.zeros((0, n)), np.zeros(0), None, np.zeros((n, 0)))
+
+
+def _kkt_step(hess, fixed, B, F):
+    """Newton step s = (dp, dy, dl) of the KKT system
+
+        [[hess, A', B'], [A, 0, 0], [B, 0, 0]] s = -F,   F = (F_p, F_A, F_B),
+
+    taken on the null space of the fixed rows A (Nocedal & Wright, Numerical
+    Optimization, 16.2): dp = -A+ F_A + Z dv, where (dv, dl) solves the
+    reduced matrix [[Z' hess Z, (BZ)'], [BZ, 0]] by ``_newton_step``, and
+    dy = A+' (-F_p - hess dp - B' dl).  With no fixed row the reduced matrix
+    is the full one.  None when the system is not finite.
+    """
+    n, nf, k = hess.shape[0], fixed.A.shape[0], B.shape[0]
+    f_p, f_a, f_b = F[:n], F[n : n + nf], F[n + nf :]
+    Z = fixed.Z
+    if nf:
+        dp = -(fixed.aplus @ f_a)
+        ZHZ, BZ, rhs = Z.T @ hess @ Z, B @ Z, np.concatenate([(f_p + hess @ dp) @ Z, f_b + B @ dp])
+    else:
+        ZHZ, BZ, rhs = hess, B, F
+    nz = ZHZ.shape[0]
+    J = np.zeros((nz + k, nz + k))
+    J[:nz, :nz] = ZHZ
+    J[:nz, nz:] = BZ.T
+    J[nz:, :nz] = BZ
+    red = _newton_step(J, rhs)
+    if red is None or not nf:
+        return red
+    dl = red[nz:]
+    dp = dp + Z @ red[:nz]
+    dy = fixed.aplus.T @ (-f_p - hess @ dp - B.T @ dl)
+    return np.concatenate([dp, dy, dl])
+
+
+def _active_set_newton(grad, hess, fixed, E, r, curved, x, y, scale, tol):
+    """Newton's method for min f(p) s.t. the fixed rows, E p = r and every
+    curved boundary.
+
+    f has gradient grad and constant Hessian hess.  The fixed rows
+    (``_FixedRows``) start from multipliers y, the rows of E and the curved
+    members from zero.  Returns (p, y, w, mu), the multipliers of the fixed
+    rows, of E and of the curved members, once the KKT residual is at most
+    tol in max norm, otherwise None (40 steps, a cone apex or a non-finite
+    step).
+
+    Each step is ``_kkt_step``: the fixed rows are eliminated through their
+    null space, and the reduced KKT matrix is LDL'-solved.  That matrix can
     be singular without any dependent constraint: with hess = 0 (a linear
     objective) and the curved multipliers still at zero, the first step's
-    Hessian block vanishes, and the matrix has rank 2 rank [E; grads] < its
-    size whenever fewer than n constraints are active.  Those steps, and
-    truly dependent rows (a box-active coordinate that an equality row also
+    Hessian block vanishes, and the matrix has rank 2 rank [E; grads] Z < its
+    size whenever fewer than n - rank A constraints are active.  Those steps,
+    and truly dependent rows (a box-active coordinate that a fixed row also
     fixes), take the minimum-norm least-squares step instead.
     """
-    n, le, k = x.size, E.shape[0], len(curved)
+    n, nf, le, k = x.size, fixed.A.shape[0], E.shape[0], len(curved)
     p = np.array(x)
-    mu = np.zeros(k)
+    w = np.zeros(le + k)
     for _ in range(40):
         terms = [m.boundary(p) for m in curved]
-        grads = np.array([t[1] for t in terms]) if k else np.zeros((0, n))
-        F = np.concatenate([grad(p) + E.T @ w + grads.T @ mu, E @ p - r, [t[0] for t in terms]])
+        B = np.vstack([E] + [t[1] for t in terms])
+        F = np.concatenate([grad(p) + fixed.A.T @ y + B.T @ w, fixed.A @ p - fixed.r, E @ p - r,
+                            [t[0] for t in terms]])
         converged = np.max(np.abs(F)) <= tol
         # the apex check runs on every iteration; a Hessian is formed only
         # for a step to take and a nonzero multiplier
-        hessians = [m.curvature(p, scale, 0.0 if converged else m_i) for m, m_i in zip(curved, mu)]
+        hessians = [m.curvature(p, scale, 0.0 if converged else m_i)
+                    for m, m_i in zip(curved, w[le:])]
         if any(h is None for h in hessians):
             return None
         if converged:
-            return p, w, mu
-        J = np.zeros((n + le + k, n + le + k))
-        J[:n, :n] = hess + sum(hessians)
-        J[:n, n : n + le] = E.T
-        J[:n, n + le :] = grads.T
-        J[n : n + le, :n] = E
-        J[n + le :, :n] = grads
-        step = _newton_step(J, F)
+            return p, y, w[:le], w[le:]
+        step = _kkt_step(hess + sum(hessians), fixed, B, F)
         if step is None or not np.all(np.isfinite(step)):
             return None
         p = p + step[:n]
-        w = w + step[n : n + le]
-        mu = mu + step[n + le :]
+        y = y + step[n : n + nf]
+        w = w + step[n + nf :]
     return None
 
 
-def _working_set_solve(region, grad, hess, A, r, y, x, eps, scale, tol):
-    """Working-set solve of min f(p) s.t. A p = r and p in the region.
+def _working_set_solve(region, grad, hess, fixed, y, x, eps, scale, tol):
+    """Working-set solve of min f(p) s.t. the fixed rows and p in the region.
 
-    f has gradient grad and constant Hessian hess; the fixed rows A p = r
-    start from multipliers y.  The working set starts from the rows of
-    ``region.rows`` and the curved members active at x within eps, and each
-    round solves on it with ``_active_set_newton``.  The round then adds the
-    most violated constraint outside the set or, when none is violated by
-    more than tol, drops the one with the most negative multiplier (below
-    -tol) inside it (Nocedal & Wright, Numerical Optimization, 16.5).
-    Returns (p, y) with y the multipliers of the fixed rows once neither
-    exists; None when a Newton solve fails or 2 (rows + curved) + 1 rounds
-    do not settle the set.
+    f has gradient grad and constant Hessian hess; the fixed rows
+    (``_FixedRows``, A p = r) start from multipliers y and are eliminated
+    through their null space in every Newton step.  The working set starts
+    from the rows of ``region.rows`` and the curved members active at x
+    within eps, and each round solves on it with ``_active_set_newton``.  The
+    round then adds the most violated constraint outside the set or, when
+    none is violated by more than tol, drops the one with the most negative
+    multiplier (below -tol) inside it (Nocedal & Wright, Numerical
+    Optimization, 16.5).  Returns (p, y) with y the multipliers of the fixed
+    rows once neither exists; None when a Newton solve fails or
+    2 (rows + curved) + 1 rounds do not settle the set.
     """
     N, b = region.rows
     curved = region.cones + region.ellipsoids
@@ -472,23 +528,20 @@ def _working_set_solve(region, grad, hess, A, r, y, x, eps, scale, tol):
     p = x
     for _ in range(2 * on.size + 1):
         rows = on[: b.size]
-        sol = _active_set_newton(
-            grad, hess, np.vstack([A, N[rows]]), np.concatenate([r, b[rows]]),
-            [m for m, k in zip(curved, on[b.size :]) if k], p,
-            np.concatenate([y, np.zeros(np.count_nonzero(rows))]), scale, tol,
-        )
+        sol = _active_set_newton(grad, hess, fixed, N[rows], b[rows],
+                                 [m for m, k in zip(curved, on[b.size :]) if k], p, y, scale, tol)
         if sol is None:
             return None
-        p, w, mu = sol
+        p, y_fixed, w, mu = sol
         viol = np.where(on, -np.inf, slack(p))
         mult = np.full(on.size, np.inf)
-        mult[on] = np.concatenate([w[A.shape[0] :], mu])
+        mult[on] = np.concatenate([w, mu])
         if viol.max(initial=0.0) > tol:
             on[np.argmax(viol)] = True
         elif mult.min(initial=0.0) < -tol:
             on[np.argmin(mult)] = False
         else:
-            return p, w[: A.shape[0]]
+            return p, y_fixed
     return None
 
 
@@ -499,8 +552,8 @@ def _polish_projection(region, v, x, scale):
     x; the candidate is returned only when it passes the KKT verification.
     """
     n = region.n
-    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), np.zeros((0, n)), np.zeros(0),
-                             np.zeros(0), x, 1e-9 * scale, scale, 1e-13 * scale)
+    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), _FixedRows.none(n), np.zeros(0),
+                             x, 1e-9 * scale, scale, 1e-13 * scale)
     return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 

@@ -8,7 +8,9 @@ import scipy.linalg
 import scipy.optimize
 
 from conftest import feasible_samples, random_subproblem, subproblem_objective
+from scptrack import ClosedLoopPlant, JacobianStrategy, TrackerConfig, steady_start, track
 from scptrack import ipm as ipm_module
+from scptrack import region as region_module
 from scptrack.errors import ProjectionError
 from scptrack.problem import PrimalDual
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
@@ -300,13 +302,55 @@ def test_dual_refit_bounds_a_negative_normal_multiplier():
     unbounded, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
     assert np.any(unbounded[2:] < 0.0)
     bounded = scipy.optimize.lsq_linear(M, -grad0, bounds=([-np.inf, -np.inf, 0.0, 0.0], np.inf))
-    y = _polish_duals(sp, x, grad0)
+    presolve = _presolve_equalities(A)
+    y = _polish_duals(sp, x, grad0, presolve)
     np.testing.assert_allclose(y, bounded.x[:2], rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(y - unbounded[:2])) > 1e-3
 
     # with every normal multiplier nonnegative the unbounded fit is returned
     grad0 = -(M @ np.array([0.5, -1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(_polish_duals(sp, x, grad0), [0.5, -1.0], rtol=1e-12)
+    np.testing.assert_allclose(_polish_duals(sp, x, grad0, presolve), [0.5, -1.0], rtol=1e-12)
+
+
+def _normal_fit_case(rng, A):
+    """Lower bounds on x_0 and x_1, both active at x, and a gradient that a
+    nonnegative multiplier on each nearly balances."""
+    n = A.shape[1]
+    region = ConvexRegion(np.r_[0.0, 0.0, np.full(n - 2, -np.inf)], np.full(n, np.inf))
+    sp = _plain(np.zeros(n), region, A=A, b=np.zeros(A.shape[0]))
+    x = np.r_[0.0, 0.0, rng.normal(size=n - 2)]
+    M = np.hstack([A.T, -np.eye(n)[:2].T])
+    grad0 = -(M @ np.r_[rng.normal(size=A.shape[0]), 2.0, 3.0]) + 0.01 * rng.normal(size=n)
+    return sp, x, M, grad0
+
+
+def _natural_map(sp, x, grad):
+    return np.linalg.norm(x - project_region(sp.region, x - grad))
+
+
+def test_dual_refit_on_the_null_space_matches_the_full_fit():
+    # full row rank: the fit on Z' N' followed by y = -A+' (grad0 + N' lam) is
+    # the least-squares fit of the whole [A_eq' N']
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(3, 7))
+    sp, x, M, grad0 = _normal_fit_case(rng, A)
+    ref, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
+    assert np.all(ref[3:] > 0.0)
+    y = _polish_duals(sp, x, grad0, _presolve_equalities(A))
+    assert np.linalg.norm(y - ref[:3]) <= 1e-12 * np.linalg.norm(ref[:3])
+
+    # a duplicated row: the presolve drops one copy, whose multiplier is 0,
+    # and the fit certifies x exactly as the full minimum-norm fit does
+    A = np.vstack([A, A[1]])
+    sp, x, M, grad0 = _normal_fit_case(rng, A)
+    presolve = _presolve_equalities(A)
+    dropped = np.setdiff1d(np.arange(4), presolve[0])
+    assert dropped.size == 1
+    ref, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
+    y = _polish_duals(sp, x, grad0, presolve)
+    assert y[dropped] == 0.0
+    want = _natural_map(sp, x, grad0 + A.T @ ref[:4])
+    assert abs(_natural_map(sp, x, grad0 + A.T @ y) - want) <= 1e-12 * np.linalg.norm(grad0)
 
 
 def _spectral_rule(A):
@@ -503,3 +547,64 @@ def test_projection_error_in_certification_returns_max_iter(monkeypatch):
     assert sol.iterations == 0
     np.testing.assert_array_equal(sol.x, x_ref)
     assert sol.residuals.total == np.inf
+
+
+def test_primal_polish_solves_on_the_null_space_of_the_equality_rows(monkeypatch):
+    # the transient samples of the 8x24 exact-Jacobian closed loop reach the
+    # polish; each of its Newton steps must solve a KKT matrix of order at
+    # most n - rank A_eq + working rows + curved members (25 + k here), where
+    # the bordered matrix was of order n + rank A_eq + k
+    free, bound, steps = [], [None], []
+    polish, newton, step = (ipm_module._primal_polish, region_module._active_set_newton,
+                            region_module._newton_step)
+
+    def polish_spy(sp, x, y, tik, presolve):
+        free.append(sp.n - np.linalg.matrix_rank(sp.A_eq))
+        try:
+            return polish(sp, x, y, tik, presolve)
+        finally:
+            free.append(None)
+
+    def newton_spy(grad, hess, fixed, E, r, curved, x, y, scale, tol):
+        if free and free[-1] is not None:
+            bound[0] = free[-1] + E.shape[0] + len(curved)
+        return newton(grad, hess, fixed, E, r, curved, x, y, scale, tol)
+
+    def step_spy(J, F):
+        if free and free[-1] is not None:
+            steps.append((J.shape[0], bound[0]))
+        return step(J, F)
+
+    monkeypatch.setattr(ipm_module, "_primal_polish", polish_spy)
+    monkeypatch.setattr(region_module, "_active_set_newton", newton_spy)
+    monkeypatch.setattr(region_module, "_newton_step", step_spy)
+    cfg = CascadeConfig(n_tanks=8, horizon=24)
+    steady = steady_state(cfg, 1.0)
+    plant = ClosedLoopPlant(cfg, steady, 1.4 * steady[0], n_samples=2, noise=0.0, seed=0)
+    trace = track(cascade_problem(cfg, steady), plant, steady_start(cfg, steady),
+                  TrackerConfig(variant="pcscp", jacobian=JacobianStrategy("exact")))
+    assert not trace.aborted
+    assert set(free) == {25, None}
+    assert steps and all(order <= most for order, most in steps)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Mehrotra without a safeguard cycles here (gap 0.39/0.92, "
+                   "period 4) and returns max_iter after 200 iterations")
+def test_box_and_halfspace_qp_that_makes_mehrotra_cycle():
+    region = ConvexRegion([-1.75, -1.02], [1.04, 1.06],
+                          affine=(AffineInequality([1.08, 0.87], 0.0033),
+                                  AffineInequality([-0.07, 0.59], 0.55)))
+    sp = ConvexSubproblem(c=np.array([0.32, -1.28]), m_corr=np.array([-0.03, -0.01]),
+                          H=np.array([[0.41, 0.58], [0.58, 0.96]]), x_ref=np.array([0.30, -0.08]),
+                          A_eq=np.zeros((0, 2)), b_eq=np.zeros(0), region=region)
+    sol = solve_subproblem(sp)
+    ref = scipy.optimize.minimize(
+        lambda x: subproblem_objective(sp, x), sp.x_ref,
+        bounds=list(zip(region.lower, region.upper)),
+        constraints=[{"type": "ineq", "fun": lambda x, m=m: -m.violation(x)} for m in region.affine],
+        method="SLSQP", options={"maxiter": 400, "ftol": 1e-14},
+    )
+    assert region_violation(region, ref.x) <= 1e-9
+    assert sol.status is SolveStatus.OPTIMAL
+    assert abs(subproblem_objective(sp, sol.x) - subproblem_objective(sp, ref.x)) <= 1e-6

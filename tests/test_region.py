@@ -12,13 +12,15 @@ from conftest import random_region
 from scptrack import region as region_module
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
 from scptrack.errors import DimensionError, UsageError
-from scptrack.ipm import assemble_cones
+from scptrack.ipm import _presolve_equalities, assemble_cones
 from scptrack.region import (
     AffineInequality,
     ConvexRegion,
     Ellipsoid,
     SecondOrderCone,
+    _FixedRows,
     _active_set_newton,
+    _kkt_step,
     _newton_step,
     _working_set_solve,
     extend_region,
@@ -409,10 +411,10 @@ def test_newton_kernel_rejects_non_finite_systems():
     x = np.array([1.5, 0.5, 1.0])
     E = np.eye(3)[:1]
     r = np.array([1.5])
-    w = np.zeros(1)
 
     def run(grad, hess):
-        return _active_set_newton(grad, hess, E, r, [cone], x, w, 1.0, 1e-13)
+        return _active_set_newton(grad, hess, _FixedRows.none(3), E, r, [cone], x, np.zeros(0),
+                                  1.0, 1e-13)
 
     assert run(lambda p: p - v, np.eye(3)) is not None
     for bad in (np.nan, np.inf):
@@ -421,15 +423,75 @@ def test_newton_kernel_rejects_non_finite_systems():
         assert run(lambda p: p - v, np.full((3, 3), bad)) is None
 
 
+def _fixed_kkt_case(rng, n, A, H, box):
+    """Fixed rows A (with their null space and pseudo-inverse), working rows
+    box and an ellipsoid's gradient, the dense bordered J and a right-hand
+    side F = -J s0 that J can meet."""
+    kept, Z, aplus = _presolve_equalities(A)
+    assert kept.size == A.shape[0]
+    fixed = _FixedRows(A, rng.normal(size=A.shape[0]), Z, aplus)
+    C = rng.normal(size=(n, n))
+    ell = Ellipsoid(rng.normal(size=n), C @ C.T / n + 0.5 * np.eye(n), 2.0)
+    B = np.vstack([box, ell.boundary(rng.normal(size=n))[1]])
+    J = _kkt_matrix(H, np.vstack([A, B]))
+    return fixed, B, J, -(J @ rng.normal(size=J.shape[0]))
+
+
+def test_null_space_kkt_step_matches_the_dense_bordered_step(monkeypatch):
+    # fixed rows, two working box rows and a curved member's gradient, with a
+    # Hessian that carries the member's curvature: the step on the null space
+    # is the bordered step, from a reduced matrix of order n - p + k
+    orders = []
+    newton = region_module._newton_step
+    monkeypatch.setattr(region_module, "_newton_step",
+                        lambda J, F: orders.append(J.shape[0]) or newton(J, F))
+    rng = np.random.default_rng(23)
+    n, p = 9, 4
+    C = rng.normal(size=(n, n))
+    H = C @ C.T / n + np.eye(n) + Ellipsoid(np.zeros(n), np.eye(n), 1.0).curvature(None, 1.0, 0.7)
+    fixed, B, J, _ = _fixed_kkt_case(rng, n, rng.normal(size=(p, n)), H,
+                                     np.array([-np.eye(n)[1], np.eye(n)[5]]))
+    F = rng.normal(size=J.shape[0])
+    ref = np.linalg.solve(J, -F)
+    step = _kkt_step(H, fixed, B, F)
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert orders == [n - p + B.shape[0]]
+
+
+def test_null_space_kkt_step_meets_singular_systems(monkeypatch):
+    # the first step of a linear objective (zero Hessian, the curved
+    # multiplier still at zero), then a box row that repeats a fixed row: the
+    # reduced matrix is singular, and the step still solves J s = -F
+    fallbacks = []
+    fallback = region_module._min_norm_lstsq
+    monkeypatch.setattr(region_module, "_min_norm_lstsq",
+                        lambda M, rhs: fallbacks.append(M.shape) or fallback(M, rhs))
+    rng = np.random.default_rng(29)
+    n = 9
+    A = rng.normal(size=(3, n))
+    A[2] = np.eye(n)[2]  # a fixed row x_2 = r_2 ...
+    repeat = -np.eye(n)[2]  # ... and the lower bound of x_2 in the working set
+    C = rng.normal(size=(n, n))
+    for H, box in ((np.zeros((n, n)), np.eye(n)[[0, 4]]),
+                   (C @ C.T / n + np.eye(n), np.array([repeat, np.eye(n)[6]]))):
+        fixed, B, J, F = _fixed_kkt_case(rng, n, A, H, box)
+        assert np.linalg.matrix_rank(J) < J.shape[0]
+        fallbacks.clear()
+        step = _kkt_step(H, fixed, B, F)
+        assert np.all(np.isfinite(step))
+        assert np.linalg.norm(J @ step + F) <= 1e-12 * np.linalg.norm(F)
+        assert fallbacks == [(n - A.shape[0] + B.shape[0],) * 2]
+
+
 def test_working_set_drops_faces_the_answer_leaves(monkeypatch):
     # each start point sits on a face that the projection of v leaves, so the
     # first round's multiplier of that face is negative and the face is dropped
     calls = []
     newton = region_module._active_set_newton
 
-    def spy(grad, hess, E, r, curved, x, w, scale, tol):
+    def spy(grad, hess, fixed, E, r, curved, x, y, scale, tol):
         calls.append((E.shape[0], len(curved)))
-        return newton(grad, hess, E, r, curved, x, w, scale, tol)
+        return newton(grad, hess, fixed, E, r, curved, x, y, scale, tol)
 
     monkeypatch.setattr(region_module, "_active_set_newton", spy)
     ball = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
@@ -443,8 +505,8 @@ def test_working_set_drops_faces_the_answer_leaves(monkeypatch):
     ]
     for x, v, rounds in cases:
         calls.clear()
-        p, y = _working_set_solve(region, lambda p: p - v, np.eye(2), np.zeros((0, 2)),
-                                  np.zeros(0), np.zeros(0), x, 1e-9, 1.0, 1e-13)
+        p, y = _working_set_solve(region, lambda p: p - v, np.eye(2), _FixedRows.none(2),
+                                  np.zeros(0), x, 1e-9, 1.0, 1e-13)
         assert calls == rounds
         assert y.size == 0
         want = v if region_violation(region, v) <= 0.0 else v / np.linalg.norm(v)
