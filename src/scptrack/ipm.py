@@ -18,21 +18,22 @@ iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix.
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
-returned (x, y).  The rescue paths that remain all fire in the test suite: the
-dual refit, the primal polish (the working-set solve of ``region``), the
-best-iterate restore, the tikhonov retry and the 1e-12 shift of a singular
-reduced Hessian.  The two certification rescues reuse the presolve's
-(kept, Z, A+): the dual refit fits the normal multipliers on Z' N' and
-recovers the kept rows' multipliers through A+, and the primal polish keeps
-the kept rows fixed on their null space, so neither solves a system that
-stacks the equality rows.  The dual refit is an unbounded minimum-norm
-least-squares fit; the bounded fit (``lsq_linear``, on the full rows) runs
-only when that fit gives an active normal a negative multiplier, which only
-its own test reaches.  The dropped rows get multiplier 0 and are re-checked
-on all of A_eq.  A certification projection that verifies no point raises
-``ProjectionError``, and the solve then returns max_iter with no iterate.
-Regions with no cone at all are solved as an equality-constrained QP on the
-same null space.
+returned (x, y), the dual refit's y first: the interior point's own y is
+projected only when the refit's residual exceeds 10 tol.  The rescue paths
+that remain all fire in the test suite: the dual refit, the primal polish (the
+working-set solve of ``region``), the best-iterate restore, the tikhonov retry
+and the 1e-12 shift of a singular reduced Hessian.  The two certification
+rescues reuse the presolve's (kept, Z, A+): the dual refit fits the normal
+multipliers on Z' N' and recovers the kept rows' multipliers through A+, and
+the primal polish keeps the kept rows fixed on their null space, so neither
+solves a system that stacks the equality rows.  The dual refit is an unbounded
+minimum-norm least-squares fit; the bounded fit (``lsq_linear``, on the full
+rows) runs only when that fit gives an active normal a negative multiplier,
+which only its own test reaches.  The dropped rows get multiplier 0 and are
+re-checked on all of A_eq.  A certification projection that verifies no point
+raises ``ProjectionError``, and the solve then returns max_iter with no
+iterate.  Regions with no cone at all are solved as an equality-constrained QP
+on the same null space.
 """
 
 from __future__ import annotations
@@ -396,18 +397,20 @@ def _finish(sp, x, y_kept, presolve, s, z, status, iters, opts):
     # residuals are measured against the objective actually solved, so a
     # tikhonov term (when active) belongs in the gradient
     grad0 = sp.gradient(x) + opts.tikhonov * x
-    grad = grad0 + sp.A_eq.T @ y
-    stat = float(np.linalg.norm(x - project_region(sp.region, x - grad)))
+    rescue = status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER)
+    # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
+    # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
+    # that, the interior point's y is projected too and the smaller residual is kept
+    y2 = _polish_duals(sp, x, grad0, presolve) if rescue else None
+    stat = stat2 = np.inf
+    if y2 is not None:
+        stat2 = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y2))))
+    if not stat2 <= 10.0 * opts.tol:
+        stat = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y))))
+    if stat2 < stat:
+        y, stat = y2, stat2
     dist = None
-    if stat > opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
-        # rescue: conic duals of constraints on zero rows of G that lag behind x
-        y2 = _polish_duals(sp, x, grad0, presolve)
-        if y2 is not None:
-            grad2 = grad0 + sp.A_eq.T @ y2
-            stat2 = float(np.linalg.norm(x - project_region(sp.region, x - grad2)))
-            if stat2 < stat:
-                y, stat = y2, stat2
-    if stat > 10.0 * opts.tol and status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
+    if stat > 10.0 * opts.tol and rescue:
         # rescue: an x only sqrt(mu)-accurate because a curved member is active
         pol = _primal_polish(sp, x, y, opts.tikhonov, presolve)
         if pol is not None:

@@ -560,13 +560,12 @@ def _polish_projection(region, v, x, scale):
 def project_region(region, v, tol=1e-10, max_iter=100):
     """Euclidean projection of v onto the region via Dykstra's iteration.
 
-    Sweeps cycle through the box and every member.  When a sweep moves the
-    iterate by at most tol, and every 20 sweeps, a working-set candidate from
-    the iterate is tried and accepted when it passes an exact optimality
-    check (nearly parallel halfspaces make plain Dykstra creep, and the
-    candidate then short-circuits the crawl); a feasible iterate that stops
-    moving is checked directly.  A run that verifies no point raises
-    ProjectionError.
+    Sweeps cycle through the box and every member.  An iterate that a sweep
+    moves by at most tol is returned once it passes the exact optimality
+    check ``_verify_projection``.  Failing that, and every 20 sweeps, a
+    working-set candidate from it is tried on the same check: nearly parallel
+    halfspaces make plain Dykstra creep, and the candidate short-circuits the
+    crawl.  A run that verifies no point raises ProjectionError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (region.n,):
@@ -587,13 +586,11 @@ def project_region(region, v, tol=1e-10, max_iter=100):
             y = proj(x + corrections[i])
             corrections[i] = x + corrections[i] - y
             x = y
-        change = float(np.max(np.abs(x - x_prev)))
-        if change <= tol or sweep % 20 == 0:
+        stopped = float(np.max(np.abs(x - x_prev))) <= tol
+        if stopped and _verify_projection(region, v, x, scale) is not None:
+            return x
+        if stopped or sweep % 20 == 0:
             cand = _polish_projection(region, v, x, scale)
-            if cand is not None:
-                return cand
-        if change <= tol and region_violation(region, x) <= 1e-9 * scale:
-            cand = _verify_projection(region, v, np.array(x), scale)
             if cand is not None:
                 return cand
     raise ProjectionError(f"Dykstra projection did not reach tol={tol} in {max_iter} sweeps")

@@ -353,6 +353,74 @@ def test_dual_refit_on_the_null_space_matches_the_full_fit():
     assert abs(_natural_map(sp, x, grad0 + A.T @ y) - want) <= 1e-12 * np.linalg.norm(grad0)
 
 
+def _finish_with_spy(monkeypatch, sp, x, y, opts):
+    """ipm._finish of (x, y) as an optimal iterate, with every certification
+    projection's input recorded."""
+    seen = []
+
+    def spy(region, v, tol=1e-10, max_iter=100):
+        seen.append(np.array(v))
+        return project_region(region, v, tol, max_iter)
+
+    monkeypatch.setattr(ipm_module, "project_region", spy)
+    presolve = _presolve_equalities(sp.A_eq)
+    sol = ipm_module._finish(sp, x, y[presolve[0]], presolve, None, None, SolveStatus.OPTIMAL, 1,
+                             opts)
+    return sol, seen
+
+
+def test_dual_refit_within_ten_tol_skips_the_interior_point_projection(monkeypatch):
+    # min c.x on 0 <= x <= 2 with x_0 + x_1 + x_2 = 1: the answer (1, 0, 0)
+    # has multiplier y = -1, and the interior point's y lags by 1e-3
+    region = ConvexRegion(np.zeros(3), np.full(3, 2.0))
+    sp = _plain(np.array([1.0, 2.0, 3.0]), region, A=np.ones((1, 3)), b=np.array([-1.0]))
+    x, y_ipm = np.array([1.0, 0.0, 0.0]), np.array([-1.0 + 1e-3])
+    opts = SolverOptions()
+    assert _natural_map(sp, x, sp.gradient(x) + sp.A_eq.T @ y_ipm) > 10.0 * opts.tol
+    y_refit = _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(sp.A_eq))
+    sol, seen = _finish_with_spy(monkeypatch, sp, x, y_ipm, opts)
+    assert sol.status is SolveStatus.OPTIMAL
+    np.testing.assert_array_equal(sol.y, y_refit)
+    assert sol.residuals.stationarity <= 10.0 * opts.tol
+    # the refit's natural map and the region distance; the interior point's y
+    # is never projected
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0], x - (sp.gradient(x) + sp.A_eq.T @ y_refit))
+    np.testing.assert_array_equal(seen[1], x)
+
+
+@pytest.mark.parametrize("case", ["refit-none", "refit-worse"])
+def test_interior_point_y_is_kept_when_the_refit_falls_short(monkeypatch, case):
+    if case == "refit-none":
+        # no equality row and no active normal: there is nothing to refit
+        region = ConvexRegion(np.zeros(2), np.ones(2))
+        sp = _plain(np.array([-0.5, -0.25]), region, H=np.eye(2))
+        x, y_ipm, opts = np.array([0.5, 0.25]), np.zeros(0), SolverOptions()
+        assert _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(sp.A_eq)) is None
+    else:
+        # x_0 sits 2e-6 above its active lower bound, beyond the refit's 1e-7
+        # active test: the refit misses that normal and smears its multiplier
+        # into y, while the interior point's y = -1 is exact
+        region = ConvexRegion([0.0, -np.inf, -np.inf], np.full(3, np.inf))
+        x, A = np.array([2e-6, 0.3, 0.4]), np.array([[1.0, 1.0, 0.0]])
+        sp = _plain(np.array([2.0, 1.0, 0.0]), region, A=A, b=-(A @ x))
+        y_ipm, opts = np.array([-1.0]), SolverOptions(tol=1e-6)
+        y_refit = _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(A))
+        assert _natural_map(sp, x, sp.gradient(x) + A.T @ y_refit) > 10.0 * opts.tol
+    stat = float(_natural_map(sp, x, sp.gradient(x) + sp.A_eq.T @ y_ipm))
+    assert stat <= 10.0 * opts.tol
+    sol, seen = _finish_with_spy(monkeypatch, sp, x, y_ipm, opts)
+    assert sol.status is SolveStatus.OPTIMAL
+    np.testing.assert_array_equal(sol.x, x)
+    np.testing.assert_array_equal(sol.y, y_ipm)
+    assert sol.residuals.stationarity == stat
+    # the interior point's y, the region distance and, when there is a refit,
+    # the refit's natural map
+    assert len(seen) == (2 if case == "refit-none" else 3)
+    ipm_point = x - (sp.gradient(x) + sp.A_eq.T @ y_ipm)
+    assert any(np.array_equal(v, ipm_point) for v in seen)
+
+
 def _spectral_rule(A):
     _, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))

@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 from conftest import random_region
 from scptrack import region as region_module
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
-from scptrack.errors import DimensionError, UsageError
+from scptrack.errors import DimensionError, ProjectionError, UsageError
 from scptrack.ipm import _presolve_equalities, assemble_cones
 from scptrack.region import (
     AffineInequality,
@@ -513,6 +513,76 @@ def test_working_set_drops_faces_the_answer_leaves(monkeypatch):
         np.testing.assert_allclose(p, want, atol=1e-12)
 
 
+def _polish_spy(monkeypatch):
+    calls = []
+    polish = region_module._polish_projection
+
+    def spy(region, v, x, scale):
+        calls.append(x)
+        return polish(region, v, x, scale)
+
+    monkeypatch.setattr(region_module, "_polish_projection", spy)
+    return calls
+
+
+def _slsqp_projection(region, v, constraints):
+    ref = minimize(
+        lambda x: 0.5 * np.sum((x - v) ** 2),
+        region.clip_box(v),
+        jac=lambda x: x - v,
+        bounds=list(zip(region.lower, region.upper)),
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": 400, "ftol": 1e-15},
+    )
+    return ref.x
+
+
+def test_box_and_ellipsoid_projection_verifies_the_dykstra_iterate(monkeypatch):
+    # the workloads' shape: boxed states and inputs, a terminal ellipsoid on
+    # coordinates no box bounds, a free slack; v lies outside both.  Dykstra
+    # settles in a few sweeps and its iterate passes the KKT check as it is
+    calls = _polish_spy(monkeypatch)
+    shape = np.zeros((8, 8))
+    shape[4:7, 4:7] = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]
+    ell = Ellipsoid(np.r_[np.zeros(4), 1.0, 1.0, 1.0, 0.0], shape, 0.5)
+    region = ConvexRegion(np.r_[np.zeros(4), np.full(4, -np.inf)],
+                          np.r_[np.full(4, 4.0), np.full(4, np.inf)], ellipsoids=(ell,))
+    cons = [{"type": "ineq", "fun": lambda x: -ell.boundary(x)[0],
+             "jac": lambda x: -ell.boundary(x)[1]}]
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        # v_3 = 5 lies above its box bound, and v_4:7 beyond the ellipsoid
+        d = rng.normal(size=3)
+        d *= rng.uniform(1.05, 1.5) / np.sqrt(d @ shape[4:7, 4:7] @ d / ell.radius)
+        v = np.r_[rng.uniform(-0.5, 4.5, 3), 5.0, 1.0 + d, rng.normal()]
+        assert ell.violation(v) > 0.0
+        p = project_region(region, v)
+        assert region_violation(region, p) <= 1e-9
+        # SLSQP's own flag is not checked: it can report failure on a converged point
+        ref = _slsqp_projection(region, v, cons)
+        assert np.linalg.norm(p - ref) <= 1e-9 * (1.0 + np.linalg.norm(v))
+    assert calls == []
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_nearly_parallel_halfspaces_still_go_through_the_polish(monkeypatch, eps):
+    # x_0 <= 0 and x_0 + eps x_1 <= 0 meet at a sharp edge; v projects onto it,
+    # and Dykstra zig-zags between the two faces without settling
+    a = np.array([1.0, eps]) / np.hypot(1.0, eps)
+    region = ConvexRegion(np.full(2, -np.inf), np.full(2, np.inf),
+                          affine=(AffineInequality([1.0, 0.0], 0.0), AffineInequality(a, 0.0)))
+    v = np.array([1.0, 0.5 * eps])
+    with pytest.raises(ProjectionError):
+        project_region(region, v, max_iter=19)
+    calls = _polish_spy(monkeypatch)
+    p = project_region(region, v)
+    assert len(calls) >= 1
+    cons = [{"type": "ineq", "fun": lambda x, m=m: m.b - m.a @ x, "jac": lambda x, m=m: -m.a}
+            for m in region.affine]
+    assert np.linalg.norm(p - _slsqp_projection(region, v, cons)) <= 1e-9
+
+
 @st.composite
 def _crossing_regions(draw):
     """A box with one ellipsoid or cone member that sticks out through one of
@@ -564,17 +634,9 @@ def test_projection_matches_slsqp_where_members_cross_box_faces(case):
     # projection; Dykstra alone creeps there
     region, v = case
     (member,) = region.members
-    ref = minimize(
-        lambda x: 0.5 * np.sum((x - v) ** 2),
-        region.clip_box(v),
-        jac=lambda x: x - v,
-        bounds=list(zip(region.lower, region.upper)),
-        constraints=[{"type": "ineq", "fun": lambda x: -member.boundary(x)[0],
-                      "jac": lambda x: -member.boundary(x)[1]}],
-        method="SLSQP",
-        options={"maxiter": 400, "ftol": 1e-15},
-    )
+    ref = _slsqp_projection(region, v, [{"type": "ineq", "fun": lambda x: -member.boundary(x)[0],
+                                         "jac": lambda x: -member.boundary(x)[1]}])
     # SLSQP's own flag is not checked: it can report failure on a converged point
     p = project_region(region, v)
     assert region_violation(region, p) <= 1e-9
-    assert np.linalg.norm(p - ref.x) <= 1e-6
+    assert np.linalg.norm(p - ref) <= 1e-6
