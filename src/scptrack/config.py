@@ -25,14 +25,14 @@ import numpy as np
 
 from .cascade import CascadeConfig, cascade_problem, steady_start, steady_state
 from .errors import ConfigError, ScpTrackError
-from .jacobians import HessianStrategy, JacobianStrategy
+from .jacobians import _JAC_KINDS, HessianStrategy, JacobianStrategy
 from .problem import PrimalDual
 from .subproblem import SolverOptions
-from .tracking import TrackerConfig
+from .tracking import _VARIANTS as _TRACK_VARIANTS, TrackerConfig
 from .tutorial import tutorial_problem, tutorial_solution
 
 _PROBLEMS = ("tutorial", "cascade")
-_VARIANTS = ("apcscp", "pcscp", "rtgn", "fascp")
+_VARIANTS = _TRACK_VARIANTS + ("fascp",)
 _SCHEDULES = ("linear", "explicit", "file")
 _STARTS = ("exact", "perturbed")
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -136,7 +136,7 @@ class ScenarioConfig:
 
 
 def _read_jacobian(r):
-    kind = r.choice("jacobian", ("exact", "fd", "frozen", "broyden"), "exact")
+    kind = r.choice("jacobian", _JAC_KINDS, "exact")
     kwargs = {"kind": kind}
     step = r.floatval("jacobian.step")
     if step is not None:

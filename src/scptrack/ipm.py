@@ -7,7 +7,8 @@ The region is compiled to conic standard form
 with K a product of a nonnegative orthant (finite bounds, affine members)
 and second-order cones (cone members, and ellipsoids through
 ``Ellipsoid.cone``).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
-scaling and a 0.99 fraction-to-boundary rule.  Each cone block of the scaling
+scaling; a fraction-to-boundary rule stops each step at ``_STEP_FRACTION``
+(0.99) of the distance to the cone boundary.  Each cone block of the scaling
 is kept as (eta, v), W = eta (2 v v' - J), and applied by products; no block
 matrix is formed.  Numerically dependent equality rows are removed up front
 by one pivoted QR of A': a row is kept when its pivot exceeds
@@ -63,6 +64,7 @@ from .subproblem import (
 _DIVERGE_DUAL = 1e10
 _DIVERGE_OBJ = -1e10
 _STALL_PRES = 1e-6
+_STEP_FRACTION = 0.99
 
 
 def _quad_max_step(a, b, c):
@@ -389,14 +391,14 @@ def _primal_polish(sp, x, y, tik, presolve):
     return sol[0], y_full
 
 
-def _finish(sp, x, y_kept, presolve, s, z, status, iters, opts):
+def _finish(sp, x, y_kept, presolve, s, z, status, iters, tol, tik):
     kept = presolve[0]
     y = np.zeros(sp.m)
     if kept.size:
         y[kept] = y_kept
-    # residuals are measured against the objective actually solved, so a
-    # tikhonov term (when active) belongs in the gradient
-    grad0 = sp.gradient(x) + opts.tikhonov * x
+    # residuals are measured against the objective actually solved, so the
+    # retry's tikhonov term belongs in the gradient
+    grad0 = sp.gradient(x) + tik * x
     rescue = status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER)
     # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
     # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
@@ -405,20 +407,20 @@ def _finish(sp, x, y_kept, presolve, s, z, status, iters, opts):
     stat = stat2 = np.inf
     if y2 is not None:
         stat2 = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y2))))
-    if not stat2 <= 10.0 * opts.tol:
+    if not stat2 <= 10.0 * tol:
         stat = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y))))
     if stat2 < stat:
         y, stat = y2, stat2
     dist = None
-    if stat > 10.0 * opts.tol and rescue:
+    if stat > 10.0 * tol and rescue:
         # rescue: an x only sqrt(mu)-accurate because a curved member is active
-        pol = _primal_polish(sp, x, y, opts.tikhonov, presolve)
+        pol = _primal_polish(sp, x, y, tik, presolve)
         if pol is not None:
             x3, y3 = pol
-            grad3 = sp.gradient(x3) + opts.tikhonov * x3 + sp.A_eq.T @ y3
+            grad3 = sp.gradient(x3) + tik * x3 + sp.A_eq.T @ y3
             stat3 = float(np.linalg.norm(x3 - project_region(sp.region, x3 - grad3)))
             dist3 = float(np.linalg.norm(x3 - project_region(sp.region, x3)))
-            if stat3 < stat and dist3 <= opts.tol:
+            if stat3 < stat and dist3 <= tol:
                 x, y, stat, dist = x3, y3, stat3, dist3
     r_eq = sp.A_eq @ (x - sp.x_ref) + sp.b_eq
     eq = float(np.linalg.norm(r_eq))
@@ -430,7 +432,7 @@ def _finish(sp, x, y_kept, presolve, s, z, status, iters, opts):
     # the internal conic gap is reported but never gated on: natural-map
     # stationarity of the returned (x, y) already certifies complementarity,
     # while s.z can stall above tol when a cone is active at the solution
-    within = stat <= 10.0 * opts.tol and eq <= opts.tol and dist <= opts.tol
+    within = stat <= 10.0 * tol and eq <= tol and dist <= tol
     bad_eq = eq > 1e-6 * (1.0 + np.linalg.norm(sp.b_eq))
     if status is SolveStatus.OPTIMAL:
         # dependent rows were dropped; an inconsistent right-hand side
@@ -447,7 +449,7 @@ def _finish(sp, x, y_kept, presolve, s, z, status, iters, opts):
     return SubproblemSolution(x=x, y=y, status=status, iterations=iters, residuals=res)
 
 
-def _solve_no_cones(sp, P, q, b, presolve, opts):
+def _solve_no_cones(sp, P, q, b, presolve, tol, tik):
     """Equality-constrained QP fallback for regions without members."""
     kept, Z, aplus = presolve
     x_ls = aplus @ b
@@ -455,7 +457,7 @@ def _solve_no_cones(sp, P, q, b, presolve, opts):
     b_all = sp.A_eq @ sp.x_ref - sp.b_eq
     if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
         return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
-                       SolveStatus.INFEASIBLE, 0, opts)
+                       SolveStatus.INFEASIBLE, 0, tol, tik)
     Hr = Z.T @ P @ Z
     gr = Z.T @ (P @ x_ls + q)
     x = x_ls
@@ -464,14 +466,14 @@ def _solve_no_cones(sp, P, q, b, presolve, opts):
         null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
             return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
-                           SolveStatus.UNBOUNDED, 0, opts)
+                           SolveStatus.UNBOUNDED, 0, tol, tik)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, -aplus.T @ (P @ x + q), presolve, None, None, SolveStatus.OPTIMAL, 0, opts)
+    return _finish(sp, x, -aplus.T @ (P @ x + q), presolve, None, None, SolveStatus.OPTIMAL, 0,
+                   tol, tik)
 
 
-def _ipm(sp, opts, warm):
+def _ipm(sp, opts, warm, tik):
     n = sp.n
-    tik = opts.tikhonov
     P = sp.H + (tik * np.eye(n) if tik else 0.0)
     P = np.atleast_2d(P)
     q = sp.grad_const
@@ -481,13 +483,13 @@ def _ipm(sp, opts, warm):
     G, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
         # a region with no finite bound and no member leaves no cone to step in
-        return _solve_no_cones(sp, P, q, b, presolve, opts)
+        return _solve_no_cones(sp, P, q, b, presolve, opts.tol, tik)
 
     p = A.shape[0]
     e = cones.unit()
     kkt = _NullSpaceKKT(P, G, Z, aplus)
 
-    if warm is not None and opts.warm_start:
+    if warm is not None:
         x = np.array(warm.x, dtype=float)
         y = np.array(warm.y, dtype=float)[kept] if p else np.zeros(0)
         s = h - G @ x
@@ -527,14 +529,11 @@ def _ipm(sp, opts, warm):
         mu = gap / cones.degree
         pobj = float(0.5 * x @ P @ x + q @ x)
         pres = max(np.linalg.norm(ry) if p else 0.0, np.linalg.norm(rz)) / b_scale
-        dres = np.linalg.norm(rx) / q_scale
-        # dres is informational only: null-row dual components drift once mu
-        # collapses, so iterate selection tracks pres and the relative gap
+        # the dual residual rx is left out: null-row dual components drift once
+        # mu collapses, so iterate selection tracks pres and the relative gap
         merit = max(pres, gap / max(1.0, abs(pobj)))
         if best is None or merit < best[0]:
             best = (merit, np.array(x), np.array(y), np.array(s), np.array(z), pobj, pres)
-        if opts.verbose:
-            print(f"  it={it:3d} pres={pres:9.2e} dres={dres:9.2e} gap={gap:9.2e} pobj={pobj:12.6e}")
 
         # conic dual residuals can stay noisy once mu collapses (components of z
         # that multiply zero rows of G drift freely), so acceptance is decided on
@@ -542,7 +541,7 @@ def _ipm(sp, opts, warm):
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol) and n_ver < 60:
             n_ver += 1
-            sol = _finish(sp, x, y, presolve, s, z, SolveStatus.MAX_ITER, it, opts)
+            sol = _finish(sp, x, y, presolve, s, z, SolveStatus.MAX_ITER, it, opts.tol, tik)
             if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 return sol
 
@@ -577,7 +576,7 @@ def _ipm(sp, opts, warm):
             break
         ds = -rz - G @ dx
 
-        alpha = min(1.0, opts.step_fraction * min(cones.max_step(s, ds), cones.max_step(z, dz)))
+        alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
         for _ in range(40):
             if (
                 cones.margin(s + alpha * ds) > 0.0
@@ -592,8 +591,6 @@ def _ipm(sp, opts, warm):
         y = y + alpha * dy if p else y
         s = s + alpha * ds
         z = z + alpha * dz
-        if opts.verbose:
-            print(f"         alpha={alpha:9.2e} sigma={sigma:9.2e}")
         small_steps = small_steps + 1 if alpha < 1e-8 else 0
         if small_steps >= 3:
             status = SolveStatus.INFEASIBLE if pres > _STALL_PRES else SolveStatus.MAX_ITER
@@ -607,7 +604,7 @@ def _ipm(sp, opts, warm):
         elif bpobj < _DIVERGE_OBJ:
             status = SolveStatus.UNBOUNDED
         x, y, s, z = bx, by, bs, bz
-    return _finish(sp, x, y, presolve, s, z, status, it, opts)
+    return _finish(sp, x, y, presolve, s, z, status, it, opts.tol, tik)
 
 
 def _unsolved(sp):
@@ -617,11 +614,13 @@ def _unsolved(sp):
 
 
 def solve_subproblem(sp, opts=None, warm=None):
-    """Solve one convex subproblem; see SolverOptions for controls.
+    """Solve one convex subproblem to opts.tol within opts.max_iter iterations.
 
-    When the curvature model is zero and the solve diverges toward an
-    unbounded ray, one retry with tikhonov = 1e-6 (1 + ||c||) is attempted
-    and flagged on the returned solution (tikhonov_retry option).  Data with
+    The iteration warm-starts from warm (a PrimalDual) when one is given and
+    starts cold otherwise.  When the curvature model is zero and the solve
+    diverges toward an unbounded ray, one retry with a tikhonov term
+    1e-6 (1 + ||c||) ||x||^2 / 2 is attempted and flagged on the returned
+    solution; opts.tikhonov_retry = False returns the raw verdict.  Data with
     a nan or inf entry, a cold start whose KKT system cannot be solved, and a
     certification projection that verifies no point (ProjectionError) return
     status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
@@ -631,16 +630,11 @@ def solve_subproblem(sp, opts=None, warm=None):
     if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
         return _unsolved(sp)
     try:
-        sol = _ipm(sp, opts, warm)
-        if (
-            sol.status is SolveStatus.UNBOUNDED
-            and opts.tikhonov_retry
-            and opts.tikhonov == 0.0
-            and not np.any(sp.H)
-        ):
+        sol = _ipm(sp, opts, warm, 0.0)
+        if sol.status is SolveStatus.UNBOUNDED and opts.tikhonov_retry and not np.any(sp.H):
             # rescue: a zero curvature model whose linear objective runs off a ray
             tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
-            sol = replace(_ipm(sp, replace(opts, tikhonov=tik), warm), regularized=True)
+            sol = replace(_ipm(sp, opts, warm, tik), regularized=True)
     except ProjectionError:
         return _unsolved(sp)
     return sol

@@ -98,20 +98,21 @@ def eval_constraints(problem, x, xi, g_x=None):
     return g + problem.M @ xi
 
 
-def kkt_residual(problem, z, xi, projection_tol=1e-10, g_x=None, adj_y=None):
+def kkt_residual(problem, z, xi, g_x=None, adj_y=None):
     """Natural-map KKT residual of z = (x, y) for the problem at xi.
 
     stationarity = ||x - P(x - (c + g'(x)^T y))||, equality = ||g(x) + M.xi||,
-    region_distance = ||x - P(x)||, with P the region projection.  g_x = g(x)
-    and adj_y = g'(x)^T y are evaluated unless the caller already holds them.
+    region_distance = ||x - P(x)||, with P the verified region projection
+    ``project_region``.  g_x = g(x) and adj_y = g'(x)^T y are evaluated
+    unless the caller already holds them.
     """
     x, y = z.x, z.y
     if y.shape != (problem.m,):
         raise DimensionError(f"multiplier has shape {y.shape}, expected ({problem.m},)")
     eq = eval_constraints(problem, x, xi, g_x)
     grad = problem.c + (problem.g_adjoint(x, y) if adj_y is None else adj_y)
-    stat = np.linalg.norm(x - project_region(problem.region, x - grad, tol=projection_tol))
-    dist = np.linalg.norm(x - project_region(problem.region, x, tol=projection_tol))
+    stat = np.linalg.norm(x - project_region(problem.region, x - grad))
+    dist = np.linalg.norm(x - project_region(problem.region, x))
     return KKTResidual(float(stat), float(np.linalg.norm(eq)), float(dist))
 
 

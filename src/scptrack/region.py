@@ -45,6 +45,7 @@ from scipy.optimize import brentq, nnls
 from .errors import DimensionError, ProjectionError, UsageError
 
 _ROOT_RTOL = 4 * np.finfo(float).eps
+_DYKSTRA_STOP = 1e-10  # largest sweep move at which a Dykstra iterate goes to the check
 
 
 def _freeze(a):
@@ -557,15 +558,16 @@ def _polish_projection(region, v, x, scale):
     return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 
-def project_region(region, v, tol=1e-10, max_iter=100):
+def project_region(region, v, max_iter=100):
     """Euclidean projection of v onto the region via Dykstra's iteration.
 
     Sweeps cycle through the box and every member.  An iterate that a sweep
-    moves by at most tol is returned once it passes the exact optimality
-    check ``_verify_projection``.  Failing that, and every 20 sweeps, a
-    working-set candidate from it is tried on the same check: nearly parallel
-    halfspaces make plain Dykstra creep, and the candidate short-circuits the
-    crawl.  A run that verifies no point raises ProjectionError.
+    moves by at most ``_DYKSTRA_STOP`` (1e-10, in the max norm) is returned
+    once it passes the exact optimality check ``_verify_projection``.
+    Failing that, and every 20 sweeps, a working-set candidate from it is
+    tried on the same check: nearly parallel halfspaces make plain Dykstra
+    creep, and the candidate short-circuits the crawl.  A run that verifies
+    no point within max_iter sweeps raises ProjectionError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (region.n,):
@@ -586,14 +588,15 @@ def project_region(region, v, tol=1e-10, max_iter=100):
             y = proj(x + corrections[i])
             corrections[i] = x + corrections[i] - y
             x = y
-        stopped = float(np.max(np.abs(x - x_prev))) <= tol
+        stopped = float(np.max(np.abs(x - x_prev))) <= _DYKSTRA_STOP
         if stopped and _verify_projection(region, v, x, scale) is not None:
             return x
         if stopped or sweep % 20 == 0:
             cand = _polish_projection(region, v, x, scale)
             if cand is not None:
                 return cand
-    raise ProjectionError(f"Dykstra projection did not reach tol={tol} in {max_iter} sweeps")
+    raise ProjectionError(
+        f"Dykstra projection did not reach tol={_DYKSTRA_STOP} in {max_iter} sweeps")
 
 
 def extend_region(region, extra):

@@ -26,11 +26,7 @@ class SolveStatus(enum.Enum):
 class SolverOptions:
     tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.99
-    tikhonov: float = 0.0
     tikhonov_retry: bool = True
-    warm_start: bool = True
-    verbose: bool = False
 
 
 @dataclass(frozen=True, eq=False)

@@ -170,8 +170,7 @@ def _attempt(problem, state, xi, config, counters, region=None):
     sp = build_subproblem(problem, state, xi)
     if region is not None:
         sp = replace(sp, region=region)
-    warm = state.z if config.solver_opts.warm_start else None
-    sol = solve_subproblem(sp, config.solver_opts, warm)
+    sol = solve_subproblem(sp, config.solver_opts, state.z)
     if counters is not None:
         counters.solver_iters += sol.iterations
     return sol

@@ -101,13 +101,13 @@ def subproblem_objective(sp, x):
     return float((sp.c + sp.m_corr) @ x + 0.5 * dx @ sp.H @ dx)
 
 
-def feasible_samples(sp, rng, count=10, tol=1e-7):
+def feasible_samples(sp, rng, count=10):
     """Points feasible for the full subproblem, by alternating projection.
 
-    Opposite halfspace pairs encode the equality rows, so the tolerance
-    is looser than the solver's and callers compare objectives with a
-    matching margin.  Candidates that do not project to tolerance are
-    redrawn; anchoring at the reference point keeps that rare.
+    Opposite halfspace pairs encode the equality rows, so callers compare
+    objectives with a margin well above the projection's accuracy.
+    Candidates whose projection verifies no point are redrawn; anchoring at
+    the reference point keeps that rare.
     """
     from scptrack.errors import ProjectionError
 
@@ -116,7 +116,7 @@ def feasible_samples(sp, rng, count=10, tol=1e-7):
     for _ in range(4 * count):
         candidate = sp.x_ref + rng.normal(size=sp.c.size)
         try:
-            out.append(project_region(sampler, candidate, tol=tol))
+            out.append(project_region(sampler, candidate))
         except ProjectionError:
             continue
         if len(out) == count:

@@ -358,14 +358,14 @@ def _finish_with_spy(monkeypatch, sp, x, y, opts):
     projection's input recorded."""
     seen = []
 
-    def spy(region, v, tol=1e-10, max_iter=100):
+    def spy(region, v, max_iter=100):
         seen.append(np.array(v))
-        return project_region(region, v, tol, max_iter)
+        return project_region(region, v, max_iter)
 
     monkeypatch.setattr(ipm_module, "project_region", spy)
     presolve = _presolve_equalities(sp.A_eq)
     sol = ipm_module._finish(sp, x, y[presolve[0]], presolve, None, None, SolveStatus.OPTIMAL, 1,
-                             opts)
+                             opts.tol, 0.0)
     return sol, seen
 
 
@@ -604,7 +604,7 @@ def test_certification_where_an_ellipsoid_crosses_a_box_corner():
 
 
 def test_projection_error_in_certification_returns_max_iter(monkeypatch):
-    def fail(region, v, tol=1e-10, max_iter=100):
+    def fail(region, v, max_iter=100):
         raise ProjectionError("no verified projection")
 
     monkeypatch.setattr(ipm_module, "project_region", fail)

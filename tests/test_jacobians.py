@@ -1,5 +1,7 @@
 """Jacobian models, adjoint identities, curvature projection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ def test_full_jacobian_prefers_callback_and_counts():
     x = np.array([0.2, -0.4, 0.1])
     np.testing.assert_allclose(full_jacobian(problem, x, counters=counters), problem.g_jac(x))
     assert counters.jacobian_evals == 1
+    # exact on a problem with no g_jac: forward differences at the strategy's
+    # step, which still count as one evaluation
+    no_jac = replace(problem, g_jac=None)
+    A = update_jacobian(JacobianStrategy("exact", fd_step=1e-6), no_jac, np.zeros((2, 3)), x,
+                        x + 0.1, problem.g(x), problem.g(x + 0.1), 1, counters)
+    assert counters.jacobian_evals == 2
+    np.testing.assert_array_equal(A, finite_difference_jacobian(problem.g, x + 0.1, 2, 1e-6))
 
 
 def test_correction_vanishes_for_exact_jacobian():
@@ -213,6 +222,12 @@ def test_strategy_validation():
         HessianStrategy("fixed")
     with pytest.raises(UsageError):
         HessianStrategy("fixed", matrix=[[-1.0]])
+    with pytest.raises(UsageError, match="reset_period must be >= 0"):
+        JacobianStrategy("broyden", reset_period=-1)
+    with pytest.raises(UsageError, match="unknown hessian strategy"):
+        HessianStrategy("bfgs")
+    with pytest.raises(UsageError, match="eig_floor must be >= 0"):
+        HessianStrategy("projected", eig_floor=-1e-3)
 
 
 def test_init_state_counters_and_consistency():

@@ -186,6 +186,23 @@ def test_region_validation_errors():
         )
     with pytest.raises(DimensionError):
         SecondOrderCone(D=np.eye(2), d=np.zeros(3), e=np.zeros(2), f=0.0)
+    with pytest.raises(DimensionError, match="affine member coefficient must be a vector"):
+        AffineInequality(np.eye(2), 0.0)
+    cone3 = SecondOrderCone(D=np.eye(3), d=np.zeros(3), e=np.zeros(3), f=1.0)
+    with pytest.raises(DimensionError, match="cone member dimension mismatch"):
+        ConvexRegion(lower=[0.0, 0.0], upper=[1.0, 1.0], cones=(cone3,))
+    ball3 = Ellipsoid(np.zeros(3), np.eye(3), 1.0)
+    with pytest.raises(DimensionError, match="ellipsoid member dimension mismatch"):
+        ConvexRegion(lower=[0.0, 0.0], upper=[1.0, 1.0], ellipsoids=(ball3,))
+    with pytest.raises(DimensionError, match="ellipsoid shape matrix size mismatch"):
+        Ellipsoid(np.zeros(2), np.eye(3), 1.0)
+    for radius in (0.0, -1.0):
+        with pytest.raises(UsageError, match="ellipsoid radius must be positive"):
+            Ellipsoid(np.zeros(2), np.eye(2), radius)
+    with pytest.raises(UsageError, match="ellipsoid shape matrix must be positive semidefinite"):
+        Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]), 1.0)
+    with pytest.raises(DimensionError, match="point has shape"):
+        project_region(ConvexRegion(lower=[0.0, 0.0], upper=[1.0, 1.0]), np.zeros(3))
 
 
 def test_unbounded_region_projection_is_identity():

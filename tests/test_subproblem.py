@@ -1,13 +1,21 @@
 """Subproblem assembly: the linearized equality and gradient pieces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import scptrack
 from scptrack.errors import DimensionError
 from scptrack.jacobians import IterateState
 from scptrack.problem import ParametricNLP, PrimalDual, eval_constraints
 from scptrack.region import ConvexRegion
-from scptrack.subproblem import ConvexSubproblem, SubproblemResiduals, build_subproblem
+from scptrack.subproblem import (
+    ConvexSubproblem,
+    SolverOptions,
+    SubproblemResiduals,
+    build_subproblem,
+)
 
 
 def _quadratic_constraint_problem():
@@ -118,3 +126,12 @@ def test_correction_enters_gradient_not_equality():
 def test_residual_total_is_worst_component():
     r = SubproblemResiduals(1e-9, 3e-8, 2e-9, 5e-10)
     assert r.total == pytest.approx(3e-8)
+
+
+def test_solver_options_are_tolerance_budget_and_retry():
+    # the solver settings a caller can set; step fraction, warm start,
+    # tikhonov weight and printing are fixed by the solver, not options
+    fields = tuple((f.name, f.default) for f in dataclasses.fields(SolverOptions))
+    assert fields == (("tol", 1e-8), ("max_iter", 200), ("tikhonov_retry", True))
+    for name in scptrack.__all__:
+        assert getattr(scptrack, name) is not None

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from scptrack import ipm as ipm_module
+from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
 from scptrack.errors import OracleError, ProjectionError, StepError, UsageError
 from scptrack.jacobians import (
     EvalCounters,
@@ -143,6 +144,29 @@ def test_track_frozen_apcscp_counts_one_jacobian():
     assert trace.counters.adjoint_evals == len(trace.records)
     # the records reuse the model update's g(x) and g'(x)^T y
     assert calls == {"g": trace.counters.g_evals, "g_adjoint": trace.counters.adjoint_evals}
+
+
+def test_track_fd_jacobians_on_a_perturbed_cascade():
+    # pcscp with forward-difference Jacobians on the 3-tank, 8-step cascade:
+    # the start model and one model per sample come from differences of g
+    cfg = CascadeConfig(n_tanks=3, horizon=8)
+    steady = steady_state(cfg, 1.0)
+    problem = cascade_problem(cfg, steady)
+    z0 = steady_start(cfg, steady)
+    shift = 0.05 * np.random.default_rng(5).uniform(-1.0, 1.0, problem.n)
+    samples = [steady[0] * (1.0 + 0.05 * k) for k in range(1, 5)]
+    config = TrackerConfig(variant="pcscp", jacobian=JacobianStrategy("fd"))
+    trace = track(problem, samples, PrimalDual(z0.x + shift, z0.y), config)
+    assert not trace.aborted
+    assert [r.step_status for r in trace.records[1:]] == [SolveStatus.OPTIMAL] * len(samples)
+    assert trace.counters.jacobian_evals == 1 + len(samples)
+    # forward differences at steps h_j = 1e-7 (1 + |x_j|) err by about
+    # h_j |g''| / 2 + 2 eps |g| / h_j per entry, of order 1e-7 here; over the
+    # 27 x 36 entries that stays below 1e-6 (1 + ||g'||_F).  jac_error > 0
+    # shows the model was differenced, not read from g_jac
+    for rec in trace.records:
+        bound = 1e-6 * (1.0 + np.linalg.norm(problem.g_jac(rec.x)))
+        assert 0.0 < rec.jac_error <= bound
 
 
 def test_track_callable_source_stops_on_none():
@@ -376,11 +400,11 @@ def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):
     calls = []
     ipm = ipm_module._ipm
 
-    def flaky(sp, opts, warm):
+    def flaky(sp, opts, warm, tik):
         calls.append(None)
         if len(calls) == 3:
             raise ProjectionError("no verified projection")
-        return ipm(sp, opts, warm)
+        return ipm(sp, opts, warm, tik)
 
     monkeypatch.setattr(ipm_module, "_ipm", flaky)
     problem = tutorial_problem()
