@@ -16,7 +16,12 @@ by one pivoted QR of A': a row is kept when its pivot exceeds
 |r_00| <= ||A||_2 <= ||A||_F leaves undecided.  The same QR gives a basis Z
 of the null space of the kept rows and their pseudo-inverse, so each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
-n minus the number of kept rows, instead of the bordered KKT matrix.
+n minus the number of kept rows, instead of the bordered KKT matrix.  Each
+iteration computes one particular solution -A+ ry, which the predictor and
+the corrector share; the predictor computes no dy, G dx comes from the kept
+G Z, and a zero P takes part in no product (``_NullSpaceKKT``).  The conic
+rows are built once per region (``ConvexRegion.conic``), as CSR arrays when
+G is large and sparse (the 8x24 cascade: 475 x 225, 1% nonzero).
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y), the dual refit's y first: the interior point's own y is
@@ -232,16 +237,15 @@ class _Scaling:
 
 
 def assemble_cones(region):
-    """Conic rows (G, h) and block structure for a region.
+    """Conic rows (G, G', h) and block structure of a region.
 
-    The orthant holds the finite bounds and the affine members; each cone
-    member, then each ellipsoid (through its cone form), adds one block.
+    The rows are ``ConvexRegion.conic``, built once per region: the orthant
+    holds the finite bounds and the affine members; each cone member, then
+    each ellipsoid (through its cone form), adds one block.  G and G' are CSR
+    arrays when G is large and sparse, dense arrays otherwise.
     """
-    N, b = region.rows
-    cones = region.cones + tuple(m.cone for m in region.ellipsoids)
-    G = np.vstack([N] + [np.vstack([-m.e, -m.D]) for m in cones])
-    h = np.concatenate([b] + [np.concatenate([[m.f], m.d]) for m in cones])
-    return G, h, _Cones(b.size, [m.D.shape[0] + 1 for m in cones])
+    G, Gt, h, l, soc_dims = region.conic
+    return G, Gt, h, _Cones(l, soc_dims)
 
 
 def _presolve_equalities(A):
@@ -274,28 +278,37 @@ def _presolve_equalities(A):
 class _NullSpaceKKT:
     """The Newton system of the conic iteration, solved on the null space of A.
 
-    For residuals (rx, ry, rz) and a scaling W (the identity at the cold
-    start), the step solves
+    For residuals (rx, ry, rz), a complementarity term rc and a scaling W (the
+    identity at the cold start), the step solves
 
-        Hm dx + A' dy = -rx - G' W^{-2} rz,   A dx = -ry,   dz = W^{-2} (G dx + rz),
+        Hm dx + A' dy = -rx - G' W^{-2} (rz + rc),   A dx = -ry,
+        dz = W^{-2} (G dx + rz + rc),   ds = -rz - G dx,
 
     with Hm = P + G' W^{-2} G.  With Z a basis of null(A) and A+ the
-    pseudo-inverse of A, dx = -A+ ry + Z w, where the reduced Hessian
-    Z' Hm Z = Z'PZ + (W^{-1} G Z)' (W^{-1} G Z) is the only matrix formed and
-    LU-factored, and dy = A+' (-rx - P dx - G' dz).
+    pseudo-inverse of A, dx = xp + Z w with the particular solution
+    xp = -A+ ry, where the reduced Hessian Z' Hm Z = Z'PZ + (W^{-1} G Z)' (W^{-1} G Z)
+    is the only matrix formed and LU-factored, and dy = A+' (-rx - P dx - G' dz).
+
+    The predictor and the corrector of one iteration share (rx, ry), so
+    ``particular`` computes xp, G xp and Z'(-rx - P xp) once for both.  The
+    reduced right-hand side then needs only the kept GZ = G Z, and so does
+    G dx = G xp + GZ w, from which dz and ds follow; G' is applied only for a
+    dy, which the predictor does not ask for.  P is None for zero curvature,
+    and every product with it is skipped.  G and G' are dense or CSR, as
+    ``ConvexRegion.conic`` chose.
     """
 
-    def __init__(self, P, G, Z, aplus):
-        self.P, self.G, self.Z, self.aplus = P, G, Z, aplus
+    def __init__(self, P, G, Gt, Z, aplus):
+        self.P, self.G, self.Gt, self.Z, self.aplus = P, G, Gt, Z, aplus
         self.GZ = G @ Z
-        self.ZPZ = Z.T @ P @ Z
+        self.ZPZ = None if P is None else Z.T @ P @ Z
         self.W = None
         self.lu = None
 
     def reduced_hessian(self, W=None):
         """Z' Hm Z for the scaling W (None: the identity)."""
         RZ = self.GZ if W is None else W.mul_winv(self.GZ)
-        return self.ZPZ + RZ.T @ RZ
+        return RZ.T @ RZ if self.ZPZ is None else self.ZPZ + RZ.T @ RZ
 
     def factor(self, W=None):
         """LU-factor Z' Hm Z for W; returns the diagonal shift that was needed."""
@@ -320,17 +333,30 @@ class _NullSpaceKKT:
     def _winv2(self, u):
         return u if self.W is None else self.W.mul_winv2(u)
 
-    def solve(self, rx, ry, rz):
-        """(dx, dy, dz) for the last factored W."""
-        G = self.G
+    def particular(self, rx, ry):
+        """The part every step for (rx, ry) shares: (rx, xp, G xp, Z'(-rx - P xp))."""
         xp = -(self.aplus @ ry)
-        t = -rx - self.P @ xp - G.T @ self._winv2(G @ xp + rz)
-        dx = xp + self.Z @ scipy.linalg.lu_solve(self.lu, self.Z.T @ t, check_finite=False)
-        dz = self._winv2(G @ dx + rz)
-        dy = self.aplus.T @ (-rx - self.P @ dx - G.T @ dz)
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
+        t = -(self.Z.T @ rx)
+        if self.P is not None:
+            t -= self.Z.T @ (self.P @ xp)
+        return rx, xp, self.G @ xp, t
+
+    def solve(self, part, rz, rc=0.0, dual=True):
+        """(dx, dy, dz, ds) for the last factored W; dy is None unless dual."""
+        rx, xp, gxp, t = part
+        rzc = rz + rc
+        w = scipy.linalg.lu_solve(self.lu, t - self.GZ.T @ self._winv2(gxp + rzc),
+                                  check_finite=False)
+        dx = xp + self.Z @ w
+        gdx = gxp + self.GZ @ w
+        dz = self._winv2(gdx + rzc)
+        dy = None
+        if dual:
+            r = -rx if self.P is None else -rx - self.P @ dx
+            dy = self.aplus.T @ (r - self.Gt @ dz)
+        if not (np.all(np.isfinite(dx)) and (dy is None or np.all(np.isfinite(dy)))):
             raise np.linalg.LinAlgError("non-finite KKT step")
-        return dx, dy, dz
+        return dx, dy, dz, -rz - gdx
 
 
 def _polish_duals(sp, x, grad0, presolve):
@@ -480,14 +506,16 @@ def _ipm(sp, opts, warm, tik):
     presolve = kept, Z, aplus = _presolve_equalities(sp.A_eq)
     A = sp.A_eq[kept]
     b = (sp.A_eq @ sp.x_ref - sp.b_eq)[kept]
-    G, h, cones = assemble_cones(sp.region)
+    G, Gt, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
         # a region with no finite bound and no member leaves no cone to step in
         return _solve_no_cones(sp, P, q, b, presolve, opts.tol, tik)
+    if not np.any(P):
+        P = None  # zero curvature: every product with P is skipped
 
     p = A.shape[0]
     e = cones.unit()
-    kkt = _NullSpaceKKT(P, G, Z, aplus)
+    kkt = _NullSpaceKKT(P, G, Gt, Z, aplus)
 
     if warm is not None:
         x = np.array(warm.x, dtype=float)
@@ -501,7 +529,8 @@ def _ipm(sp, opts, warm, tik):
     else:
         try:
             kkt.factor()
-            x, y, zhat = kkt.solve(q, -b, -h)  # min 0.5 x'Px + q'x + 0.5 ||Gx - h||^2
+            # min 0.5 x'Px + q'x + 0.5 ||Gx - h||^2
+            x, y, zhat, _ = kkt.solve(kkt.particular(q, -b), -h)
         except np.linalg.LinAlgError:
             return _unsolved(sp)
         s = -zhat
@@ -522,12 +551,12 @@ def _ipm(sp, opts, warm, tik):
     q_scale = max(1.0, np.linalg.norm(q))
 
     for it in range(1, opts.max_iter + 1):
-        rx = P @ x + q + G.T @ z + (A.T @ y if p else 0.0)
+        rx = (q if P is None else P @ x + q) + Gt @ z + (A.T @ y if p else 0.0)
         ry = A @ x - b if p else np.zeros(0)
         rz = G @ x + s - h
         gap = float(s @ z)
         mu = gap / cones.degree
-        pobj = float(0.5 * x @ P @ x + q @ x)
+        pobj = float(q @ x if P is None else 0.5 * x @ P @ x + q @ x)
         pres = max(np.linalg.norm(ry) if p else 0.0, np.linalg.norm(rz)) / b_scale
         # the dual residual rx is left out: null-row dual components drift once
         # mu collapses, so iterate selection tracks pres and the relative gap
@@ -558,10 +587,10 @@ def _ipm(sp, opts, warm, tik):
         lam = W.lam
         try:
             kkt.factor(W)
+            part = kkt.particular(rx, ry)
 
-            # predictor: target zero complementarity, dlam = -lam
-            dx, dy, dz = kkt.solve(rx, ry, rz - W.mul_w(lam))
-            ds = -rz - G @ dx
+            # predictor: target zero complementarity, dlam = -lam; no dy
+            _, _, dz, ds = kkt.solve(part, rz, -W.mul_w(lam), dual=False)
             alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
             gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
             sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
@@ -570,11 +599,10 @@ def _ipm(sp, opts, warm, tik):
             corr = cones.prod(W.mul_winv(ds), W.mul_w(dz))  # (W^-1 ds) o (W dz)
             rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
             dlam = cones.inv_prod(lam, rhs_comp)
-            dx, dy, dz = kkt.solve(rx, ry, rz + W.mul_w(dlam))
+            dx, dy, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
         except np.linalg.LinAlgError:
             status = SolveStatus.MAX_ITER
             break
-        ds = -rz - G @ dx
 
         alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
         for _ in range(40):

@@ -12,9 +12,11 @@ branch beyond the pole is scanned on a grid.
 Curved members own their geometry: ``boundary`` gives the violation and the
 outward gradient, ``curvature`` the Hessian of the boundary function, and
 ``Ellipsoid.cone`` the ellipsoid as a second-order cone (the form ``ipm``
-compiles).  The linear constraints are built once, as ``ConvexRegion.rows``.
-The working set, the projection check, the Newton kernel and the tangent
-relaxation in ``tracking`` all go through these.
+compiles).  The linear constraints are built once, as ``ConvexRegion.rows``,
+and so is the whole conic form ``ipm`` solves, as ``ConvexRegion.conic``
+(CSR when large and sparse).  Member data must be finite.  The working
+set, the projection check, the Newton kernel and the tangent relaxation in
+``tracking`` all go through these.
 
 Both polishing steps share one working-set solve, ``_working_set_solve``:
 ``_polish_projection`` turns a slow Dykstra run (at most 100 sweeps) into an
@@ -40,18 +42,29 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.optimize import brentq, nnls
 
 from .errors import DimensionError, ProjectionError, UsageError
 
 _ROOT_RTOL = 4 * np.finfo(float).eps
 _DYKSTRA_STOP = 1e-10  # largest sweep move at which a Dykstra iterate goes to the check
+# the conic rows are CSR when G has more entries than this, at most a tenth of
+# them nonzero; below it a dense product costs no more than a CSR one
+_CSR_MIN_ENTRIES = 20000
+_CSR_MAX_DENSITY = 0.1
 
 
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _check_finite(what, *data):
+    # a nan or inf entry would drop out of, or poison, the member's cone form
+    if not all(np.all(np.isfinite(a)) for a in data):
+        raise UsageError(f"{what} data must be finite")
 
 
 def _monotone_root(gfun, pole, slope):
@@ -112,6 +125,7 @@ class AffineInequality:
         object.__setattr__(self, "b", float(self.b))
         if self.a.ndim != 1:
             raise DimensionError("affine member coefficient must be a vector")
+        _check_finite("affine member", self.a, self.b)
 
     def violation(self, x):
         return float(self.a @ x - self.b)
@@ -139,6 +153,7 @@ class SecondOrderCone:
         object.__setattr__(self, "f", float(self.f))
         if self.D.shape != (self.d.size, self.e.size):
             raise DimensionError("cone member shapes are inconsistent")
+        _check_finite("cone member", self.D, self.d, self.e, self.f)
 
     @cached_property
     def _eig(self):
@@ -255,6 +270,7 @@ class Ellipsoid:
         object.__setattr__(self, "radius", float(self.radius))
         if s.shape != (self.center.size, self.center.size):
             raise DimensionError("ellipsoid shape matrix size mismatch")
+        _check_finite("ellipsoid", self.center, s, self.radius)
         if self.radius <= 0.0:
             raise UsageError("ellipsoid radius must be positive")
         lam = np.linalg.eigvalsh(s)
@@ -341,6 +357,39 @@ class ConvexRegion:
         N = np.vstack([-eye[lo], eye[up]] + [m.a for m in self.affine])
         b = np.concatenate([-self.lower[lo], self.upper[up], [m.b for m in self.affine]])
         return _freeze(N), _freeze(b)
+
+    @cached_property
+    def conic(self):
+        """The region in the conic form ``ipm`` solves, G x + s = h with s in
+        R^l_+ x SOC(soc_dims[0]) x ..., as (G, G', h, l, soc_dims).
+
+        The orthant holds ``rows``; each cone member, then each ellipsoid
+        (through ``Ellipsoid.cone``), adds one block [-e'; -D] x + s = [f; d].
+        G and G' are CSR arrays, built from the box indices and the members'
+        nonzeros, when G has more than ``_CSR_MIN_ENTRIES`` entries and at most
+        ``_CSR_MAX_DENSITY`` of them are nonzero (the 8x24 cascade: 1% of
+        475 x 225); otherwise G is dense and G' its transposed view.
+        """
+        N, b = self.rows
+        cones = self.cones + tuple(m.cone for m in self.ellipsoids)
+        h = np.concatenate([b] + [np.concatenate([[m.f], m.d]) for m in cones])
+        dims = tuple(m.D.shape[0] + 1 for m in cones)
+        lo, up = np.flatnonzero(np.isfinite(self.lower)), np.flatnonzero(np.isfinite(self.upper))
+        n_box = lo.size + up.size
+        # the rows under the box rows: the affine members, then the cone blocks
+        M = np.vstack([np.zeros((0, self.n))] + [m.a for m in self.affine]
+                      + [np.vstack([-m.e, -m.D]) for m in cones])
+        shape = (n_box + M.shape[0], self.n)
+        entries = shape[0] * shape[1]
+        r, c = np.nonzero(M)
+        if entries <= _CSR_MIN_ENTRIES or n_box + r.size > _CSR_MAX_DENSITY * entries:
+            G = _freeze(np.vstack([N, M[len(self.affine):]]))
+            return G, G.T, _freeze(h), b.size, dims
+        data = np.concatenate([-np.ones(lo.size), np.ones(up.size), M[r, c]])
+        indptr = np.concatenate([np.arange(n_box),
+                                 n_box + np.searchsorted(r, np.arange(M.shape[0] + 1))])
+        G = scipy.sparse.csr_array((data, np.concatenate([lo, up, c]), indptr), shape=shape)
+        return G, G.T.tocsr(), _freeze(h), b.size, dims
 
     def clip_box(self, v):
         return np.clip(v, self.lower, self.upper)

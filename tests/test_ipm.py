@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from conftest import feasible_samples, random_subproblem, subproblem_objective
 from scptrack import ClosedLoopPlant, JacobianStrategy, TrackerConfig, steady_start, track
@@ -279,9 +280,35 @@ def test_assemble_cones_matches_row_by_row_reference():
             tuple(ellipsoids),
         ))
     for region in regions:
-        G, h, cones = assemble_cones(region)
+        G, Gt, h, cones = assemble_cones(region)
         G_ref, h_ref, l_ref, dims_ref = _assemble_rows_reference(region)
-        np.testing.assert_array_equal(G, G_ref)
+        np.testing.assert_array_equal(_dense(G), G_ref)
+        np.testing.assert_array_equal(_dense(Gt), G_ref.T)
+        np.testing.assert_array_equal(h, h_ref)
+        assert (cones.l, cones.soc_dims) == (l_ref, dims_ref)
+
+
+def _dense(M):
+    return M.toarray() if scipy.sparse.issparse(M) else M
+
+
+def test_cascade_conic_rows_are_csr_at_8x24_and_dense_at_3x8():
+    # a dense product of the 8x24 rows (475 x 225, 1% nonzero) costs about
+    # three CSR products; at 3x8 (81 x 36) a dense one is cheaper
+    for (n_tanks, horizon), sparse in (((3, 8), False), ((8, 24), True)):
+        cfg = CascadeConfig(n_tanks=n_tanks, horizon=horizon)
+        region = cascade_problem(cfg, steady_state(cfg, 1.0)).region
+        G, Gt, h, cones = assemble_cones(region)
+        assert scipy.sparse.issparse(G) is scipy.sparse.issparse(Gt) is sparse
+        if sparse:
+            assert G.format == Gt.format == "csr"
+        else:
+            assert Gt.base is G
+        # built once per region
+        assert assemble_cones(region)[0] is G
+        G_ref, h_ref, l_ref, dims_ref = _assemble_rows_reference(region)
+        np.testing.assert_array_equal(_dense(G), G_ref)
+        np.testing.assert_array_equal(_dense(Gt), G_ref.T)
         np.testing.assert_array_equal(h, h_ref)
         assert (cones.l, cones.soc_dims) == (l_ref, dims_ref)
 
@@ -504,7 +531,7 @@ def test_reduced_hessian_matches_dense_hm():
     rng = np.random.default_rng(63)
     n = 6
     region = _mixed_region(rng, n)
-    G, h, cones = assemble_cones(region)
+    G, Gt, h, cones = assemble_cones(region)
     assert cones.l > 0 and len(cones.soc_dims) == 2
     B = rng.normal(size=(n, n))
     P = B @ B.T
@@ -512,7 +539,7 @@ def test_reduced_hessian_matches_dense_hm():
     Wi = np.linalg.inv(_dense_w(W))
     for m in (0, 2):
         _, Z, aplus = _presolve_equalities(rng.normal(size=(m, n)) if m else np.zeros((0, n)))
-        kkt = _NullSpaceKKT(P, G, Z, aplus)
+        kkt = _NullSpaceKKT(P, G, Gt, Z, aplus)
         _close(kkt.reduced_hessian(W), Z.T @ (P + G.T @ Wi @ Wi @ G) @ Z, 1e-12)
         _close(kkt.reduced_hessian(), Z.T @ (P + G.T @ G) @ Z, 1e-12)
         if not m:
@@ -524,33 +551,45 @@ def test_null_space_step_matches_dense_bordered_solve(p):
     rng = np.random.default_rng(65 + p)
     n = 7
     region = _mixed_region(rng, n)
-    G, h, cones = assemble_cones(region)
+    G, Gt, h, cones = assemble_cones(region)
     B = rng.normal(size=(n, n))
-    P = 0.1 * B @ B.T
     A = rng.normal(size=(p, n))
     kept, Z, aplus = _presolve_equalities(A)
     assert kept.size == p and Z.shape == (n, n - p)
-    kkt = _NullSpaceKKT(P, G, Z, aplus)
     W = _Scaling(cones, _interior(cones, rng), _interior(cones, rng))
-    assert kkt.factor(W) == 0.0
     Wi2 = np.linalg.matrix_power(np.linalg.inv(_dense_w(W)), 2)
     rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=cones.dim)
-    K = np.block([[P + G.T @ Wi2 @ G, A.T], [A, np.zeros((p, p))]])
-    ref = np.linalg.solve(K, np.concatenate([-rx - G.T @ Wi2 @ rz, -ry]))
-    dx, dy, dz = kkt.solve(rx, ry, rz)
-    _close(dx, ref[:n], 1e-10)
-    _close(dy, ref[n:], 1e-10)
-    _close(dz, Wi2 @ (G @ ref[:n] + rz), 1e-10)
+    rc = rng.normal(size=cones.dim)
+    G_csr, Gt_csr = scipy.sparse.csr_array(G), scipy.sparse.csr_array(Gt)
+    for P in (0.1 * B @ B.T, None):
+        Pd = np.zeros((n, n)) if P is None else P
+        K = np.block([[Pd + G.T @ Wi2 @ G, A.T], [A, np.zeros((p, p))]])
+        for Gk, Gtk in ((G, Gt), (G_csr, Gt_csr)):
+            kkt = _NullSpaceKKT(P, Gk, Gtk, Z, aplus)
+            assert kkt.factor(W) == 0.0
+            part = kkt.particular(rx, ry)
+            # the corrector form with a complementarity term, then the
+            # predictor form, which returns no dy
+            for c, dual in ((rc, True), (0.0, False)):
+                ref = np.linalg.solve(K, np.concatenate([-rx - G.T @ Wi2 @ (rz + c), -ry]))
+                dx, dy, dz, ds = kkt.solve(part, rz, c, dual=dual)
+                _close(dx, ref[:n], 1e-10)
+                if dual:
+                    _close(dy, ref[n:], 1e-10)
+                else:
+                    assert dy is None
+                _close(dz, Wi2 @ (G @ ref[:n] + rz + c), 1e-10)
+                _close(ds, -rz - G @ ref[:n], 1e-10)
 
 
 def test_singular_reduced_hessian_takes_the_shift(monkeypatch):
     # x2 is free, costs nothing and has no curvature: Z' Hm Z is exactly singular
     region = ConvexRegion(lower=[0.0, -1.0, -np.inf], upper=[1.0, 1.0, np.inf])
-    G, h, cones = assemble_cones(region)
+    G, Gt, h, cones = assemble_cones(region)
     W = _Scaling(cones, np.ones(cones.dim), np.ones(cones.dim))
     for A in (np.zeros((0, 3)), np.array([[1.0, 1.0, 0.0]])):
         _, Z, aplus = _presolve_equalities(A)
-        assert _NullSpaceKKT(np.zeros((3, 3)), G, Z, aplus).factor(W) == 1e-12
+        assert _NullSpaceKKT(np.zeros((3, 3)), G, Gt, Z, aplus).factor(W) == 1e-12
 
     shifts = []
     factor = _NullSpaceKKT.factor

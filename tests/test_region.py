@@ -205,6 +205,33 @@ def test_region_validation_errors():
         project_region(ConvexRegion(lower=[0.0, 0.0], upper=[1.0, 1.0]), np.zeros(3))
 
 
+_MEMBER_DATA = {
+    "a": (AffineInequality, {"a": [1.0, 2.0], "b": 1.0}),
+    "b": (AffineInequality, {"a": [1.0, 2.0], "b": 1.0}),
+    "D": (SecondOrderCone, {"D": np.eye(2), "d": [0.0, 1.0], "e": [0.5, 0.0], "f": 1.0}),
+    "d": (SecondOrderCone, {"D": np.eye(2), "d": [0.0, 1.0], "e": [0.5, 0.0], "f": 1.0}),
+    "e": (SecondOrderCone, {"D": np.eye(2), "d": [0.0, 1.0], "e": [0.5, 0.0], "f": 1.0}),
+    "f": (SecondOrderCone, {"D": np.eye(2), "d": [0.0, 1.0], "e": [0.5, 0.0], "f": 1.0}),
+    "center": (Ellipsoid, {"center": [0.0, 1.0], "shape": np.eye(2), "radius": 1.0}),
+    "shape": (Ellipsoid, {"center": [0.0, 1.0], "shape": np.eye(2), "radius": 1.0}),
+    "radius": (Ellipsoid, {"center": [0.0, 1.0], "shape": np.eye(2), "radius": 1.0}),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", sorted(_MEMBER_DATA))
+def test_member_data_must_be_finite(field, bad):
+    # a nan in an ellipsoid's shape dropped out of its cone form (the solve
+    # returned optimal), an inf radius or cone e made the interior point's
+    # products warn, and a nan affine row ran the solve to max_iter
+    cls, data = _MEMBER_DATA[field]
+    cls(**data)
+    value = np.array(data[field], dtype=float)
+    value.flat[-1] = bad
+    with pytest.raises(UsageError, match="data must be finite"):
+        cls(**{**data, field: value})
+
+
 def test_unbounded_region_projection_is_identity():
     region = ConvexRegion.unbounded(3)
     v = np.array([1e6, -1e6, 0.0])
@@ -272,8 +299,8 @@ def test_member_boundary_and_cone_form():
         other = SecondOrderCone(rng.normal(size=(2, n)), rng.normal(size=2), np.zeros(n), 2.0)
         with_ell = ConvexRegion(lower, upper, affine, (other,), (ell,))
         with_cone = ConvexRegion(lower, upper, affine, (other, cone))
-        G1, h1, k1 = assemble_cones(with_ell)
-        G2, h2, k2 = assemble_cones(with_cone)
+        G1, _, h1, k1 = assemble_cones(with_ell)
+        G2, _, h2, k2 = assemble_cones(with_cone)
         np.testing.assert_array_equal(G1, G2)
         np.testing.assert_array_equal(h1, h2)
         assert (k1.l, k1.soc_dims) == (k2.l, k2.soc_dims) == (5, [3, cone.D.shape[0] + 1])
