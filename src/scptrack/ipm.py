@@ -18,10 +18,10 @@ of the null space of the kept rows and their pseudo-inverse, so each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix.  Each
 iteration computes one particular solution -A+ ry, which the predictor and
-the corrector share; the predictor computes no dy, G dx comes from the kept
-G Z, and a zero P takes part in no product (``_NullSpaceKKT``).  The conic
-rows are built once per region (``ConvexRegion.conic``), as CSR arrays when
-G is large and sparse (the 8x24 cascade: 475 x 225, 1% nonzero).
+the corrector share; the predictor computes no dx or dy, G dx comes from the
+kept G Z, and a zero P takes part in no product (``_NullSpaceKKT``).  The
+conic rows are built once per region (``ConvexRegion.conic``), as CSR arrays
+when G is large (the 8x24 cascade: 475 x 225, 1% nonzero).
 
 Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y), the dual refit's y first: the interior point's own y is
@@ -242,7 +242,7 @@ def assemble_cones(region):
     The rows are ``ConvexRegion.conic``, built once per region: the orthant
     holds the finite bounds and the affine members; each cone member, then
     each ellipsoid (through its cone form), adds one block.  G and G' are CSR
-    arrays when G is large and sparse, dense arrays otherwise.
+    arrays when G is large, dense arrays otherwise.
     """
     G, Gt, h, l, soc_dims = region.conic
     return G, Gt, h, _Cones(l, soc_dims)
@@ -292,10 +292,10 @@ class _NullSpaceKKT:
     The predictor and the corrector of one iteration share (rx, ry), so
     ``particular`` computes xp, G xp and Z'(-rx - P xp) once for both.  The
     reduced right-hand side then needs only the kept GZ = G Z, and so does
-    G dx = G xp + GZ w, from which dz and ds follow; G' is applied only for a
-    dy, which the predictor does not ask for.  P is None for zero curvature,
-    and every product with it is skipped.  G and G' are dense or CSR, as
-    ``ConvexRegion.conic`` chose.
+    G dx = G xp + GZ w, from which dz and ds follow.  dx and dy (the only
+    use of G') are formed for the corrector alone; the predictor needs only
+    dz and ds.  P is None for zero curvature, and every product with it is
+    skipped.  G and G' are dense or CSR, as ``ConvexRegion.conic`` chose.
     """
 
     def __init__(self, P, G, Gt, Z, aplus):
@@ -342,19 +342,19 @@ class _NullSpaceKKT:
         return rx, xp, self.G @ xp, t
 
     def solve(self, part, rz, rc=0.0, dual=True):
-        """(dx, dy, dz, ds) for the last factored W; dy is None unless dual."""
+        """(dx, dy, dz, ds) for the last factored W; dx and dy are None unless dual."""
         rx, xp, gxp, t = part
         rzc = rz + rc
         w = scipy.linalg.lu_solve(self.lu, t - self.GZ.T @ self._winv2(gxp + rzc),
                                   check_finite=False)
-        dx = xp + self.Z @ w
         gdx = gxp + self.GZ @ w
         dz = self._winv2(gdx + rzc)
-        dy = None
+        dx = dy = None
         if dual:
+            dx = xp + self.Z @ w
             r = -rx if self.P is None else -rx - self.P @ dx
             dy = self.aplus.T @ (r - self.Gt @ dz)
-        if not (np.all(np.isfinite(dx)) and (dy is None or np.all(np.isfinite(dy)))):
+        if not all(np.all(np.isfinite(v)) for v in (dz, dx, dy) if v is not None):
             raise np.linalg.LinAlgError("non-finite KKT step")
         return dx, dy, dz, -rz - gdx
 
@@ -589,7 +589,7 @@ def _ipm(sp, opts, warm, tik):
             kkt.factor(W)
             part = kkt.particular(rx, ry)
 
-            # predictor: target zero complementarity, dlam = -lam; no dy
+            # predictor: target zero complementarity, dlam = -lam; no dx or dy
             _, _, dz, ds = kkt.solve(part, rz, -W.mul_w(lam), dual=False)
             alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
             gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))

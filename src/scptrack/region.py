@@ -14,7 +14,7 @@ outward gradient, ``curvature`` the Hessian of the boundary function, and
 ``Ellipsoid.cone`` the ellipsoid as a second-order cone (the form ``ipm``
 compiles).  The linear constraints are built once, as ``ConvexRegion.rows``,
 and so is the whole conic form ``ipm`` solves, as ``ConvexRegion.conic``
-(CSR when large and sparse).  Member data must be finite.  The working
+(CSR when large).  Member data must be finite.  The working
 set, the projection check, the Newton kernel and the tangent relaxation in
 ``tracking`` all go through these.
 
@@ -49,10 +49,9 @@ from .errors import DimensionError, ProjectionError, UsageError
 
 _ROOT_RTOL = 4 * np.finfo(float).eps
 _DYKSTRA_STOP = 1e-10  # largest sweep move at which a Dykstra iterate goes to the check
-# the conic rows are CSR when G has more entries than this, at most a tenth of
-# them nonzero; below it a dense product costs no more than a CSR one
+# the conic rows are CSR when G has more entries than this; below it a dense
+# product costs no more than a CSR one
 _CSR_MIN_ENTRIES = 20000
-_CSR_MAX_DENSITY = 0.1
 
 
 def _freeze(a):
@@ -365,31 +364,20 @@ class ConvexRegion:
 
         The orthant holds ``rows``; each cone member, then each ellipsoid
         (through ``Ellipsoid.cone``), adds one block [-e'; -D] x + s = [f; d].
-        G and G' are CSR arrays, built from the box indices and the members'
-        nonzeros, when G has more than ``_CSR_MIN_ENTRIES`` entries and at most
-        ``_CSR_MAX_DENSITY`` of them are nonzero (the 8x24 cascade: 1% of
-        475 x 225); otherwise G is dense and G' its transposed view.
+        G and G' are CSR arrays when G has more than ``_CSR_MIN_ENTRIES``
+        entries (the 8x24 cascade: 475 x 225, 1% nonzero); otherwise G is
+        dense and G' its transposed view.
         """
         N, b = self.rows
         cones = self.cones + tuple(m.cone for m in self.ellipsoids)
+        G = np.vstack([N] + [np.vstack([-m.e, -m.D]) for m in cones])
         h = np.concatenate([b] + [np.concatenate([[m.f], m.d]) for m in cones])
         dims = tuple(m.D.shape[0] + 1 for m in cones)
-        lo, up = np.flatnonzero(np.isfinite(self.lower)), np.flatnonzero(np.isfinite(self.upper))
-        n_box = lo.size + up.size
-        # the rows under the box rows: the affine members, then the cone blocks
-        M = np.vstack([np.zeros((0, self.n))] + [m.a for m in self.affine]
-                      + [np.vstack([-m.e, -m.D]) for m in cones])
-        shape = (n_box + M.shape[0], self.n)
-        entries = shape[0] * shape[1]
-        r, c = np.nonzero(M)
-        if entries <= _CSR_MIN_ENTRIES or n_box + r.size > _CSR_MAX_DENSITY * entries:
-            G = _freeze(np.vstack([N, M[len(self.affine):]]))
-            return G, G.T, _freeze(h), b.size, dims
-        data = np.concatenate([-np.ones(lo.size), np.ones(up.size), M[r, c]])
-        indptr = np.concatenate([np.arange(n_box),
-                                 n_box + np.searchsorted(r, np.arange(M.shape[0] + 1))])
-        G = scipy.sparse.csr_array((data, np.concatenate([lo, up, c]), indptr), shape=shape)
-        return G, G.T.tocsr(), _freeze(h), b.size, dims
+        if G.size > _CSR_MIN_ENTRIES:
+            G = scipy.sparse.csr_array(G)
+            return G, G.T.tocsr(), _freeze(h), b.size, dims
+        G = _freeze(G)
+        return G, G.T, _freeze(h), b.size, dims
 
     def clip_box(self, v):
         return np.clip(v, self.lower, self.upper)

@@ -569,15 +569,15 @@ def test_null_space_step_matches_dense_bordered_solve(p):
             assert kkt.factor(W) == 0.0
             part = kkt.particular(rx, ry)
             # the corrector form with a complementarity term, then the
-            # predictor form, which returns no dy
+            # predictor form, which returns neither dx nor dy
             for c, dual in ((rc, True), (0.0, False)):
                 ref = np.linalg.solve(K, np.concatenate([-rx - G.T @ Wi2 @ (rz + c), -ry]))
                 dx, dy, dz, ds = kkt.solve(part, rz, c, dual=dual)
-                _close(dx, ref[:n], 1e-10)
                 if dual:
+                    _close(dx, ref[:n], 1e-10)
                     _close(dy, ref[n:], 1e-10)
                 else:
-                    assert dy is None
+                    assert dx is None and dy is None
                 _close(dz, Wi2 @ (G @ ref[:n] + rz + c), 1e-10)
                 _close(ds, -rz - G @ ref[:n], 1e-10)
 
