@@ -10,11 +10,18 @@ and second-order cones (cone members, and ellipsoids through
 scaling; a fraction-to-boundary rule stops each step at ``_STEP_FRACTION``
 (0.99) of the distance to the cone boundary.  Each cone block of the scaling
 is kept as (eta, v), W = eta (2 v v' - J), and applied by products; no block
-matrix is formed.  Numerically dependent equality rows are removed up front
-by one pivoted QR of A': a row is kept when its pivot exceeds
-1e-10 ||A||_2, and the spectral norm is computed only for a pivot that
-|r_00| <= ||A||_2 <= ||A||_F leaves undecided.  The same QR gives a basis Z
-of the null space of the kept rows and their pseudo-inverse, so each
+matrix is formed.
+
+The equality rows are presolved once per solve (``_presolve_equalities``)
+into the kept rows, an orthonormal basis Z of their null space and their
+pseudo-inverse A+.  A row is kept when its pivot in a pivoted QR of A'
+exceeds 1e-10 ||A||_2.  That QR runs only for dependent or near-dependent
+rows.  Otherwise one LU with partial pivoting of A' picks basis columns B of
+A, gives Z by one triangular solve and an economic QR of its n - m columns,
+and gives A+ = (I - Z Z') R, R = A_B^-1 on the rows B, as an operator of two
+triangular solves that is never formed.  The LU path is taken only when a
+condition estimate of A_B (LAPACK gecon) proves that the QR would keep every
+row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix.  Each
 iteration computes one particular solution -A+ ry, which the predictor and
@@ -27,29 +34,31 @@ Iterates are certified in ``_finish`` on the natural-map residuals of the
 returned (x, y), the dual refit's y first: the interior point's own y is
 projected only when the refit's residual exceeds 10 tol.  The rescue paths
 that remain all fire in the test suite: the dual refit, the primal polish (the
-working-set solve of ``region``), the best-iterate restore, the tikhonov retry
-and the 1e-12 shift of a singular reduced Hessian.  The two certification
+working-set solve of ``region``), the best-iterate restore, the cold retry of
+a warm start that ends other than optimal, the tikhonov retry and the 1e-12
+shift of a singular reduced Hessian.  The two certification
 rescues reuse the presolve's (kept, Z, A+): the dual refit fits the normal
 multipliers on Z' N' and recovers the kept rows' multipliers through A+, and
 the primal polish keeps the kept rows fixed on their null space, so neither
-solves a system that stacks the equality rows.  The dual refit is an unbounded
-minimum-norm least-squares fit; the bounded fit (``lsq_linear``, on the full
-rows) runs only when that fit gives an active normal a negative multiplier,
-which only its own test reaches.  The dropped rows get multiplier 0 and are
-re-checked on all of A_eq.  A certification projection that verifies no point
-raises ``ProjectionError``, and the solve then returns max_iter with no
-iterate.  Regions with no cone at all are solved as an equality-constrained QP
-on the same null space.
+solves a system that stacks the equality rows.  The dual refit is a
+minimum-norm least-squares fit, and gives no candidate when it makes an
+active normal's multiplier negative.  The dropped rows get multiplier 0 and
+are re-checked on all of A_eq.  A certification projection that verifies no
+point raises ``ProjectionError``, and the solve then returns max_iter with no
+iterate.  Regions with no cone at all are solved as an equality-constrained
+QP on the same null space.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlaswp, dorgqr
 
 from .errors import ProjectionError
 from .region import (
@@ -248,17 +257,100 @@ def assemble_cones(region):
     return G, Gt, h, _Cones(l, soc_dims)
 
 
-def _presolve_equalities(A):
-    """Kept rows of A, a basis Z of their null space, and their pseudo-inverse.
+class _PseudoInverse:
+    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank A, never formed.
 
-    One pivoted QR, A'[:, piv] = [Y Z] R.  Row piv[i] is kept when its pivot
-    |r_ii| exceeds 1e-10 ||A||_2; the kept rows (returned in sorted order) have
-    full row rank, Z spans their null space and A+ = Y R11^{-T} (columns in
-    the kept order) is their pseudo-inverse, A A+ = I.
+    lu holds the LU factor L1 U of A_B' for basis columns B of A, in Fortran
+    order; Z is an orthonormal basis of null(A), and R puts A_B^-1 on the rows
+    B.  A R = I and (I - Z Z') projects onto the row space of A, so this is
+    the Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` each take two
+    products with Z and the two triangular solves of one LAPACK getrs call on
+    the factor (no row interchange: the pivots are in B), which reads the
+    Fortran array in place; v and u are vectors.
+    """
+
+    def __init__(self, lu, basis, Z):
+        self.lu, self.basis, self.Z, self.ZB = lu, basis, Z, Z[basis]
+        self.ipiv = np.arange(lu.shape[0], dtype=np.int32)
+        self.T = _Transposed(self)
+
+    def __matmul__(self, v):
+        # A_B^-1 v = (L1 U)^-T v on the rows B, less its part in null(A)
+        r = dgetrs(self.lu, self.ipiv, v, trans=1)[0]
+        out = self.Z @ -(self.ZB.T @ r)
+        out[self.basis] += r
+        return out
+
+    def rmatvec(self, u):
+        """A+' u = A_B^-T [(I - Z Z') u]_B = (L1 U)^-1 [(I - Z Z') u]_B."""
+        return dgetrs(self.lu, self.ipiv, u[self.basis] - self.ZB @ (self.Z.T @ u))[0]
+
+
+class _Transposed(NamedTuple):
+    """op' as ``op.T @ u``, for an operator with ``rmatvec``."""
+
+    op: _PseudoInverse
+
+    def __matmul__(self, u):
+        return self.op.rmatvec(u)
+
+
+def _lu_presolve(A):
+    """(kept, Z, A+) of ``_presolve_equalities`` from one LU of A', or None.
+
+    P A' = [L1; L2] U with partial pivoting (LAPACK getrf): the first m
+    permuted rows are basis columns B of A, A_B' = L1 U, and the other
+    columns N give Z0[B] = -L1^-T L2', Z0[N] = I, a basis of null(A) from one
+    unit-triangular solve; Z is the economic QR factor of Z0.  The LAPACK
+    and BLAS routines are called directly: at the 3x8 cascade's 27 x 36 that
+    halves the cost of going through the scipy.linalg wrappers.  None unless
+    the factor proves that the QR rule keeps every row.  Each pivoted-QR
+    |r_ii| is at least sigma_min(A) (the distance of a column of A'[:, piv]
+    from the span of the ones before it), and sigma_min(A) >= sigma_min(A_B),
+    since A A' = A_B A_B' + A_N A_N'.  With rcond from LAPACK gecon on the
+    factor at anorm 1, 1 / rcond estimates ||A_B^-T||_1 from below, and
+    sigma_min(A_B) >= 1 / (sqrt(m) ||A_B^-T||_1).  So rcond above
+    1e-7 sqrt(m) ||A||_F keeps every |r_ii| above 1e-10 ||A||_F >= 1e-10
+    ||A||_2, with a factor 1000 for the estimate, which in practice comes
+    within a small factor of the norm.
+    """
+    m, n = A.shape
+    lu, piv, info = dgetrf(A.T)
+    if info != 0 or not np.all(np.isfinite(lu)):
+        return None
+    lu1 = np.asfortranarray(lu[:m])
+    rcond, _ = dgecon(lu1, 1.0)
+    if not rcond > 1e-7 * np.sqrt(m) * np.linalg.norm(A):
+        return None
+    perm = dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0].astype(int)
+    Z0 = np.zeros((n, n - m))
+    Z0[perm[:m]] = dtrsm(-1.0, lu1, lu[m:].T, lower=1, trans_a=1, diag=1)
+    Z0[perm[m:], np.arange(n - m)] = 1.0
+    qr, tau, _, _ = dgeqrf(Z0)
+    Z = dorgqr(qr, tau)[0]
+    return np.arange(m), Z, _PseudoInverse(lu1, perm[:m], Z)
+
+
+def _presolve_equalities(A):
+    """Kept rows of A, an orthonormal basis Z of their null space, and their pseudo-inverse.
+
+    Row piv[i] is kept when the pivot |r_ii| of a pivoted QR, A'[:, piv] = Q R,
+    exceeds 1e-10 ||A||_2; the kept rows (returned in sorted order) have full
+    row rank, Z spans their null space and A+ is their pseudo-inverse,
+    A A+ = I, with columns in the kept order.  A+ is anything with ``@`` and
+    ``.T @`` on vectors.  For m <= n rows, one LU of A' gives the triple, with
+    A+ a ``_PseudoInverse`` operator (``_lu_presolve``), when a condition
+    estimate of the LU's basis columns A_B proves that the rule keeps every
+    row: each |r_ii| >= sigma_min(A) >= sigma_min(A_B) > 1e-10 ||A||_2.
+    Otherwise (dependent or near-dependent rows, or m > n) the pivoted QR
+    itself runs: Z is the trailing part of Q and A+ = Q1 R11^{-T}, formed.
     """
     n = A.shape[1]
     if A.size == 0:
         return np.array([], dtype=int), np.eye(n), np.zeros((n, 0))
+    presolve = _lu_presolve(A) if A.shape[0] <= n else None
+    if presolve is not None:
+        return presolve
     q, r, piv = scipy.linalg.qr(A.T, pivoting=True)
     diag = np.abs(np.diag(r))
     # |r_00| (the largest row norm) <= ||A||_2 <= ||A||_F, so only a pivot
@@ -367,24 +459,21 @@ def _polish_duals(sp, x, grad0, presolve):
     grad0 + A_eq' y + N' lam = 0 recovers the limit multipliers directly
     once x is accurate.  The fit runs on the presolve's null space
     (kept, Z, A+): lam is the minimum-norm fit of Z' N' lam = -Z' grad0, and
-    y = -A+' (grad0 + N' lam) on the kept rows, 0 on the dropped ones.  That
-    fit is kept when every lam >= 0; only a negative lam calls the bounded
-    least squares (lam >= 0) on the full [A_eq' N'].
+    y = -A+' (grad0 + N' lam) on the kept rows, 0 on the dropped ones.  None
+    when the fit gives an active normal a negative multiplier: the interior
+    point's y is then the only candidate.
     """
     kept, Z, aplus = presolve
     normals = _active_normals(sp.region, x, 1e-7 * (1.0 + float(np.linalg.norm(x))))
     nmat = np.array(normals).T if normals else np.zeros((sp.n, 0))
-    m, k = sp.m, nmat.shape[1]
-    if m + k == 0:
+    if sp.m + nmat.shape[1] == 0:
         return None
-    y = np.zeros(m)
+    y = np.zeros(sp.m)
     try:
         lam = _min_norm_lstsq(Z.T @ nmat, -(Z.T @ grad0))
-        y[kept] = -(aplus.T @ (grad0 + nmat @ lam))
         if np.any(lam < 0.0):
-            M = np.hstack([sp.A_eq.T, nmat])
-            lb = np.concatenate([np.full(m, -np.inf), np.zeros(k)])
-            y = scipy.optimize.lsq_linear(M, -grad0, bounds=(lb, np.full(m + k, np.inf))).x[:m]
+            return None
+        y[kept] = -(aplus.T @ (grad0 + nmat @ lam))
     except (ValueError, np.linalg.LinAlgError):
         return None
     if not np.all(np.isfinite(y)):
@@ -494,7 +583,7 @@ def _solve_no_cones(sp, P, q, b, presolve, tol, tik):
             return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
                            SolveStatus.UNBOUNDED, 0, tol, tik)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, -aplus.T @ (P @ x + q), presolve, None, None, SolveStatus.OPTIMAL, 0,
+    return _finish(sp, x, -(aplus.T @ (P @ x + q)), presolve, None, None, SolveStatus.OPTIMAL, 0,
                    tol, tik)
 
 
@@ -645,7 +734,9 @@ def solve_subproblem(sp, opts=None, warm=None):
     """Solve one convex subproblem to opts.tol within opts.max_iter iterations.
 
     The iteration warm-starts from warm (a PrimalDual) when one is given and
-    starts cold otherwise.  When the curvature model is zero and the solve
+    starts cold otherwise; a warm-started solve that ends other than optimal
+    is repeated once from the cold start, and the solution reports the
+    iterations of both.  When the curvature model is zero and the solve
     diverges toward an unbounded ray, one retry with a tikhonov term
     1e-6 (1 + ||c||) ||x||^2 / 2 is attempted and flagged on the returned
     solution; opts.tikhonov_retry = False returns the raw verdict.  Data with
@@ -659,6 +750,11 @@ def solve_subproblem(sp, opts=None, warm=None):
         return _unsolved(sp)
     try:
         sol = _ipm(sp, opts, warm, 0.0)
+        if warm is not None and sol.status is not SolveStatus.OPTIMAL:
+            # rescue: an iteration warm-started far outside the region can stall
+            # into a false verdict; the cold start does not depend on warm
+            cold = _ipm(sp, opts, None, 0.0)
+            sol = replace(cold, iterations=sol.iterations + cold.iterations)
         if sol.status is SolveStatus.UNBOUNDED and opts.tikhonov_retry and not np.any(sp.H):
             # rescue: a zero curvature model whose linear objective runs off a ray
             tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))

@@ -38,7 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -449,13 +449,15 @@ class _FixedRows(NamedTuple):
 
     A has full row rank, Z is an orthonormal basis of its null space and
     aplus its pseudo-inverse (A aplus = I), as ``ipm._presolve_equalities``
-    returns them.  With no row Z is never read, and ``none`` leaves it None.
+    returns them: an array, or an operator that applies ``aplus @ v`` and
+    ``aplus.T @ u`` to vectors.  With no row Z is never read, and ``none``
+    leaves it None.
     """
 
     A: np.ndarray
     r: np.ndarray
     Z: np.ndarray | None
-    aplus: np.ndarray
+    aplus: Any
 
     @classmethod
     def none(cls, n):

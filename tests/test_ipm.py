@@ -18,7 +18,9 @@ from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
 from scptrack.ipm import (
     _Cones,
     _NullSpaceKKT,
+    _PseudoInverse,
     _Scaling,
+    _lu_presolve,
     _polish_duals,
     _presolve_equalities,
     assemble_cones,
@@ -315,7 +317,7 @@ def test_cascade_conic_rows_are_csr_at_8x24_and_dense_at_3x8():
 
 def test_dual_refit_bounds_a_negative_normal_multiplier():
     # the unbounded fit of grad0 + A' y + N' lam = 0 gives an active normal a
-    # negative lam, so the refit must return the bounded fit's y
+    # negative lam, so the refit returns None and leaves the interior point's y
     rng = np.random.default_rng(11)
     n = 4
     lower = np.array([0.0, 0.0, -np.inf, -np.inf])
@@ -328,11 +330,8 @@ def test_dual_refit_bounds_a_negative_normal_multiplier():
     grad0 = -(M @ np.array([0.5, -1.0, 2.0, -3.0])) + 0.1 * rng.normal(size=n)
     unbounded, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
     assert np.any(unbounded[2:] < 0.0)
-    bounded = scipy.optimize.lsq_linear(M, -grad0, bounds=([-np.inf, -np.inf, 0.0, 0.0], np.inf))
     presolve = _presolve_equalities(A)
-    y = _polish_duals(sp, x, grad0, presolve)
-    np.testing.assert_allclose(y, bounded.x[:2], rtol=1e-12, atol=1e-14)
-    assert np.max(np.abs(y - unbounded[:2])) > 1e-3
+    assert _polish_duals(sp, x, grad0, presolve) is None
 
     # with every normal multiplier nonnegative the unbounded fit is returned
     grad0 = -(M @ np.array([0.5, -1.0, 2.0, 3.0]))
@@ -472,6 +471,61 @@ def test_presolve_keeps_the_spectral_norm_rule_rows():
     assert banded == {A.shape[0] - 1, A.shape[0]}
     for empty in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3))):
         assert _presolve_equalities(empty)[0].size == 0
+
+
+def _full_rank_cases():
+    """Random full-row-rank matrices and the 3x8 and 8x24 cascade Jacobians."""
+    rng = np.random.default_rng(71)
+    shapes = ((1, 4), (3, 7), (6, 6), (9, 15))
+    cases = {f"random-{m}x{n}": rng.normal(size=(m, n)) for m, n in shapes}
+    for n_tanks, horizon in ((3, 8), (8, 24)):
+        cfg = CascadeConfig(n_tanks=n_tanks, horizon=horizon)
+        steady = steady_state(cfg, 1.0)
+        problem = cascade_problem(cfg, steady)
+        cases[f"cascade-{n_tanks}x{horizon}"] = problem.g_jac(steady_start(cfg, steady).x)
+    return cases
+
+
+@pytest.mark.parametrize("path", ["lu", "qr"])
+def test_presolve_gives_an_orthonormal_null_basis_and_the_pseudo_inverse(monkeypatch, path):
+    # the LU path (taken on every one of these) and the pivoted QR forced in
+    # its place: Z is an orthonormal basis of null(A), A A+ = I, and A+ and
+    # A+' are the Moore-Penrose inverse and its transpose
+    if path == "qr":
+        monkeypatch.setattr(ipm_module, "_lu_presolve", lambda A: None)
+    for name, A in _full_rank_cases().items():
+        m, n = A.shape
+        kept, Z, aplus = _presolve_equalities(A)
+        assert isinstance(aplus, _PseudoInverse) is (path == "lu"), name
+        np.testing.assert_array_equal(kept, _spectral_rule(A)[0])
+        assert np.linalg.norm(A @ Z) <= 1e-12 * np.linalg.norm(A), name
+        assert np.linalg.norm(Z.T @ Z - np.eye(n - m)) <= 1e-12, name
+        dense = np.column_stack([aplus @ e for e in np.eye(m)])
+        dense_t = np.column_stack([aplus.T @ e for e in np.eye(n)])
+        pinv = np.linalg.pinv(A)
+        _close(A @ dense, np.eye(m), 1e-12)
+        _close(dense, pinv, 1e-12)
+        _close(dense_t, pinv.T, 1e-12)
+
+
+def test_presolve_takes_the_pivoted_qr_for_near_dependent_rows():
+    # a duplicated row, more rows than columns, and the banded matrices of
+    # test_presolve_keeps_the_spectral_norm_rule_rows fail the LU path's rank
+    # guard, so the pivoted QR decides which rows are kept
+    rng = np.random.default_rng(73)
+    A = rng.normal(size=(4, 9))
+    Q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    cases = [np.vstack([A, A[2]]), rng.normal(size=(5, 3))]
+    for delta in np.geomspace(2e-11, 2e-9, 15):
+        cases += [np.vstack([Q[:9], Q[0] + delta * Q[10]]),
+                  np.vstack([Q[0] + 1e-3 * Q[1:10], Q[0] + 1e-3 * Q[1] + delta * Q[11]])]
+    for M in cases:
+        if M.shape[0] <= M.shape[1]:
+            assert _lu_presolve(M) is None
+        kept, Z, aplus = _presolve_equalities(M)
+        assert isinstance(aplus, np.ndarray)
+        np.testing.assert_array_equal(kept, _spectral_rule(M)[0])
+    np.testing.assert_array_equal(_presolve_equalities(cases[0])[0], np.arange(4))
 
 
 def _close(got, want, rtol):

@@ -169,6 +169,37 @@ def test_track_fd_jacobians_on_a_perturbed_cascade():
         assert 0.0 < rec.jac_error <= bound
 
 
+def test_rtgn_warm_start_far_outside_the_region_is_retried_cold(monkeypatch):
+    # rtgn on the 8-tank, 24-step cascade with every tank level falling from
+    # 1.3 by 0.02 per sample: the warm-started iteration of sample 6 stalls
+    # into a false infeasible, and the solve is repeated once from the cold
+    # start; each record reports the iterations of both attempts
+    cfg = CascadeConfig(n_tanks=8, horizon=24)
+    steady = steady_state(cfg, 1.0)
+    attempts = []
+    ipm = ipm_module._ipm
+
+    def spy(sp, opts, warm, tik):
+        sol = ipm(sp, opts, warm, tik)
+        attempts.append((warm is None, sol.status, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(ipm_module, "_ipm", spy)
+    samples = [(1.3 - 0.02 * k) * np.ones(8) for k in range(12)]
+    trace = track(cascade_problem(cfg, steady), samples, steady_start(cfg, steady),
+                  TrackerConfig(variant="rtgn", jacobian=JacobianStrategy("exact")))
+    assert not trace.aborted
+    assert [r.step_status for r in trace.records[1:]] == [SolveStatus.OPTIMAL] * len(samples)
+    # the tracker always warm-starts, so every cold attempt is a retry, and
+    # it follows a warm attempt that ended other than optimal
+    retries = [i for i, (cold, _, _) in enumerate(attempts) if cold]
+    assert retries
+    assert all(not attempts[i - 1][0] and attempts[i - 1][1] is not SolveStatus.OPTIMAL
+               for i in retries)
+    assert sum(r.solver_iters for r in trace.records[1:]) == sum(a[2] for a in attempts)
+    assert trace.counters.solver_iters == sum(a[2] for a in attempts)
+
+
 def test_track_callable_source_stops_on_none():
     problem = tutorial_problem()
     z0, _ = tutorial_solution(1.2)
