@@ -260,13 +260,12 @@ def assemble_cones(region):
 class _PseudoInverse:
     """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank A, never formed.
 
-    lu holds the LU factor L1 U of A_B' for basis columns B of A, in Fortran
-    order; Z is an orthonormal basis of null(A), and R puts A_B^-1 on the rows
-    B.  A R = I and (I - Z Z') projects onto the row space of A, so this is
-    the Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` each take two
-    products with Z and the two triangular solves of one LAPACK getrs call on
-    the factor (no row interchange: the pivots are in B), which reads the
-    Fortran array in place; v and u are vectors.
+    lu is the Fortran-ordered LU factor L1 U of A_B' for basis columns B of
+    A, Z an orthonormal basis of null(A), and R puts A_B^-1 on the rows B.
+    A R = I and I - Z Z' projects onto the row space of A, so this is the
+    Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` (vectors) each take
+    one LAPACK getrs on the factor, with no row interchange, and two
+    products with Z.
     """
 
     def __init__(self, lu, basis, Z):
@@ -281,38 +280,30 @@ class _PseudoInverse:
         out[self.basis] += r
         return out
 
-    def rmatvec(self, u):
-        """A+' u = A_B^-T [(I - Z Z') u]_B = (L1 U)^-1 [(I - Z Z') u]_B."""
-        return dgetrs(self.lu, self.ipiv, u[self.basis] - self.ZB @ (self.Z.T @ u))[0]
-
 
 class _Transposed(NamedTuple):
-    """op' as ``op.T @ u``, for an operator with ``rmatvec``."""
+    """A+' of a ``_PseudoInverse``: A+' u = A_B^-T [(I - Z Z') u]_B."""
 
-    op: _PseudoInverse
+    a: _PseudoInverse
 
     def __matmul__(self, u):
-        return self.op.rmatvec(u)
+        a = self.a
+        return dgetrs(a.lu, a.ipiv, u[a.basis] - a.ZB @ (a.Z.T @ u))[0]
 
 
 def _lu_presolve(A):
     """(kept, Z, A+) of ``_presolve_equalities`` from one LU of A', or None.
 
-    P A' = [L1; L2] U with partial pivoting (LAPACK getrf): the first m
-    permuted rows are basis columns B of A, A_B' = L1 U, and the other
-    columns N give Z0[B] = -L1^-T L2', Z0[N] = I, a basis of null(A) from one
-    unit-triangular solve; Z is the economic QR factor of Z0.  The LAPACK
-    and BLAS routines are called directly: at the 3x8 cascade's 27 x 36 that
-    halves the cost of going through the scipy.linalg wrappers.  None unless
+    P A' = [L1; L2] U (LAPACK getrf, partial pivoting): the first m permuted
+    rows are basis columns B of A, A_B' = L1 U, and Z0[B] = -L1^-T L2',
+    Z0[N] = I spans null(A); Z is the economic QR factor of Z0.  LAPACK and
+    BLAS are called directly, which halves the cost at 27 x 36.  None unless
     the factor proves that the QR rule keeps every row.  Each pivoted-QR
-    |r_ii| is at least sigma_min(A) (the distance of a column of A'[:, piv]
-    from the span of the ones before it), and sigma_min(A) >= sigma_min(A_B),
-    since A A' = A_B A_B' + A_N A_N'.  With rcond from LAPACK gecon on the
-    factor at anorm 1, 1 / rcond estimates ||A_B^-T||_1 from below, and
-    sigma_min(A_B) >= 1 / (sqrt(m) ||A_B^-T||_1).  So rcond above
-    1e-7 sqrt(m) ||A||_F keeps every |r_ii| above 1e-10 ||A||_F >= 1e-10
-    ||A||_2, with a factor 1000 for the estimate, which in practice comes
-    within a small factor of the norm.
+    |r_ii| >= sigma_min(A) (a column's distance from the span of those before
+    it), sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and sigma_min(A_B)
+    >= 1 / (sqrt(m) ||A_B^-T||_1).  gecon's rcond at anorm 1 estimates
+    1 / ||A_B^-T||_1 from above, in practice within a small factor, so
+    rcond > 1e-7 sqrt(m) ||A||_F leaves a factor 1000 over 1e-10 ||A||_F.
     """
     m, n = A.shape
     lu, piv, info = dgetrf(A.T)
