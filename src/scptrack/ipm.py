@@ -30,21 +30,22 @@ kept G Z, and a zero P takes part in no product (``_NullSpaceKKT``).  The
 conic rows are built once per region (``ConvexRegion.conic``), as CSR arrays
 when G is large (the 8x24 cascade: 475 x 225, 1% nonzero).
 
-Iterates are certified in ``_finish`` on the natural-map residuals of the
-returned (x, y), the dual refit's y first: the interior point's own y is
-projected only when the refit's residual exceeds 10 tol.  The rescue paths
-that remain all fire in the test suite: the dual refit, the primal polish (the
-working-set solve of ``region``), the best-iterate restore, the cold retry of
-a warm start that ends other than optimal, the tikhonov retry and the 1e-12
-shift of a singular reduced Hessian.  The two certification
-rescues reuse the presolve's (kept, Z, A+): the dual refit fits the normal
-multipliers on Z' N' and recovers the kept rows' multipliers through A+, and
-the primal polish keeps the kept rows fixed on their null space, so neither
-solves a system that stacks the equality rows.  The dual refit is a
-minimum-norm least-squares fit, and gives no candidate when it makes an
-active normal's multiplier negative.  The dropped rows get multiplier 0 and
-are re-checked on all of A_eq.  A certification projection that verifies no
-point raises ``ProjectionError``, and the solve then returns max_iter with no
+One status rule: only ``_finish`` returns ``optimal``, for an (x, y) whose
+natural-map residuals meet the contract (stationarity within 10 tol,
+equality and region distance within tol); every other end of the loop is
+``max_iter``.  The loop decides only ``unbounded`` (a diverging objective or
+x) and ``infeasible`` (diverging duals, or a stall above ``_STALL_PRES``),
+and dropped equality rows that disagree with the kept ones are
+``infeasible`` before the first iteration.  The dual refit's y is certified
+first; the interior point's own y is projected only when the refit's
+residual exceeds 10 tol.  The rescue paths that remain all fire in the test
+suite: the dual refit, the primal polish (the working-set solve of
+``region``), the cold retry of a warm start that ends other than optimal,
+the tikhonov retry and the 1e-12 shift of a singular reduced Hessian.  The
+two certification rescues reuse the presolve's (kept, Z, A+), so neither
+solves a system that stacks the equality rows (``_polish_duals``,
+``_primal_polish``).  A certification projection that verifies no point
+raises ``ProjectionError``, and the solve then returns max_iter with no
 iterate.  Regions with no cone at all are solved as an equality-constrained
 QP on the same null space.
 """
@@ -472,7 +473,7 @@ def _polish_duals(sp, x, grad0, presolve):
     return y
 
 
-def _primal_polish(sp, x, y, tik, presolve):
+def _primal_polish(sp, x, y, presolve):
     """Working-set refinement of (x, y) from the constraints active at x.
 
     The interior-point iterate is accurate to about sqrt(mu) when a curved
@@ -487,8 +488,7 @@ def _primal_polish(sp, x, y, tik, presolve):
     kept, Z, aplus = presolve
     scale = 1.0 + float(np.linalg.norm(x))
     fixed = _FixedRows(sp.A_eq[kept], (sp.A_eq @ sp.x_ref - sp.b_eq)[kept], Z, aplus)
-    sol = _working_set_solve(sp.region, lambda p: sp.gradient(p) + tik * p,
-                             sp.H + tik * np.eye(sp.n), fixed, y[kept], x, 1e-7 * scale, scale,
+    sol = _working_set_solve(sp.region, sp.gradient, sp.H, fixed, y[kept], x, 1e-7 * scale, scale,
                              1e-12 * scale)
     if sol is None:
         return None
@@ -497,15 +497,16 @@ def _primal_polish(sp, x, y, tik, presolve):
     return sol[0], y_full
 
 
-def _finish(sp, x, y_kept, presolve, s, z, status, iters, tol, tik):
+def _finish(sp, x, y_kept, presolve, s, z, verdict, iters, tol):
+    """The solution at (x, y), and the only place that decides ``optimal``: with no
+    verdict, refit, polish and return ``optimal`` within the contract, else
+    ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone."""
     kept = presolve[0]
     y = np.zeros(sp.m)
     if kept.size:
         y[kept] = y_kept
-    # residuals are measured against the objective actually solved, so the
-    # retry's tikhonov term belongs in the gradient
-    grad0 = sp.gradient(x) + tik * x
-    rescue = status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER)
+    grad0 = sp.gradient(x)
+    rescue = verdict is None
     # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
     # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
     # that, the interior point's y is projected too and the smaller residual is kept
@@ -520,50 +521,32 @@ def _finish(sp, x, y_kept, presolve, s, z, status, iters, tol, tik):
     dist = None
     if stat > 10.0 * tol and rescue:
         # rescue: an x only sqrt(mu)-accurate because a curved member is active
-        pol = _primal_polish(sp, x, y, tik, presolve)
+        pol = _primal_polish(sp, x, y, presolve)
         if pol is not None:
             x3, y3 = pol
-            grad3 = sp.gradient(x3) + tik * x3 + sp.A_eq.T @ y3
+            grad3 = sp.gradient(x3) + sp.A_eq.T @ y3
             stat3 = float(np.linalg.norm(x3 - project_region(sp.region, x3 - grad3)))
             dist3 = float(np.linalg.norm(x3 - project_region(sp.region, x3)))
             if stat3 < stat and dist3 <= tol:
                 x, y, stat, dist = x3, y3, stat3, dist3
-    r_eq = sp.A_eq @ (x - sp.x_ref) + sp.b_eq
-    eq = float(np.linalg.norm(r_eq))
-    eq_kept = float(np.linalg.norm(r_eq[kept])) if kept.size < sp.m else eq
+    eq = float(np.linalg.norm(sp.A_eq @ (x - sp.x_ref) + sp.b_eq))
     if dist is None:
         dist = float(np.linalg.norm(x - project_region(sp.region, x)))
     gap = float(s @ z) if s is not None else 0.0
-    res = SubproblemResiduals(stat, eq, dist, gap)
     # the internal conic gap is reported but never gated on: natural-map
     # stationarity of the returned (x, y) already certifies complementarity,
     # while s.z can stall above tol when a cone is active at the solution
     within = stat <= 10.0 * tol and eq <= tol and dist <= tol
-    bad_eq = eq > 1e-6 * (1.0 + np.linalg.norm(sp.b_eq))
-    if status is SolveStatus.OPTIMAL:
-        # dependent rows were dropped; an inconsistent right-hand side
-        # surfaces here as a large equality residual
-        if bad_eq:
-            status = SolveStatus.INFEASIBLE
-    elif status is SolveStatus.MAX_ITER:
-        if bad_eq and eq_kept <= 1e-6 * (1.0 + np.linalg.norm(sp.b_eq)):
-            # the reduced system was solved, only dropped rows are violated
-            status = SolveStatus.INFEASIBLE
-        elif within:
-            # the iteration stalled on a point that already meets the contract
-            status = SolveStatus.OPTIMAL
-    return SubproblemSolution(x=x, y=y, status=status, iterations=iters, residuals=res)
+    status = verdict or (SolveStatus.OPTIMAL if within else SolveStatus.MAX_ITER)
+    return SubproblemSolution(x=x, y=y, status=status, iterations=iters,
+                              residuals=SubproblemResiduals(stat, eq, dist, gap))
 
 
-def _solve_no_cones(sp, P, q, b, presolve, tol, tik):
-    """Equality-constrained QP fallback for regions without members."""
+def _solve_no_cones(sp, b, presolve, tol):
+    """Equality-constrained QP on the null space, for regions without members."""
     kept, Z, aplus = presolve
+    P, q = sp.H, sp.grad_const
     x_ls = aplus @ b
-    # the rows the presolve dropped count too: a duplicate row may disagree
-    b_all = sp.A_eq @ sp.x_ref - sp.b_eq
-    if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
-        return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
-                       SolveStatus.INFEASIBLE, 0, tol, tik)
     Hr = Z.T @ P @ Z
     gr = Z.T @ (P @ x_ls + q)
     x = x_ls
@@ -572,24 +555,27 @@ def _solve_no_cones(sp, P, q, b, presolve, tol, tik):
         null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
             return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
-                           SolveStatus.UNBOUNDED, 0, tol, tik)
+                           SolveStatus.UNBOUNDED, 0, tol)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, -(aplus.T @ (P @ x + q)), presolve, None, None, SolveStatus.OPTIMAL, 0,
-                   tol, tik)
+    return _finish(sp, x, -(aplus.T @ (P @ x + q)), presolve, None, None, None, 0, tol)
 
 
-def _ipm(sp, opts, warm, tik):
-    n = sp.n
-    P = sp.H + (tik * np.eye(n) if tik else 0.0)
-    P = np.atleast_2d(P)
-    q = sp.grad_const
+def _ipm(sp, opts, warm):
+    P, q = sp.H, sp.grad_const
     presolve = kept, Z, aplus = _presolve_equalities(sp.A_eq)
-    A = sp.A_eq[kept]
-    b = (sp.A_eq @ sp.x_ref - sp.b_eq)[kept]
+    b_all = sp.A_eq @ sp.x_ref - sp.b_eq
+    A, b = sp.A_eq[kept], b_all[kept]
+    if kept.size < sp.m:
+        # the dropped rows are decided once, before iterating: a duplicate row may
+        # disagree with the kept one, and then no point meets all of A_eq
+        x_ls = aplus @ b
+        if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
+            return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
+                           SolveStatus.INFEASIBLE, 0, opts.tol)
     G, Gt, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
         # a region with no finite bound and no member leaves no cone to step in
-        return _solve_no_cones(sp, P, q, b, presolve, opts.tol, tik)
+        return _solve_no_cones(sp, b, presolve, opts.tol)
     if not np.any(P):
         P = None  # zero curvature: every product with P is skipped
 
@@ -622,9 +608,8 @@ def _ipm(sp, opts, warm, tik):
         if mz <= 0.0:
             z = z + (1.0 - mz) * e
 
-    best = None
     n_ver = 0
-    status = SolveStatus.MAX_ITER
+    verdict = None  # set only by the divergence and stall tests below
     it = 0
     small_steps = 0
     b_scale = max(1.0, np.linalg.norm(b) if p else 0.0, np.linalg.norm(h))
@@ -638,11 +623,6 @@ def _ipm(sp, opts, warm, tik):
         mu = gap / cones.degree
         pobj = float(q @ x if P is None else 0.5 * x @ P @ x + q @ x)
         pres = max(np.linalg.norm(ry) if p else 0.0, np.linalg.norm(rz)) / b_scale
-        # the dual residual rx is left out: null-row dual components drift once
-        # mu collapses, so iterate selection tracks pres and the relative gap
-        merit = max(pres, gap / max(1.0, abs(pobj)))
-        if best is None or merit < best[0]:
-            best = (merit, np.array(x), np.array(y), np.array(s), np.array(z), pobj, pres)
 
         # conic dual residuals can stay noisy once mu collapses (components of z
         # that multiply zero rows of G drift freely), so acceptance is decided on
@@ -650,17 +630,17 @@ def _ipm(sp, opts, warm, tik):
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol) and n_ver < 60:
             n_ver += 1
-            sol = _finish(sp, x, y, presolve, s, z, SolveStatus.MAX_ITER, it, opts.tol, tik)
-            if sol.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+            sol = _finish(sp, x, y, presolve, s, z, None, it, opts.tol)
+            if sol.status is SolveStatus.OPTIMAL:
                 return sol
 
         if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or np.linalg.norm(x) > 1e12:
-            status = SolveStatus.UNBOUNDED
+            verdict = SolveStatus.UNBOUNDED
             break
         if (np.linalg.norm(z, 1) + (np.linalg.norm(y, 1) if p else 0.0)) > _DIVERGE_DUAL and (
             pres > _STALL_PRES
         ):
-            status = SolveStatus.INFEASIBLE
+            verdict = SolveStatus.INFEASIBLE
             break
 
         W = _Scaling(cones, s, z)
@@ -681,7 +661,6 @@ def _ipm(sp, opts, warm, tik):
             dlam = cones.inv_prod(lam, rhs_comp)
             dx, dy, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
         except np.linalg.LinAlgError:
-            status = SolveStatus.MAX_ITER
             break
 
         alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
@@ -693,7 +672,6 @@ def _ipm(sp, opts, warm, tik):
                 break
             alpha *= 0.5
         else:
-            status = SolveStatus.MAX_ITER
             break
         x = x + alpha * dx
         y = y + alpha * dy if p else y
@@ -701,18 +679,10 @@ def _ipm(sp, opts, warm, tik):
         z = z + alpha * dz
         small_steps = small_steps + 1 if alpha < 1e-8 else 0
         if small_steps >= 3:
-            status = SolveStatus.INFEASIBLE if pres > _STALL_PRES else SolveStatus.MAX_ITER
+            verdict = SolveStatus.INFEASIBLE if pres > _STALL_PRES else None
             break
 
-    if status is SolveStatus.MAX_ITER and best is not None:
-        # rescue: a loop that ends on a worse iterate than one it passed
-        _, bx, by, bs, bz, bpobj, bpres = best
-        if bpres > _STALL_PRES:
-            status = SolveStatus.INFEASIBLE
-        elif bpobj < _DIVERGE_OBJ:
-            status = SolveStatus.UNBOUNDED
-        x, y, s, z = bx, by, bs, bz
-    return _finish(sp, x, y, presolve, s, z, status, it, opts.tol, tik)
+    return _finish(sp, x, y, presolve, s, z, verdict, it, opts.tol)
 
 
 def _unsolved(sp):
@@ -728,10 +698,12 @@ def solve_subproblem(sp, opts=None, warm=None):
     starts cold otherwise; a warm-started solve that ends other than optimal
     is repeated once from the cold start, and the solution reports the
     iterations of both.  When the curvature model is zero and the solve
-    diverges toward an unbounded ray, one retry with a tikhonov term
-    1e-6 (1 + ||c||) ||x||^2 / 2 is attempted and flagged on the returned
-    solution; opts.tikhonov_retry = False returns the raw verdict.  Data with
-    a nan or inf entry, a cold start whose KKT system cannot be solved, and a
+    diverges toward an unbounded ray, it is solved once more with H = tik I,
+    tik = 1e-6 (1 + ||c||), centred at x_ref like its own curvature; that
+    solution is flagged ``regularized``, certified on the regularized
+    subproblem and reports the iterations of every attempt.
+    opts.tikhonov_retry = False returns the raw verdict.  Data with a nan or
+    inf entry, a cold start whose KKT system cannot be solved, and a
     certification projection that verifies no point (ProjectionError) return
     status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
     residuals; the tracker then ends its trace as aborted.
@@ -740,16 +712,17 @@ def solve_subproblem(sp, opts=None, warm=None):
     if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
         return _unsolved(sp)
     try:
-        sol = _ipm(sp, opts, warm, 0.0)
+        sol = _ipm(sp, opts, warm)
         if warm is not None and sol.status is not SolveStatus.OPTIMAL:
             # rescue: an iteration warm-started far outside the region can stall
             # into a false verdict; the cold start does not depend on warm
-            cold = _ipm(sp, opts, None, 0.0)
+            cold = _ipm(sp, opts, None)
             sol = replace(cold, iterations=sol.iterations + cold.iterations)
         if sol.status is SolveStatus.UNBOUNDED and opts.tikhonov_retry and not np.any(sp.H):
             # rescue: a zero curvature model whose linear objective runs off a ray
             tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
-            sol = replace(_ipm(sp, opts, warm, tik), regularized=True)
+            reg = _ipm(replace(sp, H=tik * np.eye(sp.n)), opts, warm)
+            sol = replace(reg, iterations=sol.iterations + reg.iterations, regularized=True)
     except ProjectionError:
         return _unsolved(sp)
     return sol

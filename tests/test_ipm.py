@@ -1,6 +1,7 @@
 """Conic subproblem solver against closed-form and sampled oracles."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,8 @@ def test_inconsistent_duplicate_rows_detected():
         sp = _plain([1.0, 0.0], region, A=A, b=np.array([-1.0, -1.5]))
         sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
         assert sol.status is SolveStatus.INFEASIBLE
+        # the dropped row is checked once, before the first iteration
+        assert sol.iterations == 0
 
 
 def test_consistent_duplicate_rows_solved():
@@ -179,10 +182,22 @@ def test_unbounded_direction_detected():
     sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
     assert sol.status is SolveStatus.UNBOUNDED
     assert not sol.regularized
+    raw = sol
     # by default the zero curvature model is retried with a tikhonov term
     sol = solve_subproblem(sp)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.regularized
+    # the retry is the subproblem with H = tik I, and both attempts count
+    tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
+    retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
+    assert sol.iterations == raw.iterations + retry.iterations
+    # centred at x_ref: the term is tik ||x - x_ref||^2 / 2
+    sp = _plain([0.0, 1.0], region, x_ref=np.array([0.5, -3.0]))
+    sol = solve_subproblem(sp)
+    retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
+    assert sol.status is retry.status is SolveStatus.OPTIMAL
+    assert sol.regularized and not retry.regularized
+    np.testing.assert_allclose(sol.x, retry.x, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(retry.x)))
 
 
 def test_warm_start_reconverges_fast():
@@ -229,8 +244,16 @@ def test_tight_tolerance_solutions():
 def test_iteration_budget_is_respected():
     rng = np.random.default_rng(41)
     sp = random_subproblem("ellipsoid", rng)
-    sol = solve_subproblem(sp, SolverOptions(max_iter=1, tikhonov_retry=False))
+    opts = SolverOptions(max_iter=1, tikhonov_retry=False)
+    sol = solve_subproblem(sp, opts)
     assert sol.iterations <= 1
+    # a spent budget is max_iter unless the returned pair is certified: the
+    # conic gap is reported, not gated, so the contract is on the other three
+    assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER)
+    res = sol.residuals
+    if sol.status is SolveStatus.OPTIMAL:
+        assert res.stationarity <= 10.0 * opts.tol
+        assert max(res.equality, res.region_distance) <= opts.tol
 
 
 def _assemble_rows_reference(region):
@@ -380,8 +403,8 @@ def test_dual_refit_on_the_null_space_matches_the_full_fit():
 
 
 def _finish_with_spy(monkeypatch, sp, x, y, opts):
-    """ipm._finish of (x, y) as an optimal iterate, with every certification
-    projection's input recorded."""
+    """ipm._finish of (x, y) as an iterate of the loop (no verdict), with every
+    certification projection's input recorded."""
     seen = []
 
     def spy(region, v, max_iter=100):
@@ -390,8 +413,7 @@ def _finish_with_spy(monkeypatch, sp, x, y, opts):
 
     monkeypatch.setattr(ipm_module, "project_region", spy)
     presolve = _presolve_equalities(sp.A_eq)
-    sol = ipm_module._finish(sp, x, y[presolve[0]], presolve, None, None, SolveStatus.OPTIMAL, 1,
-                             opts.tol, 0.0)
+    sol = ipm_module._finish(sp, x, y[presolve[0]], presolve, None, None, None, 1, opts.tol)
     return sol, seen
 
 
@@ -719,10 +741,10 @@ def test_primal_polish_solves_on_the_null_space_of_the_equality_rows(monkeypatch
     polish, newton, step = (ipm_module._primal_polish, region_module._active_set_newton,
                             region_module._newton_step)
 
-    def polish_spy(sp, x, y, tik, presolve):
+    def polish_spy(sp, x, y, presolve):
         free.append(sp.n - np.linalg.matrix_rank(sp.A_eq))
         try:
-            return polish(sp, x, y, tik, presolve)
+            return polish(sp, x, y, presolve)
         finally:
             free.append(None)
 

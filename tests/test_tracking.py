@@ -146,6 +146,21 @@ def test_track_frozen_apcscp_counts_one_jacobian():
     assert calls == {"g": trace.counters.g_evals, "g_adjoint": trace.counters.adjoint_evals}
 
 
+@pytest.mark.parametrize("jacobian, retry, evals", [
+    # the start model, then an exact Jacobian at samples 4 and 8
+    (JacobianStrategy("broyden", reset_period=4), False, 3),
+    # no subproblem fails, so the fresh-Jacobian retry never evaluates one
+    (JacobianStrategy("frozen"), True, 1),
+])
+def test_track_jacobian_settings_on_the_tutorial_sweep(jacobian, retry, evals):
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(variant="apcscp", jacobian=jacobian, retry_fresh_jacobian=retry)
+    trace = track(tutorial_problem(), _sweep(), z0, config)
+    assert not trace.aborted
+    assert [r.step_status for r in trace.records[1:]] == [SolveStatus.OPTIMAL] * len(_sweep())
+    assert trace.counters.jacobian_evals == evals
+
+
 def test_track_fd_jacobians_on_a_perturbed_cascade():
     # pcscp with forward-difference Jacobians on the 3-tank, 8-step cascade:
     # the start model and one model per sample come from differences of g
@@ -179,8 +194,8 @@ def test_rtgn_warm_start_far_outside_the_region_is_retried_cold(monkeypatch):
     attempts = []
     ipm = ipm_module._ipm
 
-    def spy(sp, opts, warm, tik):
-        sol = ipm(sp, opts, warm, tik)
+    def spy(sp, opts, warm):
+        sol = ipm(sp, opts, warm)
         attempts.append((warm is None, sol.status, sol.iterations))
         return sol
 
@@ -431,11 +446,11 @@ def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):
     calls = []
     ipm = ipm_module._ipm
 
-    def flaky(sp, opts, warm, tik):
+    def flaky(sp, opts, warm):
         calls.append(None)
         if len(calls) == 3:
             raise ProjectionError("no verified projection")
-        return ipm(sp, opts, warm, tik)
+        return ipm(sp, opts, warm)
 
     monkeypatch.setattr(ipm_module, "_ipm", flaky)
     problem = tutorial_problem()
