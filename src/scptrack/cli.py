@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .config import build_problem, load_scenario, parse_config_text
-from .errors import ConfigError, ScpTrackError, StepError
+from .config import build_problem, load_bench, load_scenario
+from .errors import ConfigError, ScpTrackError
 from .traceio import (
     counters_summary,
     summarize_trace,
@@ -40,27 +40,40 @@ def _fail_config(exc):
     return EXIT_CONFIG
 
 
-def _load_track_scenario(config_path):
+def _fail_runtime(exc):
+    print(f"runtime error: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
+def _setup(config_path, solve):
+    """(cfg, problem, start iterate) of a track or solve config."""
     cfg = load_scenario(config_path)
-    if cfg.variant == "fascp":
+    if not solve and cfg.variant == "fascp":
         raise ConfigError("track needs a step variant: apcscp, pcscp or rtgn")
-    return cfg
+    return (cfg, *build_problem(cfg))
+
+
+def _run(cfg, problem, z0, solve):
+    """(z, trace): the full-step solve at the first sample when solve is set,
+    else (None, the tracking sweep over the schedule)."""
+    if solve:
+        return fascp_solve(problem, cfg.schedule[0], z0, cfg.tracker,
+                           eps=cfg.fascp_eps, max_iter=cfg.fascp_max_iter)
+    return None, track(problem, list(cfg.schedule), z0, cfg.tracker)
 
 
 def cmd_track(config_path, out=None):
     """Run one tracking sweep; write the trace CSV and a summary line."""
     try:
-        cfg = _load_track_scenario(config_path)
-        problem, z0 = build_problem(cfg)
+        cfg, problem, z0 = _setup(config_path, solve=False)
     except ScpTrackError as exc:
         return _fail_config(exc)
     try:
-        trace = track(problem, list(cfg.schedule), z0, cfg.tracker)
+        _, trace = _run(cfg, problem, z0, solve=False)
     except ScpTrackError as exc:
-        # only non-step failures reach here (e.g. the reference solve);
-        # subproblem failures come back as an aborted trace
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # e.g. evaluating the start model; a failed step or record comes
+        # back as an aborted trace instead
+        return _fail_runtime(exc)
     write_trace_csv(out or cfg.output, trace)
     print(summary_line(summarize_trace(trace)))
     if trace.aborted:
@@ -69,40 +82,28 @@ def cmd_track(config_path, out=None):
     return EXIT_OK
 
 
-def _solve_errors(trace, zbar):
-    errors = []
-    for rec in trace.records:
-        dx = np.concatenate([rec.z.x - zbar.x, rec.z.y - zbar.y])
-        errors.append(float(np.linalg.norm(dx)))
-    return errors
-
-
 def cmd_solve(config_path, out=None):
     """Full-step solve at the first schedule sample; per-iteration CSV."""
     try:
-        cfg = load_scenario(config_path)
-        problem, z0 = build_problem(cfg)
+        cfg, problem, z0 = _setup(config_path, solve=True)
     except ScpTrackError as exc:
         return _fail_config(exc)
-    xi = cfg.schedule[0]
     path = out or cfg.output
     try:
-        z, trace = fascp_solve(
-            problem, xi, z0, cfg.tracker, eps=cfg.fascp_eps, max_iter=cfg.fascp_max_iter
-        )
-    except StepError as err:
+        z, trace = _run(cfg, problem, z0, solve=True)
+    except ScpTrackError as err:
         partial = getattr(err, "trace", None)
         if partial is not None:
             write_solve_csv(path, partial)
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail_runtime(err)
     errors = None
-    if cfg.oracle:
+    if cfg.tracker.record_oracle_error:
         try:
-            errors = _solve_errors(trace, oracle_solution(problem, xi, z))
+            zbar = oracle_solution(problem, cfg.schedule[0], z)
         except ScpTrackError as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            return _fail_runtime(exc)
+        errors = [float(np.linalg.norm(np.concatenate([r.z.x - zbar.x, r.z.y - zbar.y])))
+                  for r in trace.records]
     write_solve_csv(path, trace, errors)
     print(
         f"converged={str(trace.converged).lower()} iterations={len(trace.records)} "
@@ -111,27 +112,18 @@ def cmd_solve(config_path, out=None):
     return EXIT_OK if trace.converged else EXIT_RUNTIME
 
 
-def _run_scenario(name, cfg):
-    """One bench entry: (status, summary-or-None).  Never raises."""
+def _bench_row(name, cfg):
+    """One bench row: (name, status, summary-or-None).  Never raises."""
+    solve = cfg.variant == "fascp"
     try:
-        problem, z0 = build_problem(cfg)
-        if cfg.variant == "fascp":
-            _, trace = fascp_solve(
-                problem,
-                cfg.schedule[0],
-                z0,
-                cfg.tracker,
-                eps=cfg.fascp_eps,
-                max_iter=cfg.fascp_max_iter,
-            )
-            summary = counters_summary(len(trace.records), trace.counters)
-            return ("ok" if trace.converged else "not_converged", summary)
-        trace = track(problem, list(cfg.schedule), z0, cfg.tracker)
-        summary = summarize_trace(trace)
-        return ("aborted" if trace.aborted else "ok", summary)
+        _, trace = _run(cfg, *build_problem(cfg), solve)
     except ScpTrackError as exc:
         print(f"{name}: {exc}", file=sys.stderr)
-        return ("error", None)
+        return name, "error", None
+    if solve:
+        summary = counters_summary(len(trace.records), trace.counters)
+        return name, "ok" if trace.converged else "not_converged", summary
+    return name, "aborted" if trace.aborted else "ok", summarize_trace(trace)
 
 
 def cmd_bench(config_path, out=None):
@@ -143,32 +135,15 @@ def cmd_bench(config_path, out=None):
     runs; failures during a run land in the status column instead.
     """
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            pairs = parse_config_text(fh.read())
-        known = {"scenarios", "output"}
-        extra = sorted(set(pairs) - known)
-        if extra:
-            raise ConfigError(f"unknown keys: {', '.join(extra)}")
-        raw = pairs.get("scenarios", "")
-        names = [part.strip() for part in raw.split(";") if part.strip()]
-        if not names:
-            raise ConfigError("scenarios must list at least one config path")
-        base = os.path.dirname(os.path.abspath(config_path))
-        paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in names]
-        scenarios = [load_scenario(p) for p in paths]
-    except OSError as exc:
-        return _fail_config(f"cannot read config {config_path}: {exc}")
+        names, scenarios, output = load_bench(config_path)
     except ScpTrackError as exc:
         return _fail_config(exc)
-
     stems = [os.path.splitext(os.path.basename(n))[0] for n in names]
-    rows = [(stem, *_run_scenario(stem, cfg)) for stem, cfg in zip(stems, scenarios)]
-    write_bench_csv(out or pairs.get("output", "bench.csv"), rows)
+    rows = [_bench_row(stem, cfg) for stem, cfg in zip(stems, scenarios)]
+    write_bench_csv(out or output, rows)
     for stem, status, _ in rows:
         print(f"{stem}: {status}")
-    if any(status != "ok" for _, status, _ in rows):
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return EXIT_RUNTIME if any(status != "ok" for _, status, _ in rows) else EXIT_OK
 
 
 def main(argv=None):

@@ -1,9 +1,10 @@
 """Scenario configuration for the command line tools.
 
 Config files are flat key-value text: one ``key = value`` assignment per
-line, ``#`` starts a comment, dots group related keys.  Values stay
-strings until a typed getter pulls them, so every complaint can name the
-offending key.  Example::
+line, ``#`` starts a comment, dots group related keys.  Scenario and bench
+files are read through the one reader, ``_Reader``: values stay strings
+until its typed read parses them, so every complaint names the offending
+key, and a key that nothing read is rejected.  Example::
 
     problem = tutorial
     variant = pcscp
@@ -36,6 +37,11 @@ _VARIANTS = _TRACK_VARIANTS + ("fascp",)
 _SCHEDULES = ("linear", "explicit", "file")
 _STARTS = ("exact", "perturbed")
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _numbers(text):
+    """Whitespace-separated numbers as a vector; ValueError on any other token."""
+    return np.array([float(tok) for tok in text.split()])
 
 
 def parse_config_text(text):
@@ -74,41 +80,27 @@ class _Reader:
             raise ConfigError(f"{key}: expected one of {', '.join(options)}, got {value!r}")
         return value
 
-    def floatval(self, key, default=None):
+    def _typed(self, key, parse, what, default):
+        """parse(value) of a set key, default of an unset one; a parse failure names the key."""
         value = self.raw(key)
         if value is None:
             return default
         try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: not a number: {value!r}") from None
+            return parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key}: not {what}: {value!r}") from None
+
+    def floatval(self, key, default=None):
+        return self._typed(key, float, "a number", default)
 
     def intval(self, key, default=None):
-        value = self.raw(key)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key}: not an integer: {value!r}") from None
+        return self._typed(key, int, "an integer", default)
 
     def boolval(self, key, default=False):
-        value = self.raw(key)
-        if value is None:
-            return default
-        flag = _BOOLS.get(value.lower())
-        if flag is None:
-            raise ConfigError(f"{key}: not a boolean: {value!r}")
-        return flag
+        return self._typed(key, lambda v: _BOOLS[v.lower()], "a boolean", default)
 
     def vector(self, key, default=None):
-        value = self.raw(key)
-        if value is None:
-            return default
-        try:
-            return np.array([float(tok) for tok in value.split()])
-        except ValueError:
-            raise ConfigError(f"{key}: not a number list: {value!r}") from None
+        return self._typed(key, _numbers, "a number list", default)
 
     def reject_unknown(self):
         extra = sorted(set(self.pairs) - self.seen)
@@ -124,7 +116,6 @@ class ScenarioConfig:
     variant: str = "apcscp"
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     schedule: tuple = ()
-    oracle: bool = False
     start: str = "exact"
     start_magnitude: float = 0.1
     fascp_eps: float = 1e-8
@@ -135,91 +126,73 @@ class ScenarioConfig:
     u_steady: float = 1.0
 
 
+def _given(**kwargs):
+    """The keyword arguments that were set; an unset one keeps its dataclass default."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def _read_jacobian(r):
-    kind = r.choice("jacobian", _JAC_KINDS, "exact")
-    kwargs = {"kind": kind}
-    step = r.floatval("jacobian.step")
-    if step is not None:
-        kwargs["fd_step"] = step
-    reset = r.intval("jacobian.reset")
-    if reset is not None:
-        kwargs["reset_period"] = reset
-    skip = r.floatval("jacobian.skip")
-    if skip is not None:
-        kwargs["skip_threshold"] = skip
-    return JacobianStrategy(**kwargs)
+    return JacobianStrategy(**_given(
+        kind=r.choice("jacobian", _JAC_KINDS, "exact"),
+        fd_step=r.floatval("jacobian.step"),
+        reset_period=r.intval("jacobian.reset"),
+        skip_threshold=r.floatval("jacobian.skip"),
+    ))
 
 
 def _read_hessian(r):
-    kind = r.choice("hessian", ("zero", "projected"), "zero")
-    floor = r.floatval("hessian.eig_floor")
-    if floor is None:
-        return HessianStrategy(kind=kind)
-    return HessianStrategy(kind=kind, eig_floor=floor)
+    return HessianStrategy(**_given(
+        kind=r.choice("hessian", ("zero", "projected"), "zero"),
+        eig_floor=r.floatval("hessian.eig_floor"),
+    ))
 
 
 def _read_solver(r):
-    kwargs = {}
-    tol = r.floatval("solver.tol")
-    if tol is not None:
-        kwargs["tol"] = tol
-    max_iter = r.intval("solver.max_iter")
-    if max_iter is not None:
-        kwargs["max_iter"] = max_iter
-    return SolverOptions(**kwargs)
+    return SolverOptions(**_given(
+        tol=r.floatval("solver.tol"), max_iter=r.intval("solver.max_iter")))
 
 
 def _read_cascade(r):
-    kwargs = {}
-    for key, cast in (
-        ("n_tanks", r.intval),
-        ("horizon", r.intval),
-        ("n_substeps", r.intval),
-        ("dt", r.floatval),
-        ("u_lo", r.floatval),
-        ("u_hi", r.floatval),
-        ("terminal_radius_scale", r.floatval),
-    ):
-        value = cast(f"cascade.{key}")
-        if value is not None:
-            kwargs[key] = value
-    for key in ("outflow_coeff", "surface", "h_lo", "h_hi"):
-        value = r.vector(f"cascade.{key}")
-        if value is not None:
-            kwargs[key] = value if value.size > 1 else float(value[0])
-    for key in ("state_weight", "control_weight"):
-        value = r.vector(f"cascade.{key}")
-        if value is not None:
-            kwargs[key] = value
-    return CascadeConfig(**kwargs)
+    # per-tank values pass through as read; CascadeConfig broadcasts a single one
+    keys = (
+        (r.intval, ("n_tanks", "horizon", "n_substeps")),
+        (r.floatval, ("dt", "u_lo", "u_hi", "terminal_radius_scale")),
+        (r.vector, ("outflow_coeff", "surface", "h_lo", "h_hi", "state_weight", "control_weight")),
+    )
+    return CascadeConfig(**_given(**{k: cast(f"cascade.{k}") for cast, ks in keys for k in ks}))
 
 
-def _schedule_from_file(path, base_dir):
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
+def _read_text(path, label):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"xi.file: cannot read {path}: {exc}") from None
+        raise ConfigError(f"{label} {path}: {exc}") from None
+
+
+def _samples(parts, message):
+    """Number lists of the parts that are not blank or comment.
+
+    A part that does not parse is a config error, message formatted with its
+    1-based position i and its text part.
+    """
     samples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            samples.append(np.array([float(tok) for tok in line.split()]))
-        except ValueError:
-            raise ConfigError(f"xi.file line {lineno}: not a number list") from None
+    for i, part in enumerate(parts, start=1):
+        part = part.split("#", 1)[0].strip()
+        if part:
+            try:
+                samples.append(_numbers(part))
+            except ValueError:
+                raise ConfigError(message.format(i=i, part=part)) from None
     return samples
 
 
 def _read_schedule(r, base_dir):
     """Parameter samples: arithmetic ramp, inline list, or a sidecar file.
 
-    Inline samples are semicolon-separated, components within a sample
-    whitespace-separated, so vector parameters fit on the one line the
-    format allows.
+    Inline samples are semicolon-separated, a file holds one sample per line,
+    and the components of a sample are whitespace-separated, so vector
+    parameters fit on the one line the format allows.
     """
     mode = r.choice("xi.schedule", _SCHEDULES, "linear")
     if mode == "linear":
@@ -237,20 +210,14 @@ def _read_schedule(r, base_dir):
         value = r.raw("xi.values")
         if not value:
             raise ConfigError("xi.values is required for an explicit schedule")
-        samples = []
-        for part in value.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                samples.append(np.array([float(tok) for tok in part.split()]))
-            except ValueError:
-                raise ConfigError(f"xi.values: not a number list: {part!r}") from None
+        samples = _samples(value.split(";"), "xi.values: not a number list: {part!r}")
     else:
         path = r.raw("xi.file")
         if not path:
             raise ConfigError("xi.file is required for a file schedule")
-        samples = _schedule_from_file(path, base_dir)
+        # a relative path resolves beside the config file, an absolute one stays
+        text = _read_text(os.path.join(base_dir, path), "xi.file: cannot read")
+        samples = _samples(text.splitlines(), "xi.file line {i}: not a number list")
     if not samples:
         raise ConfigError("parameter schedule is empty")
     dims = {s.size for s in samples}
@@ -265,24 +232,18 @@ def scenario_from_pairs(pairs, base_dir="."):
     try:
         problem = r.choice("problem", _PROBLEMS, "tutorial")
         variant = r.choice("variant", _VARIANTS, "apcscp")
-        jacobian = _read_jacobian(r)
-        hessian = _read_hessian(r)
-        solver = _read_solver(r)
-        tracker_variant = "apcscp" if variant == "fascp" else variant
-        tracker = TrackerConfig(
-            variant=tracker_variant,
-            jacobian=jacobian,
-            hessian=hessian,
-            solver_opts=solver,
-            record_oracle_error=r.boolval("oracle", False),
-            retry_fresh_jacobian=r.boolval("retry", False),
-        )
         cfg = ScenarioConfig(
             problem=problem,
             variant=variant,
-            tracker=tracker,
+            tracker=TrackerConfig(
+                variant="apcscp" if variant == "fascp" else variant,
+                jacobian=_read_jacobian(r),
+                hessian=_read_hessian(r),
+                solver_opts=_read_solver(r),
+                record_oracle_error=r.boolval("oracle", False),
+                retry_fresh_jacobian=r.boolval("retry", False),
+            ),
             schedule=_read_schedule(r, base_dir),
-            oracle=tracker.record_oracle_error,
             start=r.choice("start", _STARTS, "exact"),
             start_magnitude=r.floatval("start.magnitude", 0.1),
             fascp_eps=r.floatval("fascp.eps", 1e-8),
@@ -308,12 +269,24 @@ def scenario_from_pairs(pairs, base_dir="."):
 
 def load_scenario(path):
     """Scenario from a config file; relative sidecar paths resolve beside it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    text = _read_text(path, "cannot read config")
     return scenario_from_pairs(parse_config_text(text), os.path.dirname(os.path.abspath(path)))
+
+
+def load_bench(path):
+    """A bench file: (scenario paths as listed, their scenarios, output path).
+
+    ``scenarios`` lists config paths, semicolon-separated and resolved beside
+    the bench file; ``output`` defaults to bench.csv; other keys are rejected.
+    """
+    r = _Reader(parse_config_text(_read_text(path, "cannot read config")))
+    names = [part.strip() for part in r.raw("scenarios", "").split(";") if part.strip()]
+    output = r.raw("output", "bench.csv")
+    r.reject_unknown()
+    if not names:
+        raise ConfigError("scenarios must list at least one config path")
+    base = os.path.dirname(os.path.abspath(path))
+    return names, [load_scenario(os.path.join(base, name)) for name in names], output
 
 
 def build_problem(cfg):

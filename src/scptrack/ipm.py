@@ -344,16 +344,7 @@ def _presolve_equalities(A):
     if presolve is not None:
         return presolve
     q, r, piv = scipy.linalg.qr(A.T, pivoting=True)
-    diag = np.abs(np.diag(r))
-    # |r_00| (the largest row norm) <= ||A||_2 <= ||A||_F, so only a pivot
-    # between those two thresholds needs the spectral norm; the factor-2
-    # margins absorb the rounding of the three norms
-    lo, hi = 1e-10 * diag[0], 1e-10 * np.linalg.norm(A)
-    if np.any((diag > 0.5 * lo) & (diag <= 2.0 * hi)):
-        thresh = 1e-10 * max(np.linalg.norm(A, 2), 1e-300)
-    else:
-        thresh = lo
-    rank = int(np.sum(diag > thresh))
+    rank = int(np.sum(np.abs(np.diag(r)) > 1e-10 * max(np.linalg.norm(A, 2), 1e-300)))
     order = np.argsort(piv[:rank])
     aplus = scipy.linalg.solve_triangular(r[:rank, :rank], q[:, :rank].T, check_finite=False).T
     return piv[:rank][order], q[:, rank:], aplus[:, order]
@@ -503,8 +494,7 @@ def _finish(sp, x, y_kept, presolve, s, z, verdict, iters, tol):
     ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone."""
     kept = presolve[0]
     y = np.zeros(sp.m)
-    if kept.size:
-        y[kept] = y_kept
+    y[kept] = y_kept
     grad0 = sp.gradient(x)
     rescue = verdict is None
     # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
@@ -579,13 +569,12 @@ def _ipm(sp, opts, warm):
     if not np.any(P):
         P = None  # zero curvature: every product with P is skipped
 
-    p = A.shape[0]
     e = cones.unit()
     kkt = _NullSpaceKKT(P, G, Gt, Z, aplus)
 
     if warm is not None:
         x = np.array(warm.x, dtype=float)
-        y = np.array(warm.y, dtype=float)[kept] if p else np.zeros(0)
+        y = np.array(warm.y, dtype=float)[kept]
         s = h - G @ x
         shift = max(0.0, 1e-4 * (1.0 + np.linalg.norm(h, np.inf)) - cones.margin(s))
         s = s + shift * e
@@ -612,17 +601,17 @@ def _ipm(sp, opts, warm):
     verdict = None  # set only by the divergence and stall tests below
     it = 0
     small_steps = 0
-    b_scale = max(1.0, np.linalg.norm(b) if p else 0.0, np.linalg.norm(h))
+    b_scale = max(1.0, np.linalg.norm(b), np.linalg.norm(h))
     q_scale = max(1.0, np.linalg.norm(q))
 
     for it in range(1, opts.max_iter + 1):
-        rx = (q if P is None else P @ x + q) + Gt @ z + (A.T @ y if p else 0.0)
-        ry = A @ x - b if p else np.zeros(0)
+        rx = (q if P is None else P @ x + q) + Gt @ z + A.T @ y
+        ry = A @ x - b
         rz = G @ x + s - h
         gap = float(s @ z)
         mu = gap / cones.degree
         pobj = float(q @ x if P is None else 0.5 * x @ P @ x + q @ x)
-        pres = max(np.linalg.norm(ry) if p else 0.0, np.linalg.norm(rz)) / b_scale
+        pres = max(np.linalg.norm(ry), np.linalg.norm(rz)) / b_scale
 
         # conic dual residuals can stay noisy once mu collapses (components of z
         # that multiply zero rows of G drift freely), so acceptance is decided on
@@ -637,7 +626,7 @@ def _ipm(sp, opts, warm):
         if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or np.linalg.norm(x) > 1e12:
             verdict = SolveStatus.UNBOUNDED
             break
-        if (np.linalg.norm(z, 1) + (np.linalg.norm(y, 1) if p else 0.0)) > _DIVERGE_DUAL and (
+        if (np.linalg.norm(z, 1) + np.linalg.norm(y, 1)) > _DIVERGE_DUAL and (
             pres > _STALL_PRES
         ):
             verdict = SolveStatus.INFEASIBLE
@@ -674,7 +663,7 @@ def _ipm(sp, opts, warm):
         else:
             break
         x = x + alpha * dx
-        y = y + alpha * dy if p else y
+        y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
         small_steps = small_steps + 1 if alpha < 1e-8 else 0

@@ -49,6 +49,7 @@ from .errors import DimensionError, ProjectionError, UsageError
 
 _ROOT_RTOL = 4 * np.finfo(float).eps
 _DYKSTRA_STOP = 1e-10  # largest sweep move at which a Dykstra iterate goes to the check
+_DYKSTRA_SWEEPS = 100  # sweeps before a projection that verified no point gives up
 # the conic rows are CSR when G has more entries than this; below it a dense
 # product costs no more than a CSR one
 _CSR_MIN_ENTRIES = 20000
@@ -597,7 +598,7 @@ def _polish_projection(region, v, x, scale):
     return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 
-def project_region(region, v, max_iter=100):
+def project_region(region, v):
     """Euclidean projection of v onto the region via Dykstra's iteration.
 
     Sweeps cycle through the box and every member.  An iterate that a sweep
@@ -606,7 +607,7 @@ def project_region(region, v, max_iter=100):
     Failing that, and every 20 sweeps, a working-set candidate from it is
     tried on the same check: nearly parallel halfspaces make plain Dykstra
     creep, and the candidate short-circuits the crawl.  A run that verifies
-    no point within max_iter sweeps raises ProjectionError.
+    no point within ``_DYKSTRA_SWEEPS`` (100) sweeps raises ProjectionError.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (region.n,):
@@ -621,7 +622,7 @@ def project_region(region, v, max_iter=100):
     projectors = [region.clip_box] + [m.project for m in members]
     x = np.array(v)
     corrections = [np.zeros_like(v) for _ in projectors]
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, _DYKSTRA_SWEEPS + 1):
         x_prev = x
         for i, proj in enumerate(projectors):
             y = proj(x + corrections[i])
@@ -635,7 +636,7 @@ def project_region(region, v, max_iter=100):
             if cand is not None:
                 return cand
     raise ProjectionError(
-        f"Dykstra projection did not reach tol={_DYKSTRA_STOP} in {max_iter} sweeps")
+        f"Dykstra projection did not reach tol={_DYKSTRA_STOP} in {_DYKSTRA_SWEEPS} sweeps")
 
 
 def extend_region(region, extra):

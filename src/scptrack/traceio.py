@@ -64,30 +64,25 @@ def trace_rows(trace):
     return rows
 
 
-def write_trace_csv(path, trace):
+def _write_csv(path, header, rows):
+    """The header line, then one line per row (fields already joined); utf-8, explicit newlines."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for row in trace_rows(trace):
-            fh.write(row + "\n")
+        for line in (header, *rows):
+            fh.write(line + "\n")
+
+
+def write_trace_csv(path, trace):
+    _write_csv(path, TRACE_HEADER, trace_rows(trace))
 
 
 def write_solve_csv(path, trace, errors=None):
     """Per-iteration solve log; errors vs the reference point optional."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SOLVE_HEADER + "\n")
-        for i, rec in enumerate(trace.records):
-            err = None if errors is None else errors[i]
-            fh.write(
-                ",".join(
-                    (
-                        str(rec.j),
-                        fmt_float(rec.step_inf_norm),
-                        fmt_float(rec.kkt.total),
-                        fmt_float(err),
-                    )
-                )
-                + "\n"
-            )
+    errors = errors or [None] * len(trace.records)
+    _write_csv(path, SOLVE_HEADER, (
+        ",".join((str(rec.j), fmt_float(rec.step_inf_norm), fmt_float(rec.kkt.total),
+                  fmt_float(err)))
+        for rec, err in zip(trace.records, errors)
+    ))
 
 
 def counters_summary(records, counters):
@@ -134,10 +129,8 @@ def write_bench_csv(path, rows):
     Each row is (name, status, summary-or-None); scenarios that failed
     before producing a trace carry empty statistics.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(BENCH_HEADER + "\n")
-        for name, status, summary in rows:
-            if summary is None:
-                summary = dict.fromkeys(SUMMARY_FIELDS)
-            fields = (_summary_field(summary[key]) for key in SUMMARY_FIELDS)
-            fh.write(",".join((name, status, *fields)) + "\n")
+    _write_csv(path, BENCH_HEADER, (
+        ",".join((name, status, *(_summary_field((summary or {}).get(key))
+                                  for key in SUMMARY_FIELDS)))
+        for name, status, summary in rows
+    ))

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OracleError, ProjectionError, StepError, UsageError
+from .errors import DimensionError, OracleError, ProjectionError, StepError, UsageError
 from .jacobians import (
     EvalCounters,
     HessianStrategy,
@@ -98,7 +98,9 @@ class TrackingTrace:
     over N samples holds N + 1 records.  An aborted run additionally
     holds one record for the failed sample (held iterate, failure
     status) and stops there; when the diagnostics of a record fail
-    (oracle or projection), the run stops without that record.
+    (oracle, projection or a callback's output shape), or the model
+    update of a step gets an output of the wrong shape, the run stops
+    without that record.
     """
 
     records: list = field(default_factory=list)
@@ -355,6 +357,8 @@ def _make_record(problem, xi, state, status, iters, config, oracle, k):
     jac_err = None
     if problem.g_jac is not None:
         exact = np.atleast_2d(np.asarray(problem.g_jac(z.x), dtype=float))
+        if exact.shape != (problem.m, problem.n):
+            raise DimensionError(f"g_jac returned shape {exact.shape}")
         jac_err = float(np.linalg.norm(exact - state.A))
     oracle_err = None
     if config.record_oracle_error and oracle is not None:
@@ -382,7 +386,7 @@ def _append_record(trace, problem, xi, state, status, iters, config, oracle, k):
         trace.records.append(
             _make_record(problem, xi, state, status, iters, config, oracle, k)
         )
-    except (OracleError, ProjectionError) as err:
+    except (DimensionError, OracleError, ProjectionError) as err:
         note = f"record {k}: {err}"
         trace.message = f"{trace.message}; {note}" if trace.message else note
         trace.aborted = True
@@ -402,8 +406,9 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
     the current iterate (or from the supplied oracle callable).  A
     failed sample appends a record with the failure status and the held
     iterate, marks the trace aborted and returns it.  An oracle or
-    projection failure while evaluating a record likewise returns the
-    trace aborted, holding the records finished before it.
+    projection failure while evaluating a record, and a callback output
+    of the wrong shape (DimensionError) in a step or a record, likewise
+    return the trace aborted, holding the records finished before it.
     """
     config = config or TrackerConfig()
     counters = EvalCounters()
@@ -440,6 +445,11 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
                 trace, problem, xi, err.state, failed.status, failed.iterations,
                 config, None, k + 1,
             )
+            return trace
+        except DimensionError as err:
+            # a callback's output of the wrong shape in the model update
+            trace.aborted = True
+            trace.message = f"step {k + 1}: {err}"
             return trace
         if not _append_record(
             trace, problem, xi, state, sol.status, sol.iterations, config, fn, k + 1

@@ -314,3 +314,58 @@ def test_bench_malformed_scenario_is_config_error(tmp_path):
     )
     assert main(["bench", bench]) == 1
     assert not (tmp_path / "bench.csv").exists()
+
+
+INFEASIBLE_SOLVE = (
+    "problem = cascade\nvariant = fascp\n"
+    "cascade.n_tanks = 2\ncascade.horizon = 3\ncascade.h_hi = 2.0\n"
+    "xi.schedule = explicit\nxi.values = 40.0 40.0\n"
+)
+
+
+def test_solve_infeasible_first_subproblem_exits_2_with_header_only(tmp_path, capsys):
+    out = tmp_path / "solve.csv"
+    cfg = _write(tmp_path / "run.cfg", INFEASIBLE_SOLVE + f"output = {out}\n")
+    assert main(["solve", cfg]) == 2
+    assert out.read_text() == SOLVE_HEADER + "\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "runtime error: subproblem returned infeasible at sample 1\n"
+
+
+def test_bench_fascp_rows_converged_and_failed(tmp_path, capsys):
+    _write(
+        tmp_path / "conv.cfg",
+        "problem = tutorial\nvariant = fascp\nxi.schedule = linear\nxi.start = 1.2\n"
+        "start = perturbed\nstart.magnitude = 0.1\n",
+    )
+    _write(tmp_path / "fail.cfg", INFEASIBLE_SOLVE)
+    bench = _write(
+        tmp_path / "bench.cfg",
+        f"scenarios = conv.cfg; fail.cfg\noutput = {tmp_path/'bench.csv'}\n",
+    )
+    assert main(["bench", bench]) == 2
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[0] == BENCH_HEADER
+    conv, fail = (line.split(",") for line in lines[1:])
+    # a solve carries counters only: no oracle errors, no region violation
+    assert conv[:2] == ["conv", "ok"] and conv[3:6] == ["", "", ""]
+    assert int(conv[2]) >= 1 and int(conv[6]) >= 1 and int(conv[7]) >= 1
+    assert fail == ["fail", "error"] + [""] * 6
+    captured = capsys.readouterr()
+    assert captured.out == "conv: ok\nfail: error\n"
+    assert captured.err == "fail: subproblem returned infeasible at sample 1\n"
+
+
+def test_console_script_entry_point_resolves():
+    import importlib
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["scp-track"]
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is main
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0

@@ -54,7 +54,7 @@ def test_defaults():
     cfg = scenario_from_pairs(_pairs())
     assert cfg.seed == 42
     assert cfg.output == "trace.csv"
-    assert not cfg.oracle
+    assert not cfg.tracker.record_oracle_error
     assert cfg.start == "exact"
     assert cfg.tracker.variant == "pcscp"
     assert cfg.tracker.jacobian.kind == "exact"
@@ -199,3 +199,55 @@ def test_build_problem_start_policies():
     # same seed, same perturbation
     _, z2 = build_problem(pert_cfg)
     np.testing.assert_allclose(z1.x, z2.x)
+
+
+def _error(pairs, base_dir="."):
+    with pytest.raises(ConfigError) as info:
+        scenario_from_pairs(pairs, base_dir)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"solver.tol": "x"}, "solver.tol: not a number: 'x'"),
+    ({"xi.start": "1 x"}, "xi.start: not a number list: '1 x'"),
+    ({"xi.step": "0 0"}, "xi.step and xi.start disagree on dimension"),
+    ({"xi.schedule": "explicit", "xi.start": None, "xi.step": None, "xi.count": None},
+     "xi.values is required for an explicit schedule"),
+    ({"xi.schedule": "explicit", "xi.values": "1.2; 1.3 1.4",
+      "xi.start": None, "xi.step": None, "xi.count": None},
+     "schedule samples disagree on dimension"),
+    ({"variant": "fascp", "fascp.max_iter": "0"}, "fascp.max_iter must be >= 1"),
+])
+def test_config_error_messages(over, message):
+    assert _error(_pairs(**over)) == message
+
+
+def test_schedule_file_errors_name_the_file_or_the_line(tmp_path):
+    over = {"xi.schedule": "file", "xi.start": None, "xi.step": None, "xi.count": None}
+    message = _error(_pairs(**over, **{"xi.file": "absent.txt"}), str(tmp_path))
+    assert message.startswith(f"xi.file: cannot read {tmp_path / 'absent.txt'}: ")
+    (tmp_path / "xi.txt").write_text("# levels\n1.2\n\n1.3 zz\n")
+    assert _error(_pairs(**over, **{"xi.file": "xi.txt"}), str(tmp_path)) == (
+        "xi.file line 4: not a number list")
+
+
+def test_jacobian_step_and_cascade_weights_forwarded():
+    cfg = scenario_from_pairs(_pairs(jacobian="fd", **{"jacobian.step": "1e-6"}))
+    assert cfg.tracker.jacobian.fd_step == 1e-6
+    pairs = {
+        "problem": "cascade",
+        "variant": "apcscp",
+        "cascade.n_tanks": "2",
+        "cascade.state_weight": "0.5 0.25",
+        "cascade.control_weight": "3",
+        "cascade.h_hi": "4",
+        "cascade.outflow_coeff": "1.0 1.1",
+        "xi.schedule": "explicit",
+        "xi.values": "1.0 1.0",
+    }
+    cascade = scenario_from_pairs(pairs).cascade
+    np.testing.assert_array_equal(cascade.state_weight, [0.5, 0.25])
+    np.testing.assert_array_equal(cascade.control_weight, [3.0])
+    # one value broadcasts to every tank, a list sets them one by one
+    np.testing.assert_array_equal(cascade.h_hi, [4.0, 4.0])
+    np.testing.assert_array_equal(cascade.outflow_coeff, [1.0, 1.1])

@@ -407,9 +407,9 @@ def _finish_with_spy(monkeypatch, sp, x, y, opts):
     certification projection's input recorded."""
     seen = []
 
-    def spy(region, v, max_iter=100):
+    def spy(region, v):
         seen.append(np.array(v))
-        return project_region(region, v, max_iter)
+        return project_region(region, v)
 
     monkeypatch.setattr(ipm_module, "project_region", spy)
     presolve = _presolve_equalities(sp.A_eq)
@@ -719,7 +719,7 @@ def test_certification_where_an_ellipsoid_crosses_a_box_corner():
 
 
 def test_projection_error_in_certification_returns_max_iter(monkeypatch):
-    def fail(region, v, max_iter=100):
+    def fail(region, v):
         raise ProjectionError("no verified projection")
 
     monkeypatch.setattr(ipm_module, "project_region", fail)

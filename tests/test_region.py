@@ -617,8 +617,10 @@ def test_nearly_parallel_halfspaces_still_go_through_the_polish(monkeypatch, eps
     region = ConvexRegion(np.full(2, -np.inf), np.full(2, np.inf),
                           affine=(AffineInequality([1.0, 0.0], 0.0), AffineInequality(a, 0.0)))
     v = np.array([1.0, 0.5 * eps])
-    with pytest.raises(ProjectionError):
-        project_region(region, v, max_iter=19)
+    with monkeypatch.context() as m:
+        m.setattr(region_module, "_DYKSTRA_SWEEPS", 19)
+        with pytest.raises(ProjectionError):
+            project_region(region, v)
     calls = _polish_spy(monkeypatch)
     p = project_region(region, v)
     assert len(calls) >= 1

@@ -462,3 +462,36 @@ def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):
     assert trace.records[-1].solver_iters == 0
     # the failure record holds the last good iterate
     np.testing.assert_array_equal(trace.records[-1].x, trace.records[-2].x)
+
+
+def _malformed_on_call(fn, call, shape):
+    """fn, except that its call-th call returns an output of the given shape."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        out = fn(*args)
+        return np.resize(out, shape) if len(calls) == call else out
+    return wrapped
+
+
+@pytest.mark.parametrize("oracle, call, shape, records, message", [
+    # g's 6th call is step 5's model update; record 5 evaluates it
+    ("g", 6, (2,), 5, "record 5: g returned shape (2,), expected (1,)"),
+    # g_adjoint's 6th call is step 5's correction vector
+    ("g_adjoint", 6, (3,), 5, "step 5: adjoint returned shape (3,), expected (2,)"),
+    # g_jac's 4th call is record 2's Jacobian error (the start model, then records 0 and 1)
+    ("g_jac", 4, (1, 3), 2, "record 2: g_jac returned shape (1, 3)"),
+])
+def test_malformed_oracle_output_aborts_with_finished_records(oracle, call, shape, records,
+                                                              message):
+    problem = tutorial_problem()
+    bad = _malformed_on_call(getattr(problem, oracle), call, shape)
+    problem = replace(problem, **{oracle: bad})
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(variant="apcscp", jacobian=JacobianStrategy("frozen"))
+    trace = track(problem, _sweep(), z0, config)
+    assert trace.aborted
+    assert trace.message == message
+    assert [r.k for r in trace.records] == list(range(records))
+    assert all(r.step_status is SolveStatus.OPTIMAL for r in trace.records[1:])
