@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, UsageError
-from .problem import PrimalDual
+from .problem import PrimalDual, checked_output
 
 _JAC_KINDS = ("exact", "fd", "frozen", "broyden")
 _HESS_KINDS = ("zero", "fixed", "projected")
@@ -97,10 +97,7 @@ def adjoint_product(problem, x, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (problem.n,) or y.shape != (problem.m,):
         raise DimensionError("adjoint product received wrong shapes")
-    out = np.asarray(problem.g_adjoint(x, y), dtype=float)
-    if out.shape != (problem.n,):
-        raise DimensionError(f"adjoint returned shape {out.shape}, expected ({problem.n},)")
-    return out
+    return checked_output("adjoint", problem.g_adjoint(x, y), (problem.n,))
 
 
 def correction_vector(problem, x, y, A, adj=None):
@@ -115,14 +112,12 @@ def finite_difference_jacobian(g, x, m, step_scale=1e-7):
     x = np.asarray(x, dtype=float)
     n = x.size
     jac = np.empty((m, n))
-    g0 = np.atleast_1d(np.asarray(g(x), dtype=float))
-    if g0.shape != (m,):
-        raise DimensionError(f"g returned shape {g0.shape}, expected ({m},)")
+    g0 = checked_output("g", g(x), (m,))
     for j in range(n):
         h = step_scale * (1.0 + abs(x[j]))
         xp = np.array(x)
         xp[j] += h
-        jac[:, j] = (np.asarray(g(xp), dtype=float) - g0) / h
+        jac[:, j] = (checked_output("g", g(xp), (m,)) - g0) / h
     return jac
 
 
@@ -131,10 +126,7 @@ def full_jacobian(problem, x, fd_step=1e-7, counters=None):
     if counters is not None:
         counters.jacobian_evals += 1
     if problem.g_jac is not None:
-        jac = np.atleast_2d(np.asarray(problem.g_jac(x), dtype=float))
-        if jac.shape != (problem.m, problem.n):
-            raise DimensionError(f"g_jac returned shape {jac.shape}")
-        return jac
+        return checked_output("g_jac", problem.g_jac(x), (problem.m, problem.n))
     return finite_difference_jacobian(problem.g, x, problem.m, fd_step)
 
 
@@ -177,9 +169,7 @@ def update_hessian(strategy, problem, x, y):
         raise UsageError(
             "projected hessian strategy needs the problem's lagrangian_hessian callback"
         )
-    h = np.atleast_2d(np.asarray(problem.lagrangian_hessian(x, y), dtype=float))
-    if h.shape != (n, n):
-        raise DimensionError(f"lagrangian_hessian returned shape {h.shape}")
+    h = checked_output("lagrangian_hessian", problem.lagrangian_hessian(x, y), (n, n))
     h = (h + h.T) / 2.0
     lam, u = np.linalg.eigh(h)
     return (u * np.maximum(lam, strategy.eig_floor)) @ u.T
@@ -200,5 +190,5 @@ def init_state(problem, z0, jacobian, hessian, counters=None):
     if counters is not None:
         counters.adjoint_evals += 1
         counters.g_evals += 1
-    g0 = np.atleast_1d(np.asarray(problem.g(x0), dtype=float))
+    g0 = checked_output("g", problem.g(x0), (problem.m,))
     return IterateState(z=z0, A=A0, H=H0, m_corr=m0, k=0, g_x=g0, adj_y=adj0)

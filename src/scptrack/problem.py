@@ -86,15 +86,23 @@ class ParametricNLP:
         return xi
 
 
+def checked_output(what, value, shape):
+    """A callback's output (what: its name) as a float array of the given
+    shape; the library reads every g, g_adjoint, g_jac and
+    lagrangian_hessian output through here."""
+    out = np.array(value, dtype=float, copy=None, ndmin=len(shape))
+    if out.shape != shape:
+        raise DimensionError(f"{what} returned shape {out.shape}, expected {shape}")
+    return out
+
+
 def eval_constraints(problem, x, xi, g_x=None):
     """Equality residual g(x) + M.xi (g_x: g(x) when the caller holds it)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionError(f"point has shape {x.shape}, expected ({problem.n},)")
     xi = problem.check_xi(xi)
-    g = np.atleast_1d(np.asarray(problem.g(x) if g_x is None else g_x, dtype=float))
-    if g.shape != (problem.m,):
-        raise DimensionError(f"g returned shape {g.shape}, expected ({problem.m},)")
+    g = checked_output("g", problem.g(x) if g_x is None else g_x, (problem.m,))
     return g + problem.M @ xi
 
 
@@ -110,7 +118,9 @@ def kkt_residual(problem, z, xi, g_x=None, adj_y=None):
     if y.shape != (problem.m,):
         raise DimensionError(f"multiplier has shape {y.shape}, expected ({problem.m},)")
     eq = eval_constraints(problem, x, xi, g_x)
-    grad = problem.c + (problem.g_adjoint(x, y) if adj_y is None else adj_y)
+    if adj_y is None:
+        adj_y = checked_output("adjoint", problem.g_adjoint(x, y), (problem.n,))
+    grad = problem.c + adj_y
     stat = np.linalg.norm(x - project_region(problem.region, x - grad))
     dist = np.linalg.norm(x - project_region(problem.region, x))
     return KKTResidual(float(stat), float(np.linalg.norm(eq)), float(dist))
@@ -217,21 +227,21 @@ def slack_reformulate(objective, problem):
         return g_inner(x[:n])
 
     def adj_ext(x, y):
-        return np.concatenate([adj_inner(x[:n], y), [0.0]])
+        return np.concatenate([checked_output("adjoint", adj_inner(x[:n], y), (n,)), [0.0]])
 
     jac_ext = None
     if jac_inner is not None:
 
         def jac_ext(x):
-            j = np.atleast_2d(jac_inner(x[:n]))
-            return np.hstack([j, np.zeros((j.shape[0], 1))])
+            j = checked_output("g_jac", jac_inner(x[:n]), (problem.m, n))
+            return np.hstack([j, np.zeros((problem.m, 1))])
 
     lh_ext = None
     if lh_inner is not None:
 
         def lh_ext(x, y):
             h = np.zeros((n + 1, n + 1))
-            h[:n, :n] = lh_inner(x[:n], y)
+            h[:n, :n] = checked_output("lagrangian_hessian", lh_inner(x[:n], y), (n, n))
             return h
 
     return ParametricNLP(

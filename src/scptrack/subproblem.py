@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .problem import checked_output
 from .region import ConvexRegion
 
 
@@ -77,6 +78,11 @@ class ConvexSubproblem:
 
 @dataclass(frozen=True)
 class SubproblemResiduals:
+    """Residuals of a returned solution.  comp_gap is s.z of the last
+    interior-point iterate, even when x and y came from a polish: total
+    counts it, the optimal status does not, so an optimal total can sit
+    above tol."""
+
     stationarity: float
     equality: float
     region_distance: float
@@ -105,11 +111,7 @@ def build_subproblem(problem, state, xi):
     """
     xi = problem.check_xi(xi)
     x_ref = state.z.x
-    g_x = state.g_x
-    if g_x is None:
-        g_x = np.atleast_1d(np.asarray(problem.g(x_ref), dtype=float))
-    if g_x.shape != (problem.m,):
-        raise DimensionError("cached g value has wrong shape")
+    g_x = checked_output("g", problem.g(x_ref) if state.g_x is None else state.g_x, (problem.m,))
     return ConvexSubproblem(
         c=problem.c,
         m_corr=state.m_corr,

@@ -32,7 +32,7 @@ from .jacobians import (
     update_jacobian,
 )
 from .ipm import solve_subproblem
-from .problem import KKTResidual, PrimalDual, kkt_residual
+from .problem import KKTResidual, PrimalDual, checked_output, kkt_residual
 from .region import AffineInequality, ConvexRegion, region_violation
 from .subproblem import SolveStatus, SolverOptions, build_subproblem
 
@@ -98,9 +98,10 @@ class TrackingTrace:
     over N samples holds N + 1 records.  An aborted run additionally
     holds one record for the failed sample (held iterate, failure
     status) and stops there; when the diagnostics of a record fail
-    (oracle, projection or a callback's output shape), or the model
-    update of a step gets an output of the wrong shape, the run stops
-    without that record.
+    (oracle, projection or a callback's output shape), or a step gets a
+    callback output of the wrong shape (g, its finite-difference columns,
+    g_adjoint, g_jac or lagrangian_hessian), the run stops without that
+    record.  message names the step or record and the failure.
     """
 
     records: list = field(default_factory=list)
@@ -173,15 +174,13 @@ def _attempt(problem, state, xi, config, counters, region=None):
     if region is not None:
         sp = replace(sp, region=region)
     sol = solve_subproblem(sp, config.solver_opts, state.z)
-    if counters is not None:
-        counters.solver_iters += sol.iterations
+    counters.solver_iters += sol.iterations
     return sol
 
 
 def _corrected(problem, z, A, counters):
     """One adjoint product at z: the correction vector against A, and g'(x)^T y."""
-    if counters is not None:
-        counters.adjoint_evals += 1
+    counters.adjoint_evals += 1
     adj = adjoint_product(problem, z.x, z.y)
     return correction_vector(problem, z.x, z.y, A, adj), adj
 
@@ -203,19 +202,12 @@ def _model_update(problem, state, config, sol, counters):
     refreshed Jacobian model.  Frozen and secant strategies never see a
     full Jacobian evaluation here.
     """
-    x_old = state.z.x
-    g_old = state.g_x
-    if g_old is None:
-        if counters is not None:
-            counters.g_evals += 1
-        g_old = np.atleast_1d(np.asarray(problem.g(x_old), dtype=float))
     z_new = PrimalDual(sol.x, sol.y)
-    if counters is not None:
-        counters.g_evals += 1
-    g_new = np.atleast_1d(np.asarray(problem.g(z_new.x), dtype=float))
+    counters.g_evals += 1
+    g_new = checked_output("g", problem.g(z_new.x), (problem.m,))
     k_new = state.k + 1
     A_new = update_jacobian(
-        config.jacobian, problem, state.A, x_old, z_new.x, g_old, g_new, k_new, counters
+        config.jacobian, problem, state.A, state.z.x, z_new.x, state.g_x, g_new, k_new, counters
     )
     # exact-Jacobian variants carry no correction term
     m_new, adj_new = np.zeros(problem.n), None
@@ -228,7 +220,12 @@ def _model_update(problem, state, config, sol, counters):
 
 
 def _tracked_step(problem, state, xi, config, counters=None):
-    """One tracking step; returns the new state and the subproblem solution."""
+    """One tracking step: (new state, subproblem solution).  Counts into fresh
+    counters when given none; a state without a cached g(x) gets it here."""
+    counters = counters or EvalCounters()
+    if state.g_x is None:
+        counters.g_evals += 1
+        state = replace(state, g_x=checked_output("g", problem.g(state.z.x), (problem.m,)))
     region = _linearize_region(problem.region, state.z.x) if config.variant == "rtgn" else None
     sol = _attempt(problem, state, xi, config, counters, region)
     if sol.status is not SolveStatus.OPTIMAL and config.retry_fresh_jacobian:
@@ -291,7 +288,9 @@ def fascp_solve(problem, xi, z0, config=None, eps=1e-8, max_iter=50, kkt_stop=No
     so a step-norm test tighter than that noise would never fire).  When
     max_iter runs out first, the trace is flagged non-converged and the
     iterate with the smallest KKT residual is returned.  A subproblem
-    failure raises a step error with the partial trace attached.
+    failure (StepError) or a callback output of the wrong shape in a step
+    (DimensionError) is raised with the partial trace attached as
+    err.trace, its final_kkt the best residual so far.
     """
     if eps <= 0.0:
         raise UsageError("eps must be positive")
@@ -310,7 +309,7 @@ def fascp_solve(problem, xi, z0, config=None, eps=1e-8, max_iter=50, kkt_stop=No
         x_prev = state.z.x
         try:
             state, sol = _tracked_step(problem, state, xi, config, counters)
-        except StepError as err:
+        except (StepError, DimensionError) as err:
             trace.final_kkt = best[2]
             err.trace = trace
             raise
@@ -356,9 +355,7 @@ def _make_record(problem, xi, state, status, iters, config, oracle, k):
     viol = region_violation(problem.region, z.x)
     jac_err = None
     if problem.g_jac is not None:
-        exact = np.atleast_2d(np.asarray(problem.g_jac(z.x), dtype=float))
-        if exact.shape != (problem.m, problem.n):
-            raise DimensionError(f"g_jac returned shape {exact.shape}")
+        exact = checked_output("g_jac", problem.g_jac(z.x), (problem.m, problem.n))
         jac_err = float(np.linalg.norm(exact - state.A))
     oracle_err = None
     if config.record_oracle_error and oracle is not None:
@@ -383,9 +380,7 @@ def _make_record(problem, xi, state, status, iters, config, oracle, k):
 def _append_record(trace, problem, xi, state, status, iters, config, oracle, k):
     """Append record k; a failed diagnostic aborts the trace instead."""
     try:
-        trace.records.append(
-            _make_record(problem, xi, state, status, iters, config, oracle, k)
-        )
+        trace.records.append(_make_record(problem, xi, state, status, iters, config, oracle, k))
     except (DimensionError, OracleError, ProjectionError) as err:
         note = f"record {k}: {err}"
         trace.message = f"{trace.message}; {note}" if trace.message else note
@@ -409,6 +404,7 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
     projection failure while evaluating a record, and a callback output
     of the wrong shape (DimensionError) in a step or a record, likewise
     return the trace aborted, holding the records finished before it.
+    Only a failure while building the start models raises.
     """
     config = config or TrackerConfig()
     counters = EvalCounters()
@@ -437,19 +433,15 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
     while xi is not None:
         try:
             state, sol = _tracked_step(problem, state, xi, config, counters)
-        except StepError as err:
+        except (StepError, DimensionError) as err:
             trace.aborted = True
             trace.message = f"step {k + 1}: {err}"
-            failed = err.solution
-            _append_record(
-                trace, problem, xi, err.state, failed.status, failed.iterations,
-                config, None, k + 1,
-            )
-            return trace
-        except DimensionError as err:
-            # a callback's output of the wrong shape in the model update
-            trace.aborted = True
-            trace.message = f"step {k + 1}: {err}"
+            if isinstance(err, StepError):  # a failed solve: record the held iterate
+                failed = err.solution
+                _append_record(
+                    trace, problem, xi, err.state, failed.status, failed.iterations,
+                    config, None, k + 1,
+                )
             return trace
         if not _append_record(
             trace, problem, xi, state, sol.status, sol.iterations, config, fn, k + 1

@@ -369,3 +369,34 @@ def test_console_script_entry_point_resolves():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+def test_solve_malformed_callback_keeps_finished_iterations(tmp_path, capsys, monkeypatch):
+    # g_adjoint's 3rd call (iteration 2's correction vector) returns shape (3,)
+    from dataclasses import replace
+
+    from scptrack import config
+    from scptrack.tutorial import tutorial_problem
+
+    def malformed():
+        problem = tutorial_problem()
+        calls = []
+
+        def adjoint(x, y):
+            calls.append(None)
+            out = problem.g_adjoint(x, y)
+            return np.resize(out, 3) if len(calls) == 3 else out
+        return replace(problem, g_adjoint=adjoint)
+
+    monkeypatch.setattr(config, "tutorial_problem", malformed)
+    out = tmp_path / "solve.csv"
+    cfg = _write(
+        tmp_path / "run.cfg",
+        f"problem = tutorial\nvariant = fascp\nxi.schedule = linear\n"
+        f"xi.start = 1.2\nstart = perturbed\nstart.magnitude = 0.1\noutput = {out}\n",
+    )
+    assert main(["solve", cfg]) == 2
+    lines = out.read_text().splitlines()
+    assert lines[0] == SOLVE_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+    assert capsys.readouterr().err == "runtime error: adjoint returned shape (3,), expected (2,)\n"

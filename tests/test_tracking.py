@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from scptrack import ipm as ipm_module
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
-from scptrack.errors import OracleError, ProjectionError, StepError, UsageError
+from scptrack.errors import DimensionError, OracleError, ProjectionError, StepError, UsageError
 from scptrack.jacobians import (
     EvalCounters,
     HessianStrategy,
@@ -15,7 +15,13 @@ from scptrack.jacobians import (
     correction_vector,
     init_state,
 )
-from scptrack.problem import ParametricNLP, PrimalDual, kkt_residual
+from scptrack.problem import (
+    ParametricNLP,
+    PrimalDual,
+    QuadraticObjective,
+    kkt_residual,
+    slack_reformulate,
+)
 from scptrack.region import (
     AffineInequality,
     ConvexRegion,
@@ -475,23 +481,78 @@ def _malformed_on_call(fn, call, shape):
     return wrapped
 
 
-@pytest.mark.parametrize("oracle, call, shape, records, message", [
-    # g's 6th call is step 5's model update; record 5 evaluates it
-    ("g", 6, (2,), 5, "record 5: g returned shape (2,), expected (1,)"),
+def _tracking_setup(setup, problem, z0):
+    """(problem, start, config) of one malformed-output case on the tutorial."""
+    if setup == "frozen":
+        return problem, z0, TrackerConfig(variant="apcscp", jacobian=JacobianStrategy("frozen"))
+    if setup == "fd":
+        return problem, z0, TrackerConfig(variant="pcscp", jacobian=JacobianStrategy("fd"))
+    if setup == "pcscp":
+        return problem, z0, TrackerConfig(variant="pcscp")
+    # a convex quadratic cost over an epigraph slack, projected curvature
+    objective = QuadraticObjective(0.1 * np.eye(2), [-1.0, 0.0])
+    start = PrimalDual(np.append(z0.x, objective.value(z0.x) + 0.1), z0.y)
+    config = TrackerConfig(hessian=HessianStrategy("projected"))
+    return slack_reformulate(objective, problem), start, config
+
+
+@pytest.mark.parametrize("oracle, call, shape, records, message, setup", [
+    # g's 6th call is step 5's model update
+    pytest.param("g", 6, (2,), 5, "step 5: g returned shape (2,), expected (1,)", "frozen",
+                 id="g-6-shape0-5-step 5"),
     # g_adjoint's 6th call is step 5's correction vector
-    ("g_adjoint", 6, (3,), 5, "step 5: adjoint returned shape (3,), expected (2,)"),
+    ("g_adjoint", 6, (3,), 5, "step 5: adjoint returned shape (3,), expected (2,)", "frozen"),
     # g_jac's 4th call is record 2's Jacobian error (the start model, then records 0 and 1)
-    ("g_jac", 4, (1, 3), 2, "record 2: g_jac returned shape (1, 3)"),
+    ("g_jac", 4, (1, 3), 2, "record 2: g_jac returned shape (1, 3), expected (1, 2)", "frozen"),
+    # g's 11th call is step 2's first finite-difference column (4 calls build the
+    # start model, then each step makes 4)
+    ("g", 11, (2,), 2, "step 2: g returned shape (2,), expected (1,)", "fd"),
+    # g_adjoint's 3rd call is record 2's stationarity (the start model, then record 1)
+    ("g_adjoint", 3, (3,), 2, "record 2: adjoint returned shape (3,), expected (2,)", "pcscp"),
+    # the inner lagrangian_hessian's 3rd call is step 2's curvature model
+    ("lagrangian_hessian", 3, (3, 3), 2,
+     "step 2: lagrangian_hessian returned shape (3, 3), expected (2, 2)", "slack"),
 ])
 def test_malformed_oracle_output_aborts_with_finished_records(oracle, call, shape, records,
-                                                              message):
+                                                              message, setup):
     problem = tutorial_problem()
     bad = _malformed_on_call(getattr(problem, oracle), call, shape)
     problem = replace(problem, **{oracle: bad})
     z0, _ = tutorial_solution(1.2)
-    config = TrackerConfig(variant="apcscp", jacobian=JacobianStrategy("frozen"))
+    problem, z0, config = _tracking_setup(setup, problem, z0)
     trace = track(problem, _sweep(), z0, config)
     assert trace.aborted
     assert trace.message == message
     assert [r.k for r in trace.records] == list(range(records))
     assert all(r.step_status is SolveStatus.OPTIMAL for r in trace.records[1:])
+
+
+def test_fascp_malformed_output_carries_partial_trace():
+    # g_adjoint's 3rd call is iteration 2's correction vector (the start model, iteration 1)
+    problem = tutorial_problem()
+    problem = replace(problem, g_adjoint=_malformed_on_call(problem.g_adjoint, 3, (3,)))
+    z, _ = tutorial_solution(1.3)
+    z0 = PrimalDual(z.x + np.array([0.05, -0.05]), 1.1 * z.y)
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"))
+    with pytest.raises(DimensionError) as info:
+        fascp_solve(problem, 1.3, z0, config)
+    assert str(info.value) == "adjoint returned shape (3,), expected (2,)"
+    trace = info.value.trace
+    assert [r.j for r in trace.records] == [1]
+    assert not trace.converged
+    assert trace.final_kkt is not None
+
+
+def test_step_on_a_state_without_cached_g_evaluates_it_once():
+    problem = tutorial_problem()
+    calls = []
+    counted = replace(problem, g=lambda x: (calls.append(None), problem.g(x))[1])
+    z0, _ = tutorial_solution(1.3)
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"))
+    seeded = init_state(problem, z0, config.jacobian, config.hessian)
+    state = IterateState(z=seeded.z, A=seeded.A, H=seeded.H, m_corr=seeded.m_corr)
+    counters = EvalCounters()
+    apcscp_step(state, counted, np.array([1.35]), config, counters)
+    # g at the carried iterate, then g at the accepted one; both counted
+    assert len(calls) == 2
+    assert counters.g_evals == 2
