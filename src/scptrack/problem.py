@@ -90,7 +90,9 @@ def checked_output(what, value, shape):
     """A callback's output (what: its name) as a float array of the given
     shape; the library reads every g, g_adjoint, g_jac and
     lagrangian_hessian output through here."""
-    out = np.array(value, dtype=float, copy=None, ndmin=len(shape))
+    out = np.asarray(value, dtype=float)
+    if out.ndim < len(shape):  # a scalar or a row stands for a 1-long leading axis
+        out = out.reshape((1,) * (len(shape) - out.ndim) + out.shape)
     if out.shape != shape:
         raise DimensionError(f"{what} returned shape {out.shape}, expected {shape}")
     return out

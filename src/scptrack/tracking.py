@@ -433,15 +433,18 @@ def track(problem, xi_sequence, z0, config=None, oracle=None):
     while xi is not None:
         try:
             state, sol = _tracked_step(problem, state, xi, config, counters)
-        except (StepError, DimensionError) as err:
+        except StepError as err:  # a failed solve: record the held iterate
             trace.aborted = True
             trace.message = f"step {k + 1}: {err}"
-            if isinstance(err, StepError):  # a failed solve: record the held iterate
-                failed = err.solution
-                _append_record(
-                    trace, problem, xi, err.state, failed.status, failed.iterations,
-                    config, None, k + 1,
-                )
+            failed = err.solution
+            _append_record(
+                trace, problem, xi, err.state, failed.status, failed.iterations,
+                config, None, k + 1,
+            )
+            return trace
+        except DimensionError as err:
+            trace.aborted = True
+            trace.message = f"step {k + 1}: {err}"
             return trace
         if not _append_record(
             trace, problem, xi, state, sol.status, sol.iterations, config, fn, k + 1

@@ -498,8 +498,7 @@ def _tracking_setup(setup, problem, z0):
 
 @pytest.mark.parametrize("oracle, call, shape, records, message, setup", [
     # g's 6th call is step 5's model update
-    pytest.param("g", 6, (2,), 5, "step 5: g returned shape (2,), expected (1,)", "frozen",
-                 id="g-6-shape0-5-step 5"),
+    ("g", 6, (2,), 5, "step 5: g returned shape (2,), expected (1,)", "frozen"),
     # g_adjoint's 6th call is step 5's correction vector
     ("g_adjoint", 6, (3,), 5, "step 5: adjoint returned shape (3,), expected (2,)", "frozen"),
     # g_jac's 4th call is record 2's Jacobian error (the start model, then records 0 and 1)
