@@ -70,7 +70,8 @@ class HessianStrategy:
 
 @dataclass
 class EvalCounters:
-    """Work counters for one tracking run (diagnostic calls excluded)."""
+    """Work counters for one tracking run (diagnostic calls excluded);
+    g_evals counts finite-difference columns too."""
 
     g_evals: int = 0
     jacobian_evals: int = 0
@@ -89,6 +90,7 @@ class IterateState:
     k: int = 0
     g_x: Optional[np.ndarray] = None  # cached g(x), one evaluation per step
     adj_y: Optional[np.ndarray] = None  # cached g'(x)^T y, when a step computed it
+    A_is_g_jac: bool = False  # A is g_jac evaluated at z.x itself
 
 
 def adjoint_product(problem, x, y):
@@ -107,12 +109,13 @@ def correction_vector(problem, x, y, A, adj=None):
     return (adjoint_product(problem, x, y) if adj is None else adj) - A.T @ y
 
 
-def finite_difference_jacobian(g, x, m, step_scale=1e-7):
-    """Forward differences with per-coordinate step step_scale*(1+|x_j|)."""
+def finite_difference_jacobian(g, x, m, step_scale=1e-7, g_x=None):
+    """Forward differences with per-coordinate step step_scale*(1+|x_j|);
+    g_x is g(x) when the caller holds it, so only the n columns call g."""
     x = np.asarray(x, dtype=float)
     n = x.size
     jac = np.empty((m, n))
-    g0 = checked_output("g", g(x), (m,))
+    g0 = checked_output("g", g(x) if g_x is None else g_x, (m,))
     for j in range(n):
         h = step_scale * (1.0 + abs(x[j]))
         xp = np.array(x)
@@ -121,31 +124,54 @@ def finite_difference_jacobian(g, x, m, step_scale=1e-7):
     return jac
 
 
-def full_jacobian(problem, x, fd_step=1e-7, counters=None):
-    """Exact Jacobian: g_jac when provided, otherwise finite differences."""
+def _differenced_jacobian(problem, x, fd_step, counters, g_x):
+    """finite_difference_jacobian of the problem's g, its g calls counted."""
     if counters is not None:
         counters.jacobian_evals += 1
-    if problem.g_jac is not None:
-        return checked_output("g_jac", problem.g_jac(x), (problem.m, problem.n))
-    return finite_difference_jacobian(problem.g, x, problem.m, fd_step)
+        counters.g_evals += np.size(x) + (g_x is None)
+    return finite_difference_jacobian(problem.g, x, problem.m, fd_step, g_x)
 
 
-def _evaluate_jacobian(strategy, problem, x, counters):
+def full_jacobian(problem, x, fd_step=1e-7, counters=None, g_x=None):
+    """Exact Jacobian: g_jac when provided, otherwise finite differences
+    (g_x: g(x), when the caller holds it)."""
+    if problem.g_jac is None:
+        return _differenced_jacobian(problem, x, fd_step, counters, g_x)
+    if counters is not None:
+        counters.jacobian_evals += 1
+    return checked_output("g_jac", problem.g_jac(x), (problem.m, problem.n))
+
+
+def _evaluates_jacobian(strategy, k):
+    """Whether update_jacobian evaluates a fresh Jacobian at step k: every
+    step for exact and fd, each reset_period-th step for broyden."""
+    reset = (strategy.kind == "broyden" and strategy.reset_period > 0 and k > 0
+             and k % strategy.reset_period == 0)
+    return strategy.kind in ("exact", "fd") or reset
+
+
+def model_is_g_jac(strategy, problem, k):
+    """Whether the A that init_state (k = 0) or update_jacobian at step k
+    builds is g_jac at the new point: a fresh Jacobian of any strategy but fd,
+    when the problem has g_jac."""
+    fresh = k == 0 or _evaluates_jacobian(strategy, k)
+    return fresh and strategy.kind != "fd" and problem.g_jac is not None
+
+
+def _evaluate_jacobian(strategy, problem, x, counters, g_x):
     """A fresh Jacobian at x: finite differences for fd, full_jacobian otherwise."""
     if strategy.kind != "fd":
-        return full_jacobian(problem, x, strategy.fd_step, counters)
-    if counters is not None:
-        counters.jacobian_evals += 1
-    return finite_difference_jacobian(problem.g, x, problem.m, strategy.fd_step)
+        return full_jacobian(problem, x, strategy.fd_step, counters, g_x)
+    return _differenced_jacobian(problem, x, strategy.fd_step, counters, g_x)
 
 
 def update_jacobian(strategy, problem, A, x_old, x_new, g_old, g_new, k, counters=None):
-    """Next Jacobian model after the step x_old -> x_new."""
+    """Next Jacobian model after the step x_old -> x_new (g_new = g(x_new)
+    serves the finite differences)."""
+    if _evaluates_jacobian(strategy, k):
+        return _evaluate_jacobian(strategy, problem, x_new, counters, g_new)
     if strategy.kind == "frozen":
         return A
-    reset = strategy.reset_period > 0 and k > 0 and k % strategy.reset_period == 0
-    if strategy.kind in ("exact", "fd") or reset:
-        return _evaluate_jacobian(strategy, problem, x_new, counters)
     # broyden
     dx = x_new - x_old
     nrm = np.linalg.norm(dx)
@@ -179,16 +205,19 @@ def init_state(problem, z0, jacobian, hessian, counters=None):
     """State before the first step: model matrices built at z0.
 
     The exact Jacobian at x0 seeds every strategy except fd (which
-    differences immediately); the correction vector is consistent with the
-    seeded A, hence zero for exact initialization.
+    differences immediately, from the g(x0) the state caches); the
+    correction vector is consistent with the seeded A, hence zero for exact
+    initialization.
     """
     x0, y0 = z0.x, z0.y
-    A0 = _evaluate_jacobian(jacobian, problem, x0, counters)
+    if counters is not None:
+        counters.g_evals += 1
+    g0 = checked_output("g", problem.g(x0), (problem.m,))
+    A0 = _evaluate_jacobian(jacobian, problem, x0, counters, g0)
     H0 = update_hessian(hessian, problem, x0, y0)
     adj0 = adjoint_product(problem, x0, y0)
     m0 = correction_vector(problem, x0, y0, A0, adj0)
     if counters is not None:
         counters.adjoint_evals += 1
-        counters.g_evals += 1
-    g0 = checked_output("g", problem.g(x0), (problem.m,))
-    return IterateState(z=z0, A=A0, H=H0, m_corr=m0, k=0, g_x=g0, adj_y=adj0)
+    return IterateState(z=z0, A=A0, H=H0, m_corr=m0, k=0, g_x=g0, adj_y=adj0,
+                        A_is_g_jac=model_is_g_jac(jacobian, problem, 0))

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, UnsupportedObjectiveError
-from .region import ConvexRegion, SecondOrderCone, extend_region, project_region
+from .region import ConvexRegion, extend_region, project_region, quadratic_epigraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +176,9 @@ def slack_reformulate(objective, problem):
     Affine objectives only replace the cost vector.  Convex quadratics append
     one slack variable s, minimize s and add the rotated-cone member
     ||(B x, (w-1)/2)|| <= (w+1)/2 with w = s - q.x - offset and
-    0.5 x.P.x = ||B x||^2, which is exactly f(x) <= s.  Anything else is
+    0.5 x.P.x = ||B x||^2, which is exactly f(x) <= s.  The member is built
+    by ``region.quadratic_epigraph`` from the eigendecomposition of P that
+    gives B, and projects in those eigen-coordinates.  Anything else is
     unsupported.
     """
     if isinstance(objective, LinearObjective):
@@ -197,25 +199,13 @@ def slack_reformulate(objective, problem):
     if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
         raise UnsupportedObjectiveError("quadratic objective is not convex")
     keep = lam > 1e-14 * max(1.0, lam[-1])
-    b_rows = (np.sqrt(lam[keep] / 2.0)[:, None]) * u[:, keep].T
-
-    n = problem.n
-    if b_rows.shape[0] == 0:
+    if not np.any(keep):
         # curvature numerically vanished: the objective is affine
         return slack_reformulate(LinearObjective(objective.q, objective.offset), problem)
+    epigraph = quadratic_epigraph(lam[keep], u[:, keep], u[:, ~keep], objective.q,
+                                  objective.offset)
 
-    # member over (x, s): rows [B x ; (w-1)/2], scale (w+1)/2
-    k = b_rows.shape[0]
-    D = np.zeros((k + 1, n + 1))
-    D[:k, :n] = b_rows
-    D[k, :n] = -objective.q / 2.0
-    D[k, n] = 0.5
-    d = np.zeros(k + 1)
-    d[k] = (-objective.offset - 1.0) / 2.0
-    e = np.concatenate([-objective.q / 2.0, [0.5]])
-    f = (1.0 - objective.offset) / 2.0
-    epigraph = SecondOrderCone(D, d, e, f)
-
+    n = problem.n
     region = extend_region(problem.region, 1)
     region = replace(region, cones=region.cones + (epigraph,))
 

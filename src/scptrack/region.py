@@ -3,11 +3,15 @@ ellipsoid members, with exact member projections and Dykstra's alternating
 projection onto the intersection.
 
 Member projections solve a 1D secular equation in the Lagrange multiplier
-(eigendecomposition cached per member); Dykstra then combines them.  There
-is one secular solver, ``SecondOrderCone.project``: an ellipsoid projects
-through its cone form.  The equation decreases up to its pole, so that branch
-is bracketed from a Newton step and refined by Brent's method; only the
-branch beyond the pole is scanned on a grid.
+(eigendecomposition cached per member); Dykstra then combines them.  Cone
+members and ellipsoids share one secular solver, ``SecondOrderCone.project``:
+an ellipsoid projects through its cone form.  The equation decreases up to
+its pole, so that branch is bracketed from a Newton step and refined by
+Brent's method; only the branch beyond the pole is scanned on a grid.  The
+epigraph of a convex quadratic (``quadratic_epigraph``, the member
+``problem.slack_reformulate`` adds) is a cone member that projects on its
+own: its multiplier equation, in the eigen-coordinates of the quadratic's
+matrix, decreases with no pole and costs O(rank) per evaluation.
 
 Curved members own their geometry: ``boundary`` gives the violation and the
 outward gradient, ``curvature`` the Hessian of the boundary function, and
@@ -67,21 +71,26 @@ def _check_finite(what, *data):
         raise UsageError(f"{what} data must be finite")
 
 
-def _monotone_root(gfun, pole, slope):
+def _monotone_root(gfun, pole, slope, xtol=2e-12):
     """The root of gfun on [0, pole), where it decreases, or None.
 
     lam = 0 whenever gfun(0) <= 0; otherwise a geometric bracket from the
-    Newton step gfun(0) / -slope that never steps onto the pole.
+    Newton step gfun(0) / -slope that never steps onto the pole, refined by
+    Brent's method to xtol + 4 eps lam.  xtol None is 4 eps times that first
+    bracket end, which for a convex gfun is at most the root.
     """
     lo, g = 0.0, gfun(0.0)
     if g <= 0.0:
         return 0.0
     step = g / -slope if slope < 0.0 else 1.0
     hi = min(step if 0.0 < step < np.inf else 1.0, 0.5 * pole)
+    if xtol is None:
+        xtol = _ROOT_RTOL * hi
     while lo < hi < min(pole, 2.0**64) and np.isfinite(g):
         g = gfun(hi)
         if g <= 0.0:
-            return hi if g == 0.0 else brentq(gfun, lo, hi, rtol=_ROOT_RTOL, maxiter=200)
+            return hi if g == 0.0 else brentq(gfun, lo, hi, xtol=xtol, rtol=_ROOT_RTOL,
+                                              maxiter=200)
         lo, hi = hi, min(2.0 * hi, 0.5 * (hi + pole))
     return None
 
@@ -205,7 +214,8 @@ class SecondOrderCone:
         lam_m, u = self._eig
         vu = u.T @ v
         wu = u.T @ (self.D.T @ self.d - self.f * self.e)
-        pole = np.inf if lam_m[0] >= 0.0 else 1.0 / -lam_m[0]
+        with np.errstate(over="ignore"):  # a rounding-size negative eigenvalue: no pole
+            pole = np.inf if lam_m[0] >= 0.0 else 1.0 / -lam_m[0]
 
         def point(lam):
             return u @ ((vu - lam * wu) / (1.0 + lam * lam_m))
@@ -252,6 +262,73 @@ class SecondOrderCone:
         taus = ((-b - np.sqrt(disc)) / (2.0 * a), (-b + np.sqrt(disc)) / (2.0 * a))
         cands = [x for x in (x_p + tau * u_neg for tau in taus) if self._upper_nappe(x)]
         return min(cands, key=lambda x: float(np.sum((x - v) ** 2)), default=None)
+
+
+@dataclass(frozen=True, eq=False)
+class _Epigraph(SecondOrderCone):
+    """The epigraph {(x, s) : 0.5 x.P.x + q.x + offset <= s} of a convex
+    quadratic, as ``quadratic_epigraph`` builds it: a cone member with the
+    eigenpairs (lam, u) of P's positive spectrum, q's coordinates qu = u'q
+    and its part q_perp outside range(P)."""
+
+    lam: np.ndarray
+    u: np.ndarray
+    qu: np.ndarray
+    q_perp: np.ndarray
+    offset: float
+
+    def project(self, v):
+        """Projection from the epigraph's own multiplier equation.
+
+        With x(mu) = (I + mu P)^-1 (x_v - mu q) and s = t + mu for v = (x_v, t),
+        phi(mu) = 0.5 x.P.x + q.x + offset - (t + mu) strictly decreases on
+        mu >= 0 and has no pole; in P's eigen-coordinates each evaluation is
+        O(rank P).  mu = 0 (v inside) is decided from phi(0).
+        """
+        x, t = v[:-1], float(v[-1])
+        lam, qu, half = self.lam, self.qu, 0.5 * self.lam
+        vu = self.u.T @ x
+        qq = float(self.q_perp @ self.q_perp)
+        rest = float(self.q_perp @ x) + self.offset - t
+
+        def coords(mu):
+            return (vu - mu * qu) / (1.0 + mu * lam)
+
+        def phi(mu):
+            # the part of f(x(mu)) outside range(P) is q_perp.x_v - mu |q_perp|^2
+            xu = coords(mu)
+            return float(xu @ (half * xu + qu)) + rest - mu * (qq + 1.0)
+
+        # phi'(0) = -(||P x_v + q||^2 + 1), and phi is convex: the Newton step
+        # from 0 bounds the root from below, so Brent's tolerance scales with it
+        slope = -(float(np.sum((lam * vu + qu) ** 2)) + qq + 1.0)
+        mu = _monotone_root(phi, np.inf, slope, xtol=None)
+        if mu is None:
+            raise ProjectionError("epigraph projection found no root")
+        if mu == 0.0:
+            return np.array(v)
+        return np.concatenate([x + self.u @ (coords(mu) - vu) - mu * self.q_perp, [t + mu]])
+
+
+def quadratic_epigraph(lam, u, u_null, q, offset):
+    """The member f(x) <= s over (x, s), f(x) = 0.5 x.P.x + q.x + offset with
+    P = u diag(lam) u' (lam > 0) and u_null the rest of P's orthonormal
+    eigenvectors, which carry q's part outside range(P).
+
+    As a cone it is ||(B x, (w-1)/2)|| <= (w+1)/2 with w = s - q.x - offset
+    and B = diag(sqrt(lam / 2)) u', so 0.5 x.P.x = ||B x||^2; ``project``
+    works on (lam, u) directly.
+    """
+    n, k = u.shape
+    D = np.zeros((k + 1, n + 1))
+    D[:k, :n] = np.sqrt(lam / 2.0)[:, None] * u.T
+    D[k, :n] = -q / 2.0
+    D[k, n] = 0.5
+    d = np.zeros(k + 1)
+    d[k] = (-offset - 1.0) / 2.0
+    e = np.concatenate([-q / 2.0, [0.5]])
+    return _Epigraph(D, d, e, (1.0 - offset) / 2.0, _freeze(lam), _freeze(u), _freeze(u.T @ q),
+                     _freeze(u_null @ (u_null.T @ q)), float(offset))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,7 @@ from .jacobians import (
     correction_vector,
     full_jacobian,
     init_state,
+    model_is_g_jac,
     update_hessian,
     update_jacobian,
 )
@@ -187,11 +188,12 @@ def _corrected(problem, z, A, counters):
 
 def _refresh_state(problem, state, config, counters):
     """Hold the iterate, rebuild the models from an exact Jacobian."""
-    A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters)
+    A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters, state.g_x)
+    state = replace(state, A=A, A_is_g_jac=problem.g_jac is not None)
     if config.variant != "apcscp":
-        return replace(state, A=A, m_corr=np.zeros(problem.n))
+        return replace(state, m_corr=np.zeros(problem.n))
     m, adj = _corrected(problem, state.z, A, counters)
-    return replace(state, A=A, m_corr=m, adj_y=adj)
+    return replace(state, m_corr=m, adj_y=adj)
 
 
 def _model_update(problem, state, config, sol, counters):
@@ -215,7 +217,8 @@ def _model_update(problem, state, config, sol, counters):
         m_new, adj_new = _corrected(problem, z_new, A_new, counters)
     H_new = update_hessian(config.hessian, problem, z_new.x, z_new.y)
     return IterateState(
-        z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new
+        z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new,
+        A_is_g_jac=model_is_g_jac(config.jacobian, problem, k_new),
     )
 
 
@@ -349,12 +352,15 @@ def oracle_solution(problem, xi, hint):
 
 
 def _make_record(problem, xi, state, status, iters, config, oracle, k):
-    """Diagnostics of the carried iterate against P(xi)."""
+    """Diagnostics of the carried iterate against P(xi); jac_error is 0.0
+    without a g_jac call when the state's A is g_jac at its own x."""
     z = state.z
     kkt = _state_kkt(problem, state, xi)
     viol = region_violation(problem.region, z.x)
     jac_err = None
-    if problem.g_jac is not None:
+    if state.A_is_g_jac:
+        jac_err = 0.0
+    elif problem.g_jac is not None:
         exact = checked_output("g_jac", problem.g_jac(z.x), (problem.m, problem.n))
         jac_err = float(np.linalg.norm(exact - state.A))
     oracle_err = None

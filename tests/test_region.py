@@ -22,9 +22,11 @@ from scptrack.region import (
     _active_set_newton,
     _kkt_step,
     _newton_step,
+    _verify_projection,
     _working_set_solve,
     extend_region,
     project_region,
+    quadratic_epigraph,
     region_violation,
 )
 
@@ -686,3 +688,68 @@ def test_projection_matches_slsqp_where_members_cross_box_faces(case):
     p = project_region(region, v)
     assert region_violation(region, p) <= 1e-9
     assert np.linalg.norm(p - ref) <= 1e-6
+
+
+@st.composite
+def _epigraph_cases(draw):
+    """A convex quadratic f of rank <= n <= 6 with q partly outside range(P),
+    and a point (x, t) inside its epigraph, on it, far outside, or far below."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, n))
+    where = draw(st.sampled_from(["inside", "boundary", "far outside", "far below"]))
+    floats = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    # steep graphs need the root to full relative precision; far below them
+    # the plain cone's own rounding (its gap squares the cone residual)
+    # passes 1e-10, so depth is drawn at unit scale only
+    steep = 1.0 if where == "far below" else draw(st.sampled_from([1.0, 10.0]))
+    B = draw(arrays(float, (n, rank), elements=floats)) * steep
+    lam, u = np.linalg.eigh(B @ B.T)
+    keep = lam > 1e-14 * max(1.0, lam[-1])
+    assume(np.any(keep))
+    q = draw(arrays(float, n, elements=floats))
+    offset = draw(floats)
+    x = draw(arrays(float, n, elements=floats)) * (100.0 if where == "far outside" else 1.0)
+    fx = 0.5 * x @ B @ B.T @ x + q @ x + offset
+    t = {"inside": fx + draw(st.floats(1e-6, 10.0)), "boundary": fx,
+         "far outside": fx - draw(st.floats(1.0, 100.0)),
+         "far below": -draw(st.floats(1e2, 1e4))}[where]
+    return (lam[keep], u[:, keep], u[:, ~keep], q, offset), np.append(x, t)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_epigraph_cases())
+def test_epigraph_projection_matches_its_cone_form(case):
+    # the epigraph projects in P's eigen-coordinates; its cone data, and so
+    # the conic form the interior point solves, are the plain cone's
+    data, v = case
+    epigraph = quadratic_epigraph(*data)
+    plain = SecondOrderCone(epigraph.D, epigraph.d, epigraph.e, epigraph.f)
+    n = v.size
+    free = np.full(n, np.inf)
+    region = ConvexRegion(-free, free, cones=(epigraph,))
+    for a, b in zip(region.conic, ConvexRegion(-free, free, cones=(plain,)).conic):
+        np.testing.assert_array_equal(a, b)
+    scale = 1.0 + np.linalg.norm(v)
+    p = epigraph.project(v)
+    assert np.linalg.norm(p - plain.project(v)) <= 1e-10 * scale
+    assert _verify_projection(region, v, p, scale) is not None
+
+
+def test_steep_epigraph_projection_is_verified_just_below_its_graph():
+    # a rank-one quadratic with gradient norm about 26 at x and the point
+    # 1e-3 below the graph: the multiplier is about 1.5e-6, so Brent's
+    # method must stop relative to it, not at an absolute 2e-12
+    b = np.array([-9.05, -5.35, 12.26, -2.73, 2.71])
+    q = np.array([0.14, -1.11, 1.53, -1.98, 0.23])
+    x = np.array([0.34, 0.52, 0.06, -0.82, 0.45])
+    lam, u = np.linalg.eigh(np.outer(b, b))
+    keep = lam > 1e-14 * lam[-1]
+    epigraph = quadratic_epigraph(lam[keep], u[:, keep], u[:, ~keep], q, -1.61)
+    v = np.append(x, 0.5 * (b @ x) ** 2 + q @ x - 1.61 - 1e-3)
+    free = np.full(6, np.inf)
+    region = ConvexRegion(-free, free, cones=(epigraph,))
+    scale = 1.0 + np.linalg.norm(v)
+    p = epigraph.project(v)
+    plain = SecondOrderCone(epigraph.D, epigraph.d, epigraph.e, epigraph.f)
+    assert np.linalg.norm(p - plain.project(v)) <= 1e-10 * scale
+    assert _verify_projection(region, v, p, scale) is not None

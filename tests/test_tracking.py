@@ -13,6 +13,7 @@ from scptrack.jacobians import (
     IterateState,
     JacobianStrategy,
     correction_vector,
+    finite_difference_jacobian,
     init_state,
 )
 from scptrack.problem import (
@@ -165,6 +166,66 @@ def test_track_jacobian_settings_on_the_tutorial_sweep(jacobian, retry, evals):
     assert not trace.aborted
     assert [r.step_status for r in trace.records[1:]] == [SolveStatus.OPTIMAL] * len(_sweep())
     assert trace.counters.jacobian_evals == evals
+
+
+def _counted(fn, calls):
+    """fn, appending each call's first argument to calls."""
+    def wrapped(*args):
+        calls.append(np.array(args[0]))
+        return fn(*args)
+    return wrapped
+
+
+def test_fd_step_makes_n_plus_one_counted_g_calls():
+    # each step: g at the accepted point, then one forward-difference column
+    # per coordinate, which reuses that g(x); the start model likewise
+    problem = tutorial_problem()
+    calls = []
+    counted = replace(problem, g=_counted(problem.g, calls))
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(variant="pcscp", jacobian=JacobianStrategy("fd"))
+    trace = track(counted, _sweep(), z0, config)
+    assert not trace.aborted
+    assert len(calls) == len(trace.records) * (problem.n + 1)
+    assert trace.counters.g_evals == len(calls)
+    # the model is a difference quotient, never g_jac: every record measures it
+    assert all(r.jac_error > 0.0 for r in trace.records)
+
+    # the columns difference against the cached g(x): the same bytes as a
+    # difference that evaluates g(x) itself
+    state = init_state(problem, z0, config.jacobian, config.hessian)
+    for xi in _sweep(4):
+        fd = finite_difference_jacobian(problem.g, state.z.x, problem.m, config.jacobian.fd_step)
+        np.testing.assert_array_equal(state.A, fd)
+        state = pcscp_step(state, problem, xi, config)
+
+
+@pytest.mark.parametrize("jacobian, variant", [
+    (JacobianStrategy("exact"), "pcscp"),
+    (JacobianStrategy("broyden", reset_period=3), "apcscp"),
+    (JacobianStrategy("frozen"), "apcscp"),
+])
+def test_record_reuses_the_model_update_g_jac(jacobian, variant):
+    # a record whose state's A is g_jac at its own x reads jac_error 0.0
+    # without calling g_jac; every other record makes one diagnostic call
+    problem = tutorial_problem()
+    calls = []
+    counted = replace(problem, g_jac=_counted(problem.g_jac, calls))
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(variant=variant, jacobian=jacobian)
+    trace = track(counted, _sweep(), z0, config)
+    assert not trace.aborted
+    fresh = [r.k == 0 or jacobian.kind == "exact"
+             or (jacobian.kind == "broyden" and r.k % jacobian.reset_period == 0)
+             for r in trace.records]
+    assert len(calls) == trace.counters.jacobian_evals + fresh.count(False)
+    for rec, reused in zip(trace.records, fresh):
+        assert (rec.jac_error == 0.0) if reused else (rec.jac_error > 0.0)
+    if jacobian.kind == "frozen":
+        # the start model, then one diagnostic call per record after record 0
+        assert len(calls) == len(trace.records)
+        for rec, x in zip(trace.records[1:], calls[1:]):
+            np.testing.assert_array_equal(x, rec.x)
 
 
 def test_track_fd_jacobians_on_a_perturbed_cascade():
@@ -501,11 +562,12 @@ def _tracking_setup(setup, problem, z0):
     ("g", 6, (2,), 5, "step 5: g returned shape (2,), expected (1,)", "frozen"),
     # g_adjoint's 6th call is step 5's correction vector
     ("g_adjoint", 6, (3,), 5, "step 5: adjoint returned shape (3,), expected (2,)", "frozen"),
-    # g_jac's 4th call is record 2's Jacobian error (the start model, then records 0 and 1)
-    ("g_jac", 4, (1, 3), 2, "record 2: g_jac returned shape (1, 3), expected (1, 2)", "frozen"),
-    # g's 11th call is step 2's first finite-difference column (4 calls build the
-    # start model, then each step makes 4)
-    ("g", 11, (2,), 2, "step 2: g returned shape (2,), expected (1,)", "fd"),
+    # g_jac's 3rd call is record 2's Jacobian error (the start model, then record 1;
+    # record 0 reuses the start model, which is g_jac at the start point)
+    ("g_jac", 3, (1, 3), 2, "record 2: g_jac returned shape (1, 3), expected (1, 2)", "frozen"),
+    # g's 8th call is step 2's first finite-difference column (3 calls build the
+    # start model, then each step makes 3: g at the new point, then 2 columns)
+    ("g", 8, (2,), 2, "step 2: g returned shape (2,), expected (1,)", "fd"),
     # g_adjoint's 3rd call is record 2's stationarity (the start model, then record 1)
     ("g_adjoint", 3, (3,), 2, "record 2: adjoint returned shape (3,), expected (2,)", "pcscp"),
     # the inner lagrangian_hessian's 3rd call is step 2's curvature model
