@@ -8,9 +8,14 @@ with K a product of a nonnegative orthant (finite bounds, affine members)
 and second-order cones (cone members, and ellipsoids through
 ``Ellipsoid.cone``).  Steps are Mehrotra predictor-corrector with Nesterov-Todd
 scaling; a fraction-to-boundary rule stops each step at ``_STEP_FRACTION``
-(0.99) of the distance to the cone boundary.  Each cone block of the scaling
-is kept as (eta, v), W = eta (2 v v' - J), and applied by products; no block
-matrix is formed.
+(0.99) of the distance to the cone boundary (``_Cones.max_step``, capped at
+each block head's zero so that a path through an apex counts), which keeps s
+and z interior with no margin check or step halving after it.  The kernels
+cost a few array operations per cone block: ``_Cones`` holds each block as
+integer bounds (head, tail start, stop) and reads its head as a Python float,
+and the scaling, W = eta (2 v v' - J) per block, applies its diagonal part to
+every coordinate in one product and then each block's rank-one terms; no
+block matrix is formed.
 
 The equality rows are presolved once per solve (``_presolve_equalities``)
 into the kept rows, an orthonormal basis Z of their null space and their
@@ -52,6 +57,7 @@ QP on the same null space.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 from typing import NamedTuple
@@ -93,27 +99,28 @@ def _quad_max_step(a, b, c):
         # feasible outside the root interval
         if disc <= 0.0:
             return np.inf
-        sq = np.sqrt(disc)
+        sq = math.sqrt(disc)
         r1 = (-b - sq) / (2.0 * a)
         r2 = (-b + sq) / (2.0 * a)
         if r2 <= 0.0:
             return np.inf
         return r1 if r1 > 0.0 else 0.0
     # a < 0: feasible between the roots, which straddle alpha = 0
-    sq = np.sqrt(max(disc, 0.0))
+    sq = math.sqrt(max(disc, 0.0))
     return max((-b - sq) / (2.0 * a), 0.0)
 
 
 class _Cones:
-    """Block structure and Jordan/NT operations for R^l_+ x SOC x ... x SOC."""
+    """Block structure and Jordan/NT operations for R^l_+ x SOC x ... x SOC;
+    ``blocks`` holds each cone block as (head, tail start, stop)."""
 
     def __init__(self, l, soc_dims):
         self.l = l
         self.soc_dims = list(soc_dims)
-        self.slices = []
+        self.blocks = []
         start = l
         for d in self.soc_dims:
-            self.slices.append(slice(start, start + d))
+            self.blocks.append((start, start + 1, start + d))
             start += d
         self.dim = start
         self.degree = l + len(self.soc_dims)
@@ -121,54 +128,55 @@ class _Cones:
     def unit(self):
         e = np.zeros(self.dim)
         e[: self.l] = 1.0
-        for sl in self.slices:
-            e[sl.start] = 1.0
+        for h, _, _ in self.blocks:
+            e[h] = 1.0
         return e
 
     def margin(self, u):
-        vals = [np.inf]
-        if self.l:
-            vals.append(np.min(u[: self.l]))
-        for sl in self.slices:
-            blk = u[sl]
-            vals.append(blk[0] - np.linalg.norm(blk[1:]))
-        return min(vals)
+        m = float(u[: self.l].min()) if self.l else np.inf
+        for h, t, e in self.blocks:
+            tail = u[t:e]
+            m = min(m, u.item(h) - math.sqrt(tail @ tail))
+        return m
 
     def max_step(self, u, du):
         alpha = np.inf
-        # overflow to inf in the ratios is the intended limit behaviour
-        with np.errstate(over="ignore", divide="ignore"):
-            if self.l:
-                neg = du[: self.l] < 0.0
-                if np.any(neg):
-                    alpha = np.min(-u[: self.l][neg] / du[: self.l][neg])
-            for sl in self.slices:
-                ub, db = u[sl], du[sl]
-                a = db[0] ** 2 - db[1:] @ db[1:]
-                b = 2.0 * (ub[0] * db[0] - ub[1:] @ db[1:])
-                c = ub[0] ** 2 - ub[1:] @ ub[1:]
-                alpha = min(alpha, _quad_max_step(a, b, max(c, 0.0)))
+        if self.l:
+            # u > 0 on the orthant, so the most negative du/u is the first
+            # crossing; overflow to inf in it is the intended limit behaviour
+            with np.errstate(over="ignore", divide="ignore"):
+                r = float((du[: self.l] / u[: self.l]).min())
+            if r < 0.0:
+                alpha = -1.0 / r
+        for h, t, e in self.blocks:
+            u0, d0, ut, dt = u.item(h), du.item(h), u[t:e], du[t:e]
+            a = d0 * d0 - float(dt @ dt)
+            b = 2.0 * (u0 * d0 - float(ut @ dt))
+            c = u0 * u0 - float(ut @ ut)
+            alpha = min(alpha, _quad_max_step(a, b, max(c, 0.0)))
+            if d0 < 0.0:
+                # the quadratic is >= 0 on the mirror cone too, so it misses a path
+                # through the apex (du along -u, or a block of order 1)
+                alpha = min(alpha, u0 / -d0)
         return alpha
 
     def prod(self, a, b):
         out = np.empty(self.dim)
         out[: self.l] = a[: self.l] * b[: self.l]
-        for sl in self.slices:
-            ab, bb = a[sl], b[sl]
-            out[sl.start] = ab @ bb
-            out[sl.start + 1 : sl.stop] = ab[0] * bb[1:] + bb[0] * ab[1:]
+        for h, t, e in self.blocks:
+            out[h] = a[h:e] @ b[h:e]
+            out[t:e] = a.item(h) * b[t:e] + b.item(h) * a[t:e]
         return out
 
     def inv_prod(self, lam, d):
         """Solve lam o x = d blockwise."""
         out = np.empty(self.dim)
         out[: self.l] = d[: self.l] / lam[: self.l]
-        for sl in self.slices:
-            lb, db = lam[sl], d[sl]
-            det = lb[0] ** 2 - lb[1:] @ lb[1:]
-            x0 = (lb[0] * db[0] - lb[1:] @ db[1:]) / det
-            out[sl.start] = x0
-            out[sl.start + 1 : sl.stop] = (db[1:] - x0 * lb[1:]) / lb[0]
+        for h, t, e in self.blocks:
+            l0, lt, dt = lam.item(h), lam[t:e], d[t:e]
+            x0 = (l0 * d.item(h) - float(lt @ dt)) / (l0 * l0 - float(lt @ lt))
+            out[h] = x0
+            out[t:e] = (dt - x0 * lt) / l0
         return out
 
 
@@ -176,73 +184,69 @@ class _Scaling:
     """Nesterov-Todd scaling point: W z = W^{-1} s = lam.
 
     An orthant entry is the scalar sqrt(s_i / z_i).  A second-order-cone block
-    is kept as (eta, [Jv; v], v'v), J = diag(1, -1, ..., -1), with
+    is kept as (eta, Jv, v, v'v), J = diag(1, -1, ..., -1), with
     W = eta (2 v v' - J) and W^{-1} = (2 Jv Jv' - J) / eta, so a product costs
-    one or two dot products and no block matrix is formed.
+    one or two dot products and no block matrix is formed.  ``diag`` holds the
+    diagonal parts, w on the orthant and -eta J on a block.
     """
 
     def __init__(self, cones, s, z):
         self.cones = cones
-        if cones.l:
-            # iterates headed for an unboundedness verdict can drive one of the
-            # pair to a denormal; the clamp keeps the scaling finite until the
-            # divergence guards fire
-            with np.errstate(over="ignore", divide="ignore"):
-                ratio = np.clip(s[: cones.l] / z[: cones.l], 1e-280, 1e280)
-            self.w_orth = np.sqrt(ratio)
-        else:
-            self.w_orth = np.empty(0)
-        self.w_orth2 = self.w_orth**2
+        l = cones.l
+        # iterates headed for an unboundedness verdict can drive one of the
+        # pair to a denormal; the clamp keeps the scaling finite until the
+        # divergence guards fire
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = s[:l] / z[:l]
+        diag = np.empty(cones.dim)
+        diag[:l] = np.sqrt(np.clip(ratio, 1e-280, 1e280))
         self.soc = []
-        for sl in cones.slices:
-            sb, zb = s[sl], z[sl]
-            js = max((sb[0] - np.linalg.norm(sb[1:])) * (sb[0] + np.linalg.norm(sb[1:])), 1e-280)
-            jz = max((zb[0] - np.linalg.norm(zb[1:])) * (zb[0] + np.linalg.norm(zb[1:])), 1e-280)
-            sbar, zbar = sb / np.sqrt(js), zb / np.sqrt(jz)
-            gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
-            wbar = np.array(sbar)
-            wbar[0] += zbar[0]
-            wbar[1:] -= zbar[1:]
-            wbar /= 2.0 * gamma
-            v = np.array(wbar)
-            v[0] += 1.0
-            v /= np.sqrt(2.0 * (wbar[0] + 1.0))
+        for h, t, e in cones.blocks:
+            s0, z0, st, zt = s.item(h), z.item(h), s[t:e], z[t:e]
+            ns, nz = math.sqrt(st @ st), math.sqrt(zt @ zt)
+            rs = math.sqrt(max((s0 - ns) * (s0 + ns), 1e-280))
+            rz = math.sqrt(max((z0 - nz) * (z0 + nz), 1e-280))
+            # the pair normalised to the hyperboloid, s / rs and z / rz, has the
+            # scaling point wbar = (s / rs + J z / rz) / (2 gamma), and
+            # v = (wbar + e0) / sqrt(2 (wbar_0 + 1))
+            gamma = math.sqrt((1.0 + float(s[h:e] @ z[h:e]) / (rs * rz)) / 2.0)
+            w0 = (s0 / rs + z0 / rz) / (2.0 * gamma)
+            c = 1.0 / math.sqrt(2.0 * (w0 + 1.0))
+            v = (s[h:e] / rs - z[h:e] / rz) * (c / (2.0 * gamma))
+            v[0] = (w0 + 1.0) * c
             jv = -v
             jv[0] = v[0]
-            # rows Jv and v, so both dot products of W^{-2} u are one product
-            self.soc.append((float((js / jz) ** 0.25), np.array([jv, v]), float(v @ v)))
+            eta = math.sqrt(rs / rz)
+            diag[h] = -eta
+            diag[t:e] = eta
+            self.soc.append((eta, jv, v, float(v @ v)))
+        self.diag, self.diag_inv = diag, 1.0 / diag
+        self.diag_inv2 = self.diag_inv**2
         self.lam = self.mul_w(z)
 
     def mul_w(self, u):
-        out = np.empty(self.cones.dim)
-        out[: self.cones.l] = self.w_orth * u[: self.cones.l]
-        for (eta, (_, v), _), sl in zip(self.soc, self.cones.slices):
-            blk = u[sl] * eta  # -eta J u, then + 2 eta (v'u) v
-            blk[0] = -blk[0]
-            blk += (2.0 * eta * float(v @ u[sl])) * v
-            out[sl] = blk
+        """W u: -eta J u + 2 eta (v'u) v on a block."""
+        out = u * self.diag
+        for (eta, _, v, _), (h, _, e) in zip(self.soc, self.cones.blocks):
+            out[h:e] += (2.0 * eta * float(v @ u[h:e])) * v
         return out
 
     def mul_winv(self, u):
-        """W^{-1} u for a vector u, or for each column of a matrix u."""
-        out = np.empty(u.shape)
-        l = self.cones.l
-        out[:l] = u[:l] / self.w_orth.reshape((l,) + (1,) * (u.ndim - 1))
-        for (eta, (jv, _), _), sl in zip(self.soc, self.cones.slices):
-            blk = u[sl] / eta  # -J u / eta, then + 2 Jv (Jv'u) / eta
-            blk[0] = -blk[0]
-            blk += np.multiply.outer((2.0 / eta) * jv, jv @ u[sl])
-            out[sl] = blk
+        """W^{-1} u for a vector u, or for each column of a matrix u:
+        -J u / eta + 2 Jv (Jv'u) / eta on a block."""
+        out = u * (self.diag_inv if u.ndim == 1 else self.diag_inv[:, None])
+        for (eta, jv, _, _), (h, _, e) in zip(self.soc, self.cones.blocks):
+            out[h:e] += np.multiply.outer((2.0 / eta) * jv, jv @ u[h:e])
         return out
 
     def mul_winv2(self, u):
         """W^{-2} u in one pass: (u + (4 v'v a - 2 b) Jv - 2 a v) / eta^2, a = Jv'u, b = v'u."""
-        out = np.empty(self.cones.dim)
-        out[: self.cones.l] = u[: self.cones.l] / self.w_orth2
-        for (eta, jv_v, vv), sl in zip(self.soc, self.cones.slices):
-            ub = u[sl]
-            a, b = jv_v @ ub
-            out[sl] = (ub + np.array([4.0 * vv * a - 2.0 * b, -2.0 * a]) @ jv_v) / eta**2
+        out = u * self.diag_inv2
+        for (eta, jv, v, vv), (h, _, e) in zip(self.soc, self.cones.blocks):
+            ub = u[h:e]
+            a, b = float(jv @ ub), float(v @ ub)
+            e2 = eta * eta
+            out[h:e] += ((4.0 * vv * a - 2.0 * b) / e2) * jv - (2.0 * a / e2) * v
         return out
 
 
@@ -390,17 +394,15 @@ class _NullSpaceKKT:
         self.W = W
         Hr = self.reduced_hessian(W)
         # rescue: a shift catches a singular reduced Hessian, e.g. no curvature
-        # on a free direction
+        # on a free direction.  Finiteness is checked on the pivots alone: a nan
+        # that misses them still reaches the solve's check
         for reg in (0.0, 1e-12):
             Hs = Hr + reg * max(1.0, np.abs(Hr).max()) * np.eye(len(Hr)) if reg else Hr
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                try:
-                    lu = scipy.linalg.lu_factor(Hs)
-                except (scipy.linalg.LinAlgError, ValueError):
-                    continue
-            pivots = np.diag(lu[0])
-            if np.all(np.isfinite(pivots) & (pivots != 0.0)):
+                lu = scipy.linalg.lu_factor(Hs, check_finite=False)
+            pivots = np.diagonal(lu[0])
+            if np.isfinite(pivots).all() and pivots.all():
                 self.lu = lu
                 return reg
         raise np.linalg.LinAlgError("reduced KKT matrix is numerically singular")
@@ -611,7 +613,7 @@ def _ipm(sp, opts, warm):
         gap = float(s @ z)
         mu = gap / cones.degree
         pobj = float(q @ x if P is None else 0.5 * x @ P @ x + q @ x)
-        pres = max(np.linalg.norm(ry), np.linalg.norm(rz)) / b_scale
+        pres = math.sqrt(max(ry @ ry, rz @ rz)) / b_scale
 
         # conic dual residuals can stay noisy once mu collapses (components of z
         # that multiply zero rows of G drift freely), so acceptance is decided on
@@ -623,12 +625,10 @@ def _ipm(sp, opts, warm):
             if sol.status is SolveStatus.OPTIMAL:
                 return sol
 
-        if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or np.linalg.norm(x) > 1e12:
+        if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or x @ x > 1e24:
             verdict = SolveStatus.UNBOUNDED
             break
-        if (np.linalg.norm(z, 1) + np.linalg.norm(y, 1)) > _DIVERGE_DUAL and (
-            pres > _STALL_PRES
-        ):
+        if np.abs(z).sum() + np.abs(y).sum() > _DIVERGE_DUAL and pres > _STALL_PRES:
             verdict = SolveStatus.INFEASIBLE
             break
 
@@ -652,16 +652,9 @@ def _ipm(sp, opts, warm):
         except np.linalg.LinAlgError:
             break
 
+        # no margin check follows: 0.99 of the way to the boundary keeps s and z
+        # interior (test_ipm.py::test_fraction_to_boundary_step_stays_interior)
         alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
-        for _ in range(40):
-            if (
-                cones.margin(s + alpha * ds) > 0.0
-                and cones.margin(z + alpha * dz) > 0.0
-            ):
-                break
-            alpha *= 0.5
-        else:
-            break
         x = x + alpha * dx
         y = y + alpha * dy
         s = s + alpha * ds

@@ -13,14 +13,18 @@ epigraph of a convex quadratic (``quadratic_epigraph``, the member
 own: its multiplier equation, in the eigen-coordinates of the quadratic's
 matrix, decreases with no pole and costs O(rank) per evaluation.
 
-Curved members own their geometry: ``boundary`` gives the violation and the
-outward gradient, ``curvature`` the Hessian of the boundary function, and
-``Ellipsoid.cone`` the ellipsoid as a second-order cone (the form ``ipm``
-compiles).  The linear constraints are built once, as ``ConvexRegion.rows``,
-and so is the whole conic form ``ipm`` solves, as ``ConvexRegion.conic``
-(CSR when large).  Member data must be finite.  The working
-set, the projection check, the Newton kernel and the tangent relaxation in
-``tracking`` all go through these.
+Curved members own their geometry, each at its own sparsity: ``boundary``
+gives the violation and the outward gradient, ``curvature`` the Hessian of
+the boundary function, and ``Ellipsoid.cone`` the ellipsoid as a
+second-order cone (the form ``ipm`` compiles).  An ellipsoid's violation and
+boundary act on the block of its shape's support (the cascade's terminal set:
+8 of 225 coordinates).  A cone member applies D, and the epigraph its
+eigenvectors, as the rows of ``ConvexRegion.conic`` are applied: as CSR arrays
+above ``_CSR_MIN_ENTRIES`` entries (``_operators``).  A cone's curvature is
+(D'D - g g') / ||D x + d||, g = D' (D x + d) / ||D x + d||, from a cached D'D.
+The linear constraints are built once, as ``ConvexRegion.rows``.  Member data
+must be finite.  The working set, the projection check, the Newton kernel and
+the tangent relaxation in ``tracking`` all go through these.
 
 Both polishing steps share one working-set solve, ``_working_set_solve``:
 ``_polish_projection`` turns a slow Dykstra run (at most 100 sweeps) into an
@@ -39,6 +43,7 @@ repeats a fixed row; those steps take the minimum-norm least-squares step
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,8 +59,8 @@ from .errors import DimensionError, ProjectionError, UsageError
 _ROOT_RTOL = 4 * np.finfo(float).eps
 _DYKSTRA_STOP = 1e-10  # largest sweep move at which a Dykstra iterate goes to the check
 _DYKSTRA_SWEEPS = 100  # sweeps before a projection that verified no point gives up
-# the conic rows are CSR when G has more entries than this; below it a dense
-# product costs no more than a CSR one
+# the conic rows, and a member's D or eigenvectors, are CSR when the matrix has
+# more entries than this; below it a dense product costs no more than a CSR one
 _CSR_MIN_ENTRIES = 20000
 
 
@@ -63,6 +68,15 @@ def _freeze(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _operators(M):
+    """(M, M') for products: CSR arrays when M has more than
+    ``_CSR_MIN_ENTRIES`` entries, M and its transposed view otherwise."""
+    if M.size > _CSR_MIN_ENTRIES:
+        M = scipy.sparse.csr_array(M)
+        return M, M.T.tocsr()
+    return M, M.T
 
 
 def _check_finite(what, *data):
@@ -165,10 +179,19 @@ class SecondOrderCone:
         _check_finite("cone member", self.D, self.d, self.e, self.f)
 
     @cached_property
+    def _ops(self):
+        # D and D' for products: CSR for the 8x24 cost's epigraph (225 x 225)
+        return _operators(self.D)
+
+    @cached_property
+    def _DtD(self):
+        return self.D.T @ self.D
+
+    @cached_property
     def _eig(self):
         # curvature matrix of the squared-residual secular equation; a
         # rank-one downdate of D'D, so it has at most one negative eigenvalue
-        m = self.D.T @ self.D - np.outer(self.e, self.e)
+        m = self._DtD - np.outer(self.e, self.e)
         return np.linalg.eigh((m + m.T) / 2.0)
 
     @cached_property
@@ -182,7 +205,8 @@ class SecondOrderCone:
         return attained, E, r
 
     def violation(self, x):
-        return float(np.linalg.norm(self.D @ x + self.d) - (self.e @ x + self.f))
+        u = self._ops[0] @ x + self.d
+        return float(math.sqrt(u @ u) - (self.e @ x + self.f))
 
     def _upper_nappe(self, x):
         """e.x + f >= 0 to 1e-10 relative: x lies on the cone, not its mirror."""
@@ -190,30 +214,34 @@ class SecondOrderCone:
 
     def boundary(self, x):
         """Violation and outward gradient at x; the subgradient -e at the apex."""
-        u = self.D @ x + self.d
-        nu = np.linalg.norm(u)
-        grad = (self.D.T @ u / nu if nu > 0.0 else 0.0) - self.e
+        D, Dt = self._ops
+        u = D @ x + self.d
+        nu = math.sqrt(u @ u)
+        grad = (Dt @ u / nu if nu > 0.0 else 0.0) - self.e
         return float(nu - (self.e @ x + self.f)), grad
 
     def curvature(self, x, scale, weight=1.0):
         """weight times the Hessian of the boundary function at x (0.0 when
-        weight is 0); None within 1e-12 scale of the apex, whatever the weight."""
-        u = self.D @ x + self.d
-        nu = np.linalg.norm(u)
+        weight is 0); None within 1e-12 scale of the apex, whatever the weight.
+        D' (I - uu'/u'u) D / ||u||, u = D x + d, is (D'D - g g') / ||u||."""
+        D, Dt = self._ops
+        u = D @ x + self.d
+        nu = math.sqrt(u @ u)
         if nu <= 1e-12 * scale:
             return None
         if not weight:
             return 0.0
-        uh = u / nu
-        return weight * (self.D.T @ (self.D - np.outer(uh, uh @ self.D)) / nu)
+        g = Dt @ (u / nu)
+        return weight * ((self._DtD - np.outer(g, g)) / nu)
 
     def project(self, v):
         t = float(self.e @ v + self.f)
-        if t >= 0.0 and np.linalg.norm(self.D @ v + self.d) <= t:
+        D, Dt = self._ops
+        if t >= 0.0 and np.linalg.norm(D @ v + self.d) <= t:
             return np.array(v)
         lam_m, u = self._eig
         vu = u.T @ v
-        wu = u.T @ (self.D.T @ self.d - self.f * self.e)
+        wu = u.T @ (Dt @ self.d - self.f * self.e)
         with np.errstate(over="ignore"):  # a rounding-size negative eigenvalue: no pole
             pole = np.inf if lam_m[0] >= 0.0 else 1.0 / -lam_m[0]
 
@@ -222,7 +250,7 @@ class SecondOrderCone:
 
         def gap(lam):
             x = point(lam)
-            return float(np.sum((self.D @ x + self.d) ** 2) - (self.e @ x + self.f) ** 2)
+            return float(np.sum((D @ x + self.d) ** 2) - (self.e @ x + self.f) ** 2)
 
         # on [0, pole) the gap has derivative -2 sum g_i^2 / (1 + lam mu_i)^3,
         # with M = u diag(mu) u' and g = u'(M v + w)
@@ -277,6 +305,11 @@ class _Epigraph(SecondOrderCone):
     q_perp: np.ndarray
     offset: float
 
+    @cached_property
+    def _u_ops(self):
+        # u and u' for products: CSR at 8x24, where u has 280 nonzeros of 50176
+        return _operators(self.u)
+
     def project(self, v):
         """Projection from the epigraph's own multiplier equation.
 
@@ -287,7 +320,8 @@ class _Epigraph(SecondOrderCone):
         """
         x, t = v[:-1], float(v[-1])
         lam, qu, half = self.lam, self.qu, 0.5 * self.lam
-        vu = self.u.T @ x
+        u, ut = self._u_ops
+        vu = ut @ x
         qq = float(self.q_perp @ self.q_perp)
         rest = float(self.q_perp @ x) + self.offset - t
 
@@ -307,7 +341,7 @@ class _Epigraph(SecondOrderCone):
             raise ProjectionError("epigraph projection found no root")
         if mu == 0.0:
             return np.array(v)
-        return np.concatenate([x + self.u @ (coords(mu) - vu) - mu * self.q_perp, [t + mu]])
+        return np.concatenate([x + u @ (coords(mu) - vu) - mu * self.q_perp, [t + mu]])
 
 
 def quadratic_epigraph(lam, u, u_null, q, offset):
@@ -365,14 +399,24 @@ class Ellipsoid:
         return SecondOrderCone(root, -(root @ self.center), np.zeros(self.center.size),
                                np.sqrt(self.radius))
 
+    @cached_property
+    def _support(self):
+        # the coordinates the shape touches, its block on them and the centre there
+        idx = np.flatnonzero(np.any(self.shape != 0.0, axis=0))
+        return idx, self.shape[np.ix_(idx, idx)], self.center[idx]
+
     def violation(self, x):
-        dx = x - self.center
-        return float(dx @ self.shape @ dx - self.radius)
+        idx, S, c = self._support
+        dx = np.asarray(x)[idx] - c
+        return float(dx @ S @ dx - self.radius)
 
     def boundary(self, x):
-        """Violation and outward gradient at x."""
-        dx = x - self.center
-        return float(dx @ self.shape @ dx - self.radius), 2.0 * self.shape @ dx
+        """Violation and outward gradient at x, both from the shape's support."""
+        idx, S, c = self._support
+        dx = np.asarray(x)[idx] - c
+        grad = np.zeros(self.center.size)
+        grad[idx] = 2.0 * S @ dx
+        return float(dx @ S @ dx - self.radius), grad
 
     def curvature(self, x, scale, weight=1.0):
         """weight times the Hessian of the boundary function (constant)."""
@@ -451,11 +495,7 @@ class ConvexRegion:
         G = np.vstack([N] + [np.vstack([-m.e, -m.D]) for m in cones])
         h = np.concatenate([b] + [np.concatenate([[m.f], m.d]) for m in cones])
         dims = tuple(m.D.shape[0] + 1 for m in cones)
-        if G.size > _CSR_MIN_ENTRIES:
-            G = scipy.sparse.csr_array(G)
-            return G, G.T.tocsr(), _freeze(h), b.size, dims
-        G = _freeze(G)
-        return G, G.T, _freeze(h), b.size, dims
+        return *_operators(_freeze(G)), _freeze(h), b.size, dims
 
     def clip_box(self, v):
         return np.clip(v, self.lower, self.upper)

@@ -558,18 +558,18 @@ def _interior(cones, rng):
     """A point strictly inside the cone product."""
     u = rng.normal(size=cones.dim)
     u[: cones.l] = rng.uniform(0.1, 2.0, cones.l)
-    for sl in cones.slices:
-        u[sl.start] = np.linalg.norm(u[sl.start + 1 : sl.stop]) + rng.uniform(0.1, 1.0)
+    for h, t, e in cones.blocks:
+        u[h] = np.linalg.norm(u[t:e]) + rng.uniform(0.1, 1.0)
     return u
 
 
 def _dense_w(W):
     """Block-diagonal W from the scaling's parts: sqrt(s/z) and eta (2 v v' - J)."""
     Wd = np.zeros((W.cones.dim, W.cones.dim))
-    Wd[: W.cones.l, : W.cones.l] = np.diag(W.w_orth)
-    for (eta, (_, v), _), sl in zip(W.soc, W.cones.slices):
+    Wd[: W.cones.l, : W.cones.l] = np.diag(W.diag[: W.cones.l])
+    for (eta, _, v, _), (h, _, e) in zip(W.soc, W.cones.blocks):
         J = np.diag(np.r_[1.0, -np.ones(v.size - 1)])
-        Wd[sl, sl] = eta * (2.0 * np.outer(v, v) - J)
+        Wd[h:e, h:e] = eta * (2.0 * np.outer(v, v) - J)
     return Wd
 
 
@@ -600,6 +600,85 @@ def test_nt_scaling_products_match_dense_blocks():
         _close(W.mul_winv(u), Wi @ u, 1e-12)
         _close(W.mul_winv(U), Wi @ U, 1e-12)
         _close(W.mul_winv2(u), Wi @ Wi @ u, 1e-12)
+
+
+def _jordan_blocks(cones, a, b):
+    """a o b block by block: elementwise on the orthant, (a'b, a0 b1 + b0 a1) per cone."""
+    out = [a[: cones.l] * b[: cones.l]]
+    for h, _, e in cones.blocks:
+        ab, bb = a[h:e], b[h:e]
+        out.append(np.r_[ab @ bb, ab[0] * bb[1:] + bb[0] * ab[1:]])
+    return np.concatenate(out)
+
+
+def test_cone_kernels_match_blockwise_references():
+    rng = np.random.default_rng(61)
+    cones = _Cones(4, [2, 5, 3])
+    for _ in range(20):
+        lam, u, d = _interior(cones, rng), _interior(cones, rng), rng.normal(size=cones.dim)
+        _close(cones.prod(lam, cones.inv_prod(lam, d)), d, 1e-12)
+        _close(cones.prod(u, d), _jordan_blocks(cones, u, d), 1e-15)
+        for w in (u, d):
+            ref = min([w[: cones.l].min()] + [w[h] - np.linalg.norm(w[t:e]) for h, t, e in cones.blocks])
+            assert cones.margin(w) == pytest.approx(ref, rel=1e-15, abs=1e-15)
+        # the largest step is where the path leaves the cone product, and inf
+        # exactly for a direction inside it
+        for du in (d, 3.0 * rng.normal(size=cones.dim), _interior(cones, rng)):
+            alpha = cones.max_step(u, du)
+            assert np.isfinite(alpha) == (cones.margin(du) < 0.0)
+            if np.isfinite(alpha):
+                assert cones.margin(u + (1.0 - 1e-9) * alpha * du) >= 0.0
+                assert cones.margin(u + (1.0 + 1e-9) * alpha * du) < 0.0
+            else:
+                assert cones.margin(u + 1e6 * du) > 0.0
+
+
+def _near_boundary_interior(cones, rng, scale):
+    """A point inside the cone product whose margins are about 10^-(1..10) scale."""
+    u = scale * rng.normal(size=cones.dim)
+    u[: cones.l] = scale * 10.0 ** rng.uniform(-10.0, 0.0, cones.l)
+    for h, t, e in cones.blocks:
+        u[h] = np.linalg.norm(u[t:e]) + scale * 10.0 ** rng.uniform(-10.0, -1.0)
+    return u
+
+
+def _step_direction(cones, rng, u, kind):
+    if kind == "into":  # into the cone product: no boundary on the ray
+        return rng.uniform(0.1, 10.0) * _interior(cones, rng)
+    if kind == "apex":  # straight at the apex of every block
+        return -10.0 ** rng.uniform(-3.0, 3.0) * u
+    du = 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=cones.dim)
+    if kind == "head":  # out through the heads: the tails barely move
+        for h, t, e in cones.blocks:
+            du[t:e] *= 1e-3
+            du[h] = -abs(du[h]) - 10.0 ** rng.uniform(-1.0, 2.0) * abs(u[h])
+    return du
+
+
+def test_fraction_to_boundary_step_stays_interior():
+    # the interior point steps alpha = min(1, 0.99 max_step) with no margin
+    # check after it: s and z must stay strictly inside for every direction,
+    # also from points near the boundary, out through a block's head, through
+    # its apex and on blocks of order 1
+    rng = np.random.default_rng(20261019)
+    kinds = ("any", "head", "into", "apex")
+    for i in range(4000):
+        cones = _Cones(int(rng.integers(0, 6)), list(rng.integers(1, 7, rng.integers(0, 4))))
+        if cones.dim == 0:
+            continue
+        scale = 10.0 ** rng.uniform(-4.0, 4.0)
+        near = (i // 4) % 2 == 1
+        s, z = ((_near_boundary_interior(cones, rng, scale) if near
+                 else scale * _interior(cones, rng)) for _ in range(2))
+        kind = kinds[i % 4]
+        ds, dz = (_step_direction(cones, rng, u, kind) for u in (s, z))
+        steps = cones.max_step(s, ds), cones.max_step(z, dz)
+        if kind == "into":
+            assert steps == (np.inf, np.inf)
+        alpha = min(1.0, 0.99 * min(steps))
+        assert alpha > 0.0
+        assert cones.margin(s + alpha * ds) > 0.0
+        assert cones.margin(z + alpha * dz) > 0.0
 
 
 def test_reduced_hessian_matches_dense_hm():

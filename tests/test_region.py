@@ -1,11 +1,13 @@
 """Projection and membership tests against closed-form oracles."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.sparse
 from scipy.optimize import minimize
 
 from conftest import random_region
@@ -312,6 +314,71 @@ def test_member_boundary_and_cone_form():
             viol = region_violation(with_ell, x)
             if abs(viol) > 1e-9:
                 assert (k1.margin(h1 - G1 @ x) >= 0.0) == (viol < 0.0)
+
+
+def test_ellipsoid_acts_on_its_support_like_the_dense_quadratic():
+    # a full block on 3 of 7 coordinates, and a rank-2 shape on 5 of them
+    rng = np.random.default_rng(67)
+    n = 7
+    B, thin = rng.normal(size=(3, 3)), rng.normal(size=(5, 2))
+    blocked, deficient = np.zeros((n, n)), np.zeros((n, n))
+    blocked[np.ix_([1, 3, 4], [1, 3, 4])] = B @ B.T + 0.1 * np.eye(3)
+    deficient[np.ix_([0, 2, 3, 5, 6], [0, 2, 3, 5, 6])] = thin @ thin.T
+    for shape, support in ((blocked, [1, 3, 4]), (deficient, [0, 2, 3, 5, 6])):
+        ell = Ellipsoid(rng.normal(size=n), shape, rng.uniform(0.5, 2.0))
+        np.testing.assert_array_equal(ell._support[0], support)
+        for _ in range(50):
+            x = ell.center + 2.0 * rng.normal(size=n)
+            dx = x - ell.center
+            want = dx @ ell.shape @ dx - ell.radius
+            phi, grad = ell.boundary(x)
+            assert phi == ell.violation(x)
+            assert phi == pytest.approx(want, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad, 2.0 * ell.shape @ dx, rtol=1e-12, atol=1e-12)
+
+
+def test_cone_curvature_from_the_cached_gram_matrix():
+    # (D'D - g g') / ||u|| with g = D' u / ||u|| is D' (D - uh uh' D) / ||u||
+    rng = np.random.default_rng(69)
+    for k, n in ((3, 5), (6, 4), (1, 3)):
+        cone = SecondOrderCone(rng.normal(size=(k, n)), rng.normal(size=k), rng.normal(size=n), 1.0)
+        for _ in range(10):
+            x = rng.normal(size=n)
+            u = cone.D @ x + cone.d
+            nu = np.linalg.norm(u)
+            uh = u / nu
+            want = cone.D.T @ (cone.D - np.outer(uh, uh @ cone.D)) / nu
+            got = cone.curvature(x, 1.0)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_large_epigraph_acts_through_csr_like_its_dense_twin(monkeypatch):
+    # the 8x24 cost's epigraph has D of 225 x 225 and u of 224 x 224, both over
+    # _CSR_MIN_ENTRIES; its twin, built with the threshold out of reach, is dense
+    cfg = CascadeConfig(n_tanks=8, horizon=24)
+    steady = steady_state(cfg, 1.0)
+    problem = cascade_problem(cfg, steady)
+    epigraph = problem.region.cones[0]
+    assert epigraph.D.size > region_module._CSR_MIN_ENTRIES
+    assert scipy.sparse.issparse(epigraph._ops[0]) and scipy.sparse.issparse(epigraph._u_ops[0])
+    monkeypatch.setattr(region_module, "_CSR_MIN_ENTRIES", np.inf)
+    twin = dataclasses.replace(epigraph)
+    assert isinstance(twin._ops[0], np.ndarray) and isinstance(twin._u_ops[0], np.ndarray)
+    rng = np.random.default_rng(71)
+    x0 = steady_start(cfg, steady).x
+    points = [x0, x0 + 0.1 * rng.normal(size=x0.size)]
+    points += [x0 + np.r_[0.3 * rng.normal(size=x0.size - 1), t] for t in (-5.0, 5.0, -100.0)]
+    for x in points:
+        scale = 1.0 + np.linalg.norm(x)
+        phi, grad = epigraph.boundary(x)
+        phi2, grad2 = twin.boundary(x)
+        assert abs(epigraph.violation(x) - twin.violation(x)) <= 1e-12 * scale
+        assert abs(phi - phi2) <= 1e-12 * scale
+        assert np.linalg.norm(grad - grad2) <= 1e-12 * np.linalg.norm(grad2)
+        hess, hess2 = epigraph.curvature(x, scale), twin.curvature(x, scale)
+        assert np.linalg.norm(hess - hess2) <= 1e-12 * np.linalg.norm(hess2)
+        assert np.linalg.norm(epigraph.project(x) - twin.project(x)) <= 1e-12 * scale
+    assert np.linalg.norm(twin.project(points[-1]) - points[-1]) > 1.0  # far below the graph
 
 
 def test_near_boundary_point_of_epigraph_cone_projects_to_itself():
