@@ -91,6 +91,7 @@ class IterateState:
     g_x: Optional[np.ndarray] = None  # cached g(x), one evaluation per step
     adj_y: Optional[np.ndarray] = None  # cached g'(x)^T y, when a step computed it
     A_is_g_jac: bool = False  # A is g_jac evaluated at z.x itself
+    region_distance: Optional[float] = None  # ||x - P(x)||, when the step certified it
 
 
 def adjoint_product(problem, x, y):

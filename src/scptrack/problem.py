@@ -108,13 +108,14 @@ def eval_constraints(problem, x, xi, g_x=None):
     return g + problem.M @ xi
 
 
-def kkt_residual(problem, z, xi, g_x=None, adj_y=None):
+def kkt_residual(problem, z, xi, g_x=None, adj_y=None, region_distance=None):
     """Natural-map KKT residual of z = (x, y) for the problem at xi.
 
     stationarity = ||x - P(x - (c + g'(x)^T y))||, equality = ||g(x) + M.xi||,
     region_distance = ||x - P(x)||, with P the verified region projection
-    ``project_region``.  g_x = g(x) and adj_y = g'(x)^T y are evaluated
-    unless the caller already holds them.
+    ``project_region``.  g_x = g(x), adj_y = g'(x)^T y and region_distance
+    are evaluated unless the caller already holds them (a subproblem solve
+    over this region certifies the last at its solution).
     """
     x, y = z.x, z.y
     if y.shape != (problem.m,):
@@ -124,8 +125,9 @@ def kkt_residual(problem, z, xi, g_x=None, adj_y=None):
         adj_y = checked_output("adjoint", problem.g_adjoint(x, y), (problem.n,))
     grad = problem.c + adj_y
     stat = np.linalg.norm(x - project_region(problem.region, x - grad))
-    dist = np.linalg.norm(x - project_region(problem.region, x))
-    return KKTResidual(float(stat), float(np.linalg.norm(eq)), float(dist))
+    if region_distance is None:
+        region_distance = np.linalg.norm(x - project_region(problem.region, x))
+    return KKTResidual(float(stat), float(np.linalg.norm(eq)), float(region_distance))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,9 @@ ellipsoid members, with exact member projections and Dykstra's alternating
 projection onto the intersection.
 
 Member projections solve a 1D secular equation in the Lagrange multiplier
-(eigendecomposition cached per member); Dykstra then combines them.  Cone
+(eigendecomposition cached per member); Dykstra then combines them, unless
+the point lies outside one set only: if that set's projection lands in the
+region, it is the region's projection (``project_region``).  Cone
 members and ellipsoids share one secular solver, ``SecondOrderCone.project``:
 an ellipsoid projects through its cone form.  The equation decreases up to
 its pole, so that branch is bracketed from a Newton step and refined by
@@ -505,12 +507,15 @@ class ConvexRegion:
         return cls(np.full(n, -np.inf), np.full(n, np.inf))
 
 
+def _violations(region, x):
+    """Signed violation of the box, then of each member (<= 0 means satisfied)."""
+    box = float(np.max(np.maximum(region.lower - x, x - region.upper), initial=-np.inf))
+    return [box] + [m.violation(x) for m in region.members]
+
+
 def region_violation(region, x):
     """Signed worst-case violation over all members (<= 0 means feasible)."""
-    worst = float(np.max(np.maximum(region.lower - x, x - region.upper), initial=-np.inf))
-    for m in region.members:
-        worst = max(worst, m.violation(x))
-    return worst
+    return max(_violations(region, x))
 
 
 def _active_normals(region, x, eps):
@@ -522,7 +527,7 @@ def _active_normals(region, x, eps):
 
 def _verify_projection(region, v, cand, scale):
     """cand if it is provably the projection of v (KKT with nonneg weights)."""
-    if region_violation(region, cand) > 1e-11 * scale:
+    if not region_violation(region, cand) <= 1e-11 * scale:  # nan fails too
         return None
     r = v - cand
     if np.linalg.norm(r) <= 1e-11 * scale:
@@ -718,6 +723,10 @@ def _polish_projection(region, v, x, scale):
 def project_region(region, v):
     """Euclidean projection of v onto the region via Dykstra's iteration.
 
+    v violating exactly one set S (the box or one member) first tries P_S(v):
+    when P_S(v) lies in the region C, a subset of S, it is P_C(v) as well.
+    The check ``_verify_projection`` decides that, as it does for every
+    Dykstra iterate; a rejected candidate leaves the iteration to run.
     Sweeps cycle through the box and every member.  An iterate that a sweep
     moves by at most ``_DYKSTRA_STOP`` (1e-10, in the max norm) is returned
     once it passes the exact optimality check ``_verify_projection``.
@@ -732,11 +741,16 @@ def project_region(region, v):
     members = region.members
     if not members:
         return region.clip_box(v)
-    if region_violation(region, v) <= 0.0:
+    violated = [i for i, w in enumerate(_violations(region, v)) if not w <= 0.0]
+    if not violated:
         return np.array(v)
 
     scale = 1.0 + float(np.linalg.norm(v))
     projectors = [region.clip_box] + [m.project for m in members]
+    if len(violated) == 1:
+        cand = _verify_projection(region, v, projectors[violated[0]](v), scale)
+        if cand is not None:
+            return cand
     x = np.array(v)
     corrections = [np.zeros_like(v) for _ in projectors]
     for sweep in range(1, _DYKSTRA_SWEEPS + 1):

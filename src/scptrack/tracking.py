@@ -189,9 +189,11 @@ def _corrected(problem, z, A, counters):
 def _refresh_state(problem, state, config, counters):
     """Hold the iterate, rebuild the models from an exact Jacobian."""
     A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters, state.g_x)
+    # the held x keeps its certified distance; a cached adjoint follows the new A
     state = replace(state, A=A, A_is_g_jac=problem.g_jac is not None)
     if config.variant != "apcscp":
-        return replace(state, m_corr=np.zeros(problem.n))
+        adj = A.T @ state.z.y if state.A_is_g_jac else None
+        return replace(state, m_corr=np.zeros(problem.n), adj_y=adj)
     m, adj = _corrected(problem, state.z, A, counters)
     return replace(state, m_corr=m, adj_y=adj)
 
@@ -201,8 +203,11 @@ def _model_update(problem, state, config, sol, counters):
 
     Exactly one g evaluation (cached for the next right-hand side) and,
     for the adjoint-corrected variant, one adjoint product against the
-    refreshed Jacobian model.  Frozen and secant strategies never see a
-    full Jacobian evaluation here.
+    refreshed Jacobian model; the exact-Jacobian variants cache A' y when
+    A is g_jac at the new x.  Frozen and secant strategies never see a
+    full Jacobian evaluation here.  The new state keeps the solve's
+    certified region distance, except under rtgn, whose region is the
+    linearised one.
     """
     z_new = PrimalDual(sol.x, sol.y)
     counters.g_evals += 1
@@ -211,14 +216,18 @@ def _model_update(problem, state, config, sol, counters):
     A_new = update_jacobian(
         config.jacobian, problem, state.A, state.z.x, z_new.x, state.g_x, g_new, k_new, counters
     )
+    is_g_jac = model_is_g_jac(config.jacobian, problem, k_new)
     # exact-Jacobian variants carry no correction term
     m_new, adj_new = np.zeros(problem.n), None
     if config.variant == "apcscp":
         m_new, adj_new = _corrected(problem, z_new, A_new, counters)
+    elif is_g_jac:
+        adj_new = A_new.T @ z_new.y
     H_new = update_hessian(config.hessian, problem, z_new.x, z_new.y)
+    dist = None if config.variant == "rtgn" else sol.residuals.region_distance
     return IterateState(
         z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new,
-        A_is_g_jac=model_is_g_jac(config.jacobian, problem, k_new),
+        A_is_g_jac=is_g_jac, region_distance=dist,
     )
 
 
@@ -276,8 +285,10 @@ def rtgn_step(state, problem, xi_next, config, counters=None):
 
 
 def _state_kkt(problem, state, xi):
-    """KKT residual of the carried iterate, reusing its cached g and adjoint."""
-    return kkt_residual(problem, state.z, xi, g_x=state.g_x, adj_y=state.adj_y)
+    """KKT residual of the carried iterate, reusing its cached g, adjoint and
+    region distance."""
+    return kkt_residual(problem, state.z, xi, g_x=state.g_x, adj_y=state.adj_y,
+                        region_distance=state.region_distance)
 
 
 def fascp_solve(problem, xi, z0, config=None, eps=1e-8, max_iter=50, kkt_stop=None):

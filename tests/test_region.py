@@ -820,3 +820,132 @@ def test_steep_epigraph_projection_is_verified_just_below_its_graph():
     plain = SecondOrderCone(epigraph.D, epigraph.d, epigraph.e, epigraph.f)
     assert np.linalg.norm(p - plain.project(v)) <= 1e-10 * scale
     assert _verify_projection(region, v, p, scale) is not None
+
+
+def _exit_time(h, d):
+    """Largest t with h(t d) <= 0 along the ray from the origin, which every set
+    holds inside; inf when the ray never leaves within 1e6."""
+    lo, hi = 0.0, 1.0
+    while h(hi * d) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            return np.inf
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h(mid * d) <= 0.0 else (lo, mid)
+    return lo
+
+
+@st.composite
+def _one_violated_cases(draw):
+    """A box, one cone member or quadratic epigraph and one ellipsoid, each
+    holding the origin inside, and a point outside exactly one of them: on a
+    ray from the origin, past the first set it leaves, short of the second.
+
+    Returns the region, the point and each set's constraint h(x) <= 0,
+    written out from the drawn data (not from the package's members)."""
+    n = draw(st.integers(2, 6))
+    floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    # the set grown 3-fold is less likely to be the one left first
+    grow = draw(st.sampled_from(["box", "member", "ellipsoid"]))
+    lo = -draw(arrays(float, n, elements=st.floats(0.3, 2.0))) * (3.0 if grow == "box" else 1.0)
+    hi = draw(arrays(float, n, elements=st.floats(0.3, 2.0))) * (3.0 if grow == "box" else 1.0)
+    B = draw(arrays(float, (n, n), elements=floats))
+    S = B @ B.T / n + 0.2 * np.eye(n)
+    c = 0.3 * draw(arrays(float, n, elements=floats))
+    r = (c @ S @ c + draw(st.floats(0.1, 2.0))) * (9.0 if grow == "ellipsoid" else 1.0)
+    ellipsoid = Ellipsoid(c, S, r)
+    member_scale = 3.0 if grow == "member" else 1.0
+    if draw(st.booleans()):
+        D = draw(arrays(float, (2, n), elements=floats))
+        d = 0.2 * draw(arrays(float, 2, elements=floats))
+        f = (np.linalg.norm(d) + draw(st.floats(0.2, 2.0))) * member_scale
+        cones = (SecondOrderCone(D, d, np.zeros(n), f),)
+
+        def member(x):
+            return np.sum((D @ x + d) ** 2) - f * f
+    else:
+        # 0.5 x.P.x + q.x + offset <= s over the last coordinate s, which the box leaves free
+        k = n - 1
+        C = draw(arrays(float, (k, draw(st.integers(1, k))), elements=floats))
+        P = C @ C.T
+        lam, u = np.linalg.eigh(P)
+        keep = lam > 1e-12 * max(1.0, lam[-1])
+        assume(np.any(keep))
+        q = draw(arrays(float, k, elements=floats))
+        offset = -draw(st.floats(0.2, 2.0)) * member_scale
+        cones = (quadratic_epigraph(lam[keep], u[:, keep], u[:, ~keep], q, offset),)
+        lo[-1], hi[-1] = -np.inf, np.inf
+
+        def member(x):
+            return 0.5 * x[:-1] @ P @ x[:-1] + q @ x[:-1] + offset - x[-1]
+
+    def box(x):
+        return np.max(np.maximum(lo - x, x - hi))
+
+    def ball(x):
+        return (x - c) @ S @ (x - c) - r
+
+    sets = (box, member, ball)
+    direction = draw(arrays(float, n, elements=floats))
+    assume(np.linalg.norm(direction) > 0.1)
+    first, second = sorted(_exit_time(h, direction) for h in sets)[:2]
+    assume(first < np.inf and second > 1.01 * first)
+    t = first + draw(st.floats(0.01, 0.99)) * (min(second, 10.0 * first) - first)
+    v = t * direction
+    assume(sum(h(v) > 0.0 for h in sets) == 1)
+    return ConvexRegion(lo, hi, cones=cones, ellipsoids=(ellipsoid,)), v, (member, ball)
+
+
+def _reference_projection(region, v, constraints):
+    """SLSQP projection of v onto the box and the sets h(x) <= 0 of constraints."""
+    return _slsqp_projection(region, v, [{"type": "ineq", "fun": lambda x, h=h: -h(x)}
+                                         for h in constraints])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_one_violated_cases())
+def test_projection_of_a_point_outside_one_set_matches_slsqp(case):
+    # the violated set's own projection is the answer whenever it lands in the
+    # region (P_S(v) in C, C in S, gives P_C(v) = P_S(v)); the check decides
+    region, v, constraints = case
+    p = project_region(region, v)
+    scale = 1.0 + np.linalg.norm(v)
+    assert _verify_projection(region, v, p, scale) is not None
+    # SLSQP's own flag is not checked: it can report failure on a converged point
+    assert np.linalg.norm(p - _reference_projection(region, v, constraints)) <= 1e-7
+
+
+def _counted_ellipsoid_projections(monkeypatch):
+    calls = []
+    project = Ellipsoid.project
+
+    def spy(self, v):
+        calls.append(None)
+        return project(self, v)
+
+    monkeypatch.setattr(Ellipsoid, "project", spy)
+    return calls
+
+
+@pytest.mark.parametrize("v, violated", [
+    # only the box: its clip (1, 0.7) leaves the ball, so the check rejects it
+    ([1.1, 0.7], [True, False]),
+    # the box and the ball
+    ([1.5, 1.5], [True, True]),
+])
+def test_projection_outside_the_one_set_shortcut_takes_dykstra(monkeypatch, v, violated):
+    # the box [-1, 1]^2 and the ball of radius 1.2 about (2, 0) meet in a lens
+    ball = Ellipsoid([2.0, 0.0], np.eye(2), 1.44)
+    region = ConvexRegion([-1.0, -1.0], [1.0, 1.0], ellipsoids=(ball,))
+    v = np.array(v)
+    assert [region_violation(ConvexRegion(region.lower, region.upper), v) > 0.0,
+            ball.violation(v) > 0.0] == violated
+    scale = 1.0 + np.linalg.norm(v)
+    assert _verify_projection(region, v, region.clip_box(v), scale) is None
+    calls = _counted_ellipsoid_projections(monkeypatch)
+    p = project_region(region, v)
+    assert calls  # Dykstra's sweeps project onto the ball
+    assert _verify_projection(region, v, p, scale) is not None
+    ref = _reference_projection(region, v, [lambda x: (x - ball.center) @ (x - ball.center) - 1.44])
+    assert np.linalg.norm(p - ref) <= 1e-7

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 
 from scptrack import ipm as ipm_module
+from scptrack import tracking as tracking_module
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_start, steady_state
 from scptrack.errors import DimensionError, OracleError, ProjectionError, StepError, UsageError
 from scptrack.jacobians import (
@@ -226,6 +227,60 @@ def test_record_reuses_the_model_update_g_jac(jacobian, variant):
         assert len(calls) == len(trace.records)
         for rec, x in zip(trace.records[1:], calls[1:]):
             np.testing.assert_array_equal(x, rec.x)
+
+
+def test_exact_jacobian_record_makes_no_g_adjoint_call():
+    # an exact pcscp model is g_jac at the record's x, so the record reads
+    # A'y from the model update: the start model's adjoint is the only call
+    problem = tutorial_problem()
+    calls = []
+    counted = replace(problem, g_adjoint=_counted(problem.g_adjoint, calls))
+    z0, _ = tutorial_solution(1.2)
+    trace = track(counted, _sweep(), z0, TrackerConfig(variant="pcscp"))
+    assert not trace.aborted
+    assert len(calls) == trace.counters.adjoint_evals == 1
+    np.testing.assert_array_equal(calls[0], z0.x)
+
+
+def _short_track(setup):
+    """(problem, samples, start) of a short track on the tutorial or the 3x8 cascade."""
+    if setup == "tutorial":
+        z0, _ = tutorial_solution(1.2)
+        return tutorial_problem(), _sweep(5), z0
+    cfg = CascadeConfig(n_tanks=3, horizon=8)
+    steady = steady_state(cfg, 1.0)
+    samples = [steady[0] * (1.0 + 0.05 * k) for k in range(1, 6)]
+    return cascade_problem(cfg, steady), samples, steady_start(cfg, steady)
+
+
+@pytest.mark.parametrize("variant", ["pcscp", "apcscp", "rtgn"])
+@pytest.mark.parametrize("setup", ["tutorial", "cascade"])
+def test_records_reuse_what_the_step_certified(monkeypatch, setup, variant):
+    # every record's region distance is bit for bit what a fresh kkt_residual
+    # computes, and its stationarity (from A'y on an exact model) agrees to
+    # rounding.  Solves 3 and 4 report max_iter: step 3 refreshes the held
+    # state's models, fails again and records that refreshed state
+    calls = []
+    solve = tracking_module.solve_subproblem
+
+    def failing(sp, opts, warm):
+        calls.append(None)
+        sol = solve(sp, opts, warm)
+        return replace(sol, status=SolveStatus.MAX_ITER) if len(calls) in (3, 4) else sol
+
+    monkeypatch.setattr(tracking_module, "solve_subproblem", failing)
+    problem, samples, z0 = _short_track(setup)
+    config = TrackerConfig(variant=variant, retry_fresh_jacobian=True)
+    trace = track(problem, samples, z0, config)
+    assert trace.aborted and trace.message.startswith("step 3: subproblem returned max_iter")
+    assert len(calls) == 4  # step 3 was retried after the refresh
+    assert [r.k for r in trace.records] == [0, 1, 2, 3]
+    assert trace.records[3].step_status is SolveStatus.MAX_ITER
+    for rec in trace.records:
+        fresh = kkt_residual(problem, PrimalDual(rec.x, rec.y), rec.xi)
+        assert rec.kkt.region_distance == fresh.region_distance
+        assert rec.kkt.equality == fresh.equality
+        assert abs(rec.kkt.stationarity - fresh.stationarity) <= 1e-13
 
 
 def test_track_fd_jacobians_on_a_perturbed_cascade():
@@ -548,8 +603,6 @@ def _tracking_setup(setup, problem, z0):
         return problem, z0, TrackerConfig(variant="apcscp", jacobian=JacobianStrategy("frozen"))
     if setup == "fd":
         return problem, z0, TrackerConfig(variant="pcscp", jacobian=JacobianStrategy("fd"))
-    if setup == "pcscp":
-        return problem, z0, TrackerConfig(variant="pcscp")
     # a convex quadratic cost over an epigraph slack, projected curvature
     objective = QuadraticObjective(0.1 * np.eye(2), [-1.0, 0.0])
     start = PrimalDual(np.append(z0.x, objective.value(z0.x) + 0.1), z0.y)
@@ -568,8 +621,9 @@ def _tracking_setup(setup, problem, z0):
     # g's 8th call is step 2's first finite-difference column (3 calls build the
     # start model, then each step makes 3: g at the new point, then 2 columns)
     ("g", 8, (2,), 2, "step 2: g returned shape (2,), expected (1,)", "fd"),
-    # g_adjoint's 3rd call is record 2's stationarity (the start model, then record 1)
-    ("g_adjoint", 3, (3,), 2, "record 2: adjoint returned shape (3,), expected (2,)", "pcscp"),
+    # g_adjoint's 3rd call is record 2's stationarity (the start model, then record 1):
+    # a difference-quotient model is not g_jac, so its record evaluates the adjoint
+    ("g_adjoint", 3, (3,), 2, "record 2: adjoint returned shape (3,), expected (2,)", "fd"),
     # the inner lagrangian_hessian's 3rd call is step 2's curvature model
     ("lagrangian_hessian", 3, (3, 3), 2,
      "step 2: lagrangian_hessian returned shape (3, 3), expected (2, 2)", "slack"),
