@@ -453,14 +453,11 @@ def _polish_duals(sp, x, grad0, presolve):
     nmat = np.array(normals).T if normals else np.zeros((sp.n, 0))
     if sp.m + nmat.shape[1] == 0:
         return None
-    y = np.zeros(sp.m)
-    try:
-        lam = _min_norm_lstsq(Z.T @ nmat, -(Z.T @ grad0))
-        if np.any(lam < 0.0):
-            return None
-        y[kept] = -(aplus.T @ (grad0 + nmat @ lam))
-    except (ValueError, np.linalg.LinAlgError):
+    lam = _min_norm_lstsq(Z.T @ nmat, -(Z.T @ grad0))
+    if lam is None or np.any(lam < 0.0):
         return None
+    y = np.zeros(sp.m)
+    y[kept] = -(aplus.T @ (grad0 + nmat @ lam))
     if not np.all(np.isfinite(y)):
         return None
     return y

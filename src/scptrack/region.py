@@ -35,18 +35,18 @@ interior-point iterates.  Each round of it is solved by the Newton kernel
 ``_active_set_newton``.  Rows held fixed (``_FixedRows``: the polish's
 equality rows, none for the projection) are eliminated through a basis Z of
 their null space and their pseudo-inverse, as the interior point does, so
-each step (``_kkt_step``) LDL'-solves only the reduced KKT matrix
+each step (``_kkt_step``) solves only the reduced KKT matrix
 [[Z' H Z, (BZ)'], [BZ, 0]], B the working rows and curved gradients.  That
 matrix is singular at the first step of a linear objective (zero Hessian
 block, the curved multipliers still at zero) and when an active box row
-repeats a fixed row; those steps take the minimum-norm least-squares step
-(``_min_norm_lstsq``, complete orthogonal factorization) instead.
+repeats a fixed row, so every step is its minimum-norm least-squares
+solution (``_min_norm_lstsq``, complete orthogonal factorization), which is
+the exact solution wherever the matrix is regular.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -543,28 +543,13 @@ def _verify_projection(region, v, cand, scale):
 
 def _min_norm_lstsq(M, rhs):
     """Minimum-norm least-squares solution of M z = rhs by complete orthogonal
-    factorization (gelsy), with numpy's rank cutoff eps * max(M.shape)."""
-    z, *_ = scipy.linalg.lstsq(M, rhs, cond=np.finfo(float).eps * max(M.shape),
-                               lapack_driver="gelsy")
-    return z
-
-
-def _newton_step(J, F):
-    """Solution of J step = -F for the symmetric KKT matrix J.
-
-    An LDL' (Bunch-Kaufman) solve; when J is singular or too ill-conditioned
-    for it (LinAlgError, LinAlgWarning), the minimum-norm least-squares step.
-    None when J or F is not finite.
-    """
-    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(F))):
+    factorization (gelsy), with numpy's rank cutoff eps * max(M.shape); None
+    when M or rhs is not finite."""
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.solve(J, -F, assume_a="sym", check_finite=False)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            pass
-    return _min_norm_lstsq(J, -F)
+    z, *_ = scipy.linalg.lstsq(M, rhs, cond=np.finfo(float).eps * max(M.shape),
+                               check_finite=False, lapack_driver="gelsy")
+    return z
 
 
 class _FixedRows(NamedTuple):
@@ -594,7 +579,8 @@ def _kkt_step(hess, fixed, B, F):
 
     taken on the null space of the fixed rows A (Nocedal & Wright, Numerical
     Optimization, 16.2): dp = -A+ F_A + Z dv, where (dv, dl) solves the
-    reduced matrix [[Z' hess Z, (BZ)'], [BZ, 0]] by ``_newton_step``, and
+    reduced matrix [[Z' hess Z, (BZ)'], [BZ, 0]] in the minimum-norm
+    least-squares sense (``_min_norm_lstsq``), and
     dy = A+' (-F_p - hess dp - B' dl).  With no fixed row the reduced matrix
     is the full one.  None when the system is not finite.
     """
@@ -611,7 +597,7 @@ def _kkt_step(hess, fixed, B, F):
     J[:nz, :nz] = ZHZ
     J[:nz, nz:] = BZ.T
     J[nz:, :nz] = BZ
-    red = _newton_step(J, rhs)
+    red = _min_norm_lstsq(J, -rhs)
     if red is None or not nf:
         return red
     dl = red[nz:]
@@ -632,13 +618,13 @@ def _active_set_newton(grad, hess, fixed, E, r, curved, x, y, scale, tol):
     step).
 
     Each step is ``_kkt_step``: the fixed rows are eliminated through their
-    null space, and the reduced KKT matrix is LDL'-solved.  That matrix can
-    be singular without any dependent constraint: with hess = 0 (a linear
-    objective) and the curved multipliers still at zero, the first step's
-    Hessian block vanishes, and the matrix has rank 2 rank [E; grads] Z < its
-    size whenever fewer than n - rank A constraints are active.  Those steps,
-    and truly dependent rows (a box-active coordinate that a fixed row also
-    fixes), take the minimum-norm least-squares step instead.
+    null space, and the reduced KKT matrix gets its minimum-norm
+    least-squares solution.  That matrix can be singular without any
+    dependent constraint: with hess = 0 (a linear objective) and the curved
+    multipliers still at zero, the first step's Hessian block vanishes, and
+    the matrix has rank 2 rank [E; grads] Z < its size whenever fewer than
+    n - rank A constraints are active.  Truly dependent rows (a box-active
+    coordinate that a fixed row also fixes) make it singular too.
     """
     n, nf, le, k = x.size, fixed.A.shape[0], E.shape[0], len(curved)
     p = np.array(x)

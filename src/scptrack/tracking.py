@@ -179,23 +179,27 @@ def _attempt(problem, state, xi, config, counters, region=None):
     return sol
 
 
-def _corrected(problem, z, A, counters):
-    """One adjoint product at z: the correction vector against A, and g'(x)^T y."""
-    counters.adjoint_evals += 1
-    adj = adjoint_product(problem, z.x, z.y)
-    return correction_vector(problem, z.x, z.y, A, adj), adj
+def _carried(problem, z, A, is_g_jac, config, counters):
+    """(m_corr, adj_y) of a state at z with Jacobian model A.
+
+    apcscp: one adjoint product at z and the correction vector against A.
+    The exact-Jacobian variants carry no correction term, and cache A' y
+    when A is g_jac at z.
+    """
+    if config.variant == "apcscp":
+        counters.adjoint_evals += 1
+        adj = adjoint_product(problem, z.x, z.y)
+        return correction_vector(problem, z.x, z.y, A, adj), adj
+    return np.zeros(problem.n), (A.T @ z.y if is_g_jac else None)
 
 
 def _refresh_state(problem, state, config, counters):
-    """Hold the iterate, rebuild the models from an exact Jacobian."""
+    """Hold the iterate, rebuild the models from an exact Jacobian; the held
+    x keeps its certified distance."""
     A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters, state.g_x)
-    # the held x keeps its certified distance; a cached adjoint follows the new A
-    state = replace(state, A=A, A_is_g_jac=problem.g_jac is not None)
-    if config.variant != "apcscp":
-        adj = A.T @ state.z.y if state.A_is_g_jac else None
-        return replace(state, m_corr=np.zeros(problem.n), adj_y=adj)
-    m, adj = _corrected(problem, state.z, A, counters)
-    return replace(state, m_corr=m, adj_y=adj)
+    is_g_jac = problem.g_jac is not None
+    m, adj = _carried(problem, state.z, A, is_g_jac, config, counters)
+    return replace(state, A=A, A_is_g_jac=is_g_jac, m_corr=m, adj_y=adj)
 
 
 def _model_update(problem, state, config, sol, counters):
@@ -217,12 +221,7 @@ def _model_update(problem, state, config, sol, counters):
         config.jacobian, problem, state.A, state.z.x, z_new.x, state.g_x, g_new, k_new, counters
     )
     is_g_jac = model_is_g_jac(config.jacobian, problem, k_new)
-    # exact-Jacobian variants carry no correction term
-    m_new, adj_new = np.zeros(problem.n), None
-    if config.variant == "apcscp":
-        m_new, adj_new = _corrected(problem, z_new, A_new, counters)
-    elif is_g_jac:
-        adj_new = A_new.T @ z_new.y
+    m_new, adj_new = _carried(problem, z_new, A_new, is_g_jac, config, counters)
     H_new = update_hessian(config.hessian, problem, z_new.x, z_new.y)
     dist = None if config.variant == "rtgn" else sol.residuals.region_distance
     return IterateState(

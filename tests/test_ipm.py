@@ -817,8 +817,8 @@ def test_primal_polish_solves_on_the_null_space_of_the_equality_rows(monkeypatch
     # most n - rank A_eq + working rows + curved members (25 + k here), where
     # the bordered matrix was of order n + rank A_eq + k
     free, bound, steps = [], [None], []
-    polish, newton, step = (ipm_module._primal_polish, region_module._active_set_newton,
-                            region_module._newton_step)
+    polish, newton, lstsq = (ipm_module._primal_polish, region_module._active_set_newton,
+                             region_module._min_norm_lstsq)
 
     def polish_spy(sp, x, y, presolve):
         free.append(sp.n - np.linalg.matrix_rank(sp.A_eq))
@@ -832,14 +832,14 @@ def test_primal_polish_solves_on_the_null_space_of_the_equality_rows(monkeypatch
             bound[0] = free[-1] + E.shape[0] + len(curved)
         return newton(grad, hess, fixed, E, r, curved, x, y, scale, tol)
 
-    def step_spy(J, F):
+    def step_spy(M, rhs):
         if free and free[-1] is not None:
-            steps.append((J.shape[0], bound[0]))
-        return step(J, F)
+            steps.append((M.shape[0], bound[0]))
+        return lstsq(M, rhs)
 
     monkeypatch.setattr(ipm_module, "_primal_polish", polish_spy)
     monkeypatch.setattr(region_module, "_active_set_newton", newton_spy)
-    monkeypatch.setattr(region_module, "_newton_step", step_spy)
+    monkeypatch.setattr(region_module, "_min_norm_lstsq", step_spy)
     cfg = CascadeConfig(n_tanks=8, horizon=24)
     steady = steady_state(cfg, 1.0)
     plant = ClosedLoopPlant(cfg, steady, 1.4 * steady[0], n_samples=2, noise=0.0, seed=0)

@@ -23,7 +23,7 @@ from scptrack.region import (
     _FixedRows,
     _active_set_newton,
     _kkt_step,
-    _newton_step,
+    _min_norm_lstsq,
     _verify_projection,
     _working_set_solve,
     extend_region,
@@ -485,13 +485,9 @@ def _kkt_matrix(H, C):
     return J
 
 
-def test_newton_step_matches_minimum_norm_least_squares(monkeypatch):
-    # the LDL' solve where the KKT matrix is nonsingular, the minimum-norm
-    # step where it is not; both agree with the SVD least-squares step
-    fallbacks = []
-    fallback = region_module._min_norm_lstsq
-    monkeypatch.setattr(region_module, "_min_norm_lstsq",
-                        lambda M, rhs: fallbacks.append(M.shape) or fallback(M, rhs))
+def test_newton_step_matches_minimum_norm_least_squares():
+    # regular or singular, the step with no fixed row is the SVD
+    # least-squares step of the full KKT matrix
     rng = np.random.default_rng(7)
     n = 8
     B = rng.normal(size=(n, n))
@@ -500,22 +496,22 @@ def test_newton_step_matches_minimum_norm_least_squares(monkeypatch):
     A[1] = np.eye(n)[2]  # an equality row fixing x_2 ...
     box = -np.eye(n)[2:3]  # ... and the lower bound of x_2, active too
     cases = [
-        (_kkt_matrix(B @ B.T / n + np.eye(n), C), False),
+        (B @ B.T / n + np.eye(n), C, False),
         # a linear objective at the first step (curved multipliers still at
         # zero): rank J = 2 rank C although C has full row rank
-        (_kkt_matrix(np.zeros((n, n)), C), True),
-        (_kkt_matrix(np.eye(n), np.vstack([A, box])), True),
+        (np.zeros((n, n)), C, True),
+        (np.eye(n), np.vstack([A, box]), True),
     ]
-    for J, singular in cases:
+    for H, rows, singular in cases:
+        J = _kkt_matrix(H, rows)
         rank = np.linalg.matrix_rank(J)
         assert (rank < J.shape[0]) == singular
         F = rng.normal(size=J.shape[0])
-        fallbacks.clear()
-        step = _newton_step(J, F)
+        step = _kkt_step(H, _FixedRows.none(n), rows, F)
         ref, *_ = np.linalg.lstsq(J, -F, rcond=None)
         assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert fallbacks == ([J.shape] if singular else [])
-    assert cases[1][0].shape[0] - np.linalg.matrix_rank(cases[1][0]) == n - 3
+    J = _kkt_matrix(cases[1][0], cases[1][1])
+    assert J.shape[0] - np.linalg.matrix_rank(J) == n - 3
 
 
 def test_newton_kernel_rejects_non_finite_systems():
@@ -534,6 +530,9 @@ def test_newton_kernel_rejects_non_finite_systems():
         # a non-finite residual F, then a non-finite matrix J
         assert run(lambda p: bad * (p - v), np.eye(3)) is None
         assert run(lambda p: p - v, np.full((3, 3), bad)) is None
+        # the least-squares kernel itself, on a non-finite matrix or rhs
+        for M, rhs in ((np.diag([1.0, bad, 1.0]), np.ones(3)), (np.eye(3), np.array([bad, 1.0, 1.0]))):
+            assert _min_norm_lstsq(M, rhs) is None
 
 
 def _fixed_kkt_case(rng, n, A, H, box):
@@ -555,9 +554,9 @@ def test_null_space_kkt_step_matches_the_dense_bordered_step(monkeypatch):
     # Hessian that carries the member's curvature: the step on the null space
     # is the bordered step, from a reduced matrix of order n - p + k
     orders = []
-    newton = region_module._newton_step
-    monkeypatch.setattr(region_module, "_newton_step",
-                        lambda J, F: orders.append(J.shape[0]) or newton(J, F))
+    lstsq = region_module._min_norm_lstsq
+    monkeypatch.setattr(region_module, "_min_norm_lstsq",
+                        lambda M, rhs: orders.append(M.shape[0]) or lstsq(M, rhs))
     rng = np.random.default_rng(23)
     n, p = 9, 4
     C = rng.normal(size=(n, n))
