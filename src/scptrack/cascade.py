@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, DimensionError, ModelError, UsageError
 from .problem import ParametricNLP, PrimalDual, QuadraticObjective, slack_reformulate
@@ -277,26 +278,14 @@ def cascade_weights(cfg, steady):
 
 
 def _solve_dare(A, B, P, Q):
-    """Fixed-point iteration for the discrete Riccati equation.
-
-    Returns (S, K) with S the cost-to-go matrix and K the feedback gain;
-    divergence or failure to settle reports the linearization as not
-    stabilizable.
-    """
-    S = np.array(P)
-    for _ in range(20000):
-        BtS = B.T @ S
-        gain = np.linalg.solve(Q + BtS @ B, BtS @ A)
-        S_next = P + A.T @ S @ (A - B @ gain)
-        S_next = (S_next + S_next.T) / 2.0
-        delta = float(np.max(np.abs(S_next - S)))
-        S = S_next
-        if not np.isfinite(delta) or np.max(np.abs(S)) > 1e12:
-            raise ModelError("riccati iteration diverged; linearization not stabilizable")
-        if delta <= 1e-12 * max(1.0, float(np.max(np.abs(S)))):
-            BtS = B.T @ S
-            return S, np.linalg.solve(Q + BtS @ B, BtS @ A)
-    raise ModelError("riccati iteration did not settle")
+    """Cost-to-go S of the discrete Riccati equation, solved by scipy, and the
+    gain K = (Q + B'SB)^-1 B'SA; a pair scipy cannot solve is not stabilizable."""
+    try:
+        S = scipy.linalg.solve_discrete_are(A, B, P, Q)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ModelError(f"riccati equation has no stabilizing solution: {exc}") from exc
+    BtS = B.T @ S
+    return S, np.linalg.solve(Q + BtS @ B, BtS @ A)
 
 
 def terminal_ellipsoid(cfg, steady):
@@ -374,8 +363,6 @@ def cascade_problem(cfg, steady):
     nw, H = cfg.n_tanks, cfg.horizon
     n, m = cfg.n_x, cfg.n_eq
     dt, sub = cfg.dt, cfg.n_substeps
-    s_at = [state_slice(cfg, i) for i in range(H + 1)]
-    u_at = [control_slice(cfg, i) for i in range(H)]
     # all shooting nodes (H + 1, nw), all controls (H, 1), and the
     # (H, nw) equality rows that chain interval i into s_{i+1}
     node = np.arange(H + 1)[:, None] * (nw + 1)
@@ -412,15 +399,15 @@ def cascade_problem(cfg, steady):
         out[u_idx] = u_bar
         return out
 
+    stage, term = s_idx[:-1], s_idx[-1]
     lower = np.full(n, -np.inf)
     upper = np.full(n, np.inf)
-    for i in range(H):
-        lower[s_at[i]], upper[s_at[i]] = cfg.h_lo, cfg.h_hi
-        lower[u_at[i]], upper[u_at[i]] = cfg.u_lo, cfg.u_hi
+    lower[stage], upper[stage] = cfg.h_lo, cfg.h_hi
+    lower[u_idx], upper[u_idx] = cfg.u_lo, cfg.u_hi
     center = np.zeros(n)
-    center[s_at[H]] = w_s
+    center[term] = w_s
     shape = np.zeros((n, n))
-    shape[s_at[H], s_at[H]] = S
+    shape[term[:, None], term] = S
     region = ConvexRegion(lower, upper, ellipsoids=(Ellipsoid(center, shape, r),))
 
     M = np.zeros((m, nw))
@@ -439,10 +426,9 @@ def cascade_problem(cfg, steady):
     # tracking cost (x - ref).W.(x - ref) over stage and terminal blocks
     ref = steady_primal(cfg, steady)[:n]
     W = np.zeros((n, n))
-    for i in range(H):
-        W[s_at[i], s_at[i]] = P
-        W[u_at[i], u_at[i]] = Q
-    W[s_at[H], s_at[H]] = S
+    W[stage[..., None], stage[:, None, :]] = P
+    W[u_idx[..., None], u_idx[:, None, :]] = Q
+    W[term[:, None], term] = S
     objective = QuadraticObjective(2.0 * W, -2.0 * (W @ ref), float(ref @ W @ ref))
     return slack_reformulate(objective, base)
 

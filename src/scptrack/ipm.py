@@ -596,7 +596,6 @@ def _ipm(sp, opts, warm):
         if mz <= 0.0:
             z = z + (1.0 - mz) * e
 
-    n_ver = 0
     verdict = None  # set only by the divergence and stall tests below
     it = 0
     small_steps = 0
@@ -616,8 +615,7 @@ def _ipm(sp, opts, warm):
         # that multiply zero rows of G drift freely), so acceptance is decided on
         # the natural-map residuals of the (x, y) pair that is actually returned
         tol = opts.tol * 0.5
-        if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol) and n_ver < 60:
-            n_ver += 1
+        if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol):
             sol = _finish(sp, x, y, presolve, s, z, None, it, opts.tol)
             if sol.status is SolveStatus.OPTIMAL:
                 return sol

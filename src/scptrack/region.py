@@ -129,7 +129,9 @@ def _secular_root(gfun, pole, accept, slope):
     for lam in grid[1:]:
         g = gfun(lam)
         if np.isfinite(g) and np.isfinite(g_prev) and g_prev * g < 0.0:
-            root = brentq(gfun, lam_prev, lam, rtol=_ROOT_RTOL, maxiter=200)
+            # the point varies like 1/(lam - pole): xtol is relative to that distance
+            root = brentq(gfun, lam_prev, lam, xtol=_ROOT_RTOL * (lam_prev - pole),
+                          rtol=_ROOT_RTOL, maxiter=200)
             if accept(root):
                 return root
         elif g == 0.0 and accept(lam):

@@ -158,8 +158,6 @@ def _linearize_region(region, x):
     with a vanishing gradient are dropped when locally satisfied and kept
     as an unsatisfiable row otherwise, so infeasibility stays visible.
     """
-    if not (region.cones or region.ellipsoids):
-        return region
     scale = 1.0 + float(np.linalg.norm(x))
     affine = list(region.affine)
     for m in region.cones + region.ellipsoids:

@@ -11,6 +11,7 @@ from scptrack.cascade import (
     CascadeConfig,
     CascadeDynamics,
     ClosedLoopPlant,
+    _solve_dare,
     cascade_problem,
     cascade_weights,
     control_slice,
@@ -22,7 +23,7 @@ from scptrack.cascade import (
     steady_state,
     terminal_ellipsoid,
 )
-from scptrack.errors import ConfigError, DimensionError, UsageError
+from scptrack.errors import ConfigError, DimensionError, ModelError, UsageError
 from scptrack.jacobians import finite_difference_jacobian
 from scptrack.problem import kkt_residual
 
@@ -122,6 +123,17 @@ def test_terminal_matrix_solves_riccati():
     ref = solve_discrete_are(A, B, P, Q)
     assert np.max(np.abs(S - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
     assert r > 0.0
+    # apart from scipy: S meets S = P + A'SA - A'SBK with the gain
+    # K = (Q + B'SB)^-1 B'SA, and u = -K dw stabilizes the linearization
+    S_dare, K = _solve_dare(A, B, P, Q)
+    np.testing.assert_array_equal(S_dare, S)
+    bound = 1e-9 * max(1.0, np.max(np.abs(S)))
+    assert np.max(np.abs(P + A.T @ S @ A - A.T @ S @ B @ K - S)) <= bound
+    assert np.max(np.abs((Q + B.T @ S @ B) @ K - B.T @ S @ A)) <= bound
+    assert np.max(np.abs(np.linalg.eigvals(A - B @ K))) < 1.0
+    # an unstable mode that the control cannot reach has no stabilizing S
+    with pytest.raises(ModelError):
+        _solve_dare(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
 
 
 def test_terminal_set_invariance_by_simulation():

@@ -177,27 +177,31 @@ def test_consistent_duplicate_rows_solved():
 
 
 def test_unbounded_direction_detected():
-    region = ConvexRegion(lower=[0.0, -np.inf], upper=[1.0, np.inf])
-    sp = _plain([0.0, 1.0], region)
-    sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
-    assert sol.status is SolveStatus.UNBOUNDED
-    assert not sol.regularized
-    raw = sol
-    # by default the zero curvature model is retried with a tikhonov term
-    sol = solve_subproblem(sp)
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.regularized
-    # the retry is the subproblem with H = tik I, and both attempts count
-    tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
-    retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
-    assert sol.iterations == raw.iterations + retry.iterations
-    # centred at x_ref: the term is tik ||x - x_ref||^2 / 2
-    sp = _plain([0.0, 1.0], region, x_ref=np.array([0.5, -3.0]))
-    sol = solve_subproblem(sp)
-    retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
-    assert sol.status is retry.status is SolveStatus.OPTIMAL
-    assert sol.regularized and not retry.regularized
-    np.testing.assert_allclose(sol.x, retry.x, rtol=0.0, atol=1e-9 * (1.0 + np.linalg.norm(retry.x)))
+    # a half-open box, and no bound or member at all, which the no-cone path
+    # decides by itself
+    for region in (ConvexRegion(lower=[0.0, -np.inf], upper=[1.0, np.inf]),
+                   ConvexRegion.unbounded(2)):
+        sp = _plain([0.0, 1.0], region)
+        sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
+        assert sol.status is SolveStatus.UNBOUNDED
+        assert not sol.regularized
+        raw = sol
+        # by default the zero curvature model is retried with a tikhonov term
+        sol = solve_subproblem(sp)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.regularized
+        # the retry is the subproblem with H = tik I, and both attempts count
+        tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
+        retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
+        assert sol.iterations == raw.iterations + retry.iterations
+        # centred at x_ref: the term is tik ||x - x_ref||^2 / 2
+        sp = _plain([0.0, 1.0], region, x_ref=np.array([0.5, -3.0]))
+        sol = solve_subproblem(sp)
+        retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
+        assert sol.status is retry.status is SolveStatus.OPTIMAL
+        assert sol.regularized and not retry.regularized
+        np.testing.assert_allclose(sol.x, retry.x, rtol=0.0,
+                                   atol=1e-9 * (1.0 + np.linalg.norm(retry.x)))
 
 
 def test_warm_start_reconverges_fast():
@@ -647,6 +651,17 @@ def _step_direction(cones, rng, u, kind):
         return rng.uniform(0.1, 10.0) * _interior(cones, rng)
     if kind == "apex":  # straight at the apex of every block
         return -10.0 ** rng.uniform(-3.0, 3.0) * u
+    if kind == "ray":  # along a mirror-cone ray: a = 0 in every block with a tail
+        du = rng.normal(size=cones.dim)
+        for h, t, e in cones.blocks:
+            k = 2.0 ** int(rng.integers(-10, 11))
+            du[t:e] = 0.0
+            if e - t >= 2:
+                du[h], du[t], du[t + 1] = -5.0 * k, 3.0 * k, 4.0 * k
+            else:
+                du[h] = -4.0 * k
+                du[t:e] = rng.choice([-4.0, 4.0]) * k
+        return du
     du = 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=cones.dim)
     if kind == "head":  # out through the heads: the tails barely move
         for h, t, e in cones.blocks:
@@ -659,18 +674,19 @@ def test_fraction_to_boundary_step_stays_interior():
     # the interior point steps alpha = min(1, 0.99 max_step) with no margin
     # check after it: s and z must stay strictly inside for every direction,
     # also from points near the boundary, out through a block's head, through
-    # its apex and on blocks of order 1
+    # its apex, along a mirror ray (the step's quadratic is then linear) and on
+    # blocks of order 1
     rng = np.random.default_rng(20261019)
-    kinds = ("any", "head", "into", "apex")
-    for i in range(4000):
+    kinds = ("any", "head", "into", "apex", "ray")
+    for i in range(5000):
         cones = _Cones(int(rng.integers(0, 6)), list(rng.integers(1, 7, rng.integers(0, 4))))
         if cones.dim == 0:
             continue
         scale = 10.0 ** rng.uniform(-4.0, 4.0)
-        near = (i // 4) % 2 == 1
+        near = (i // len(kinds)) % 2 == 1
         s, z = ((_near_boundary_interior(cones, rng, scale) if near
                  else scale * _interior(cones, rng)) for _ in range(2))
-        kind = kinds[i % 4]
+        kind = kinds[i % len(kinds)]
         ds, dz = (_step_direction(cones, rng, u, kind) for u in (s, z))
         steps = cones.max_step(s, ds), cones.max_step(z, dz)
         if kind == "into":

@@ -67,9 +67,26 @@ def test_lorentz_cone_projection_closed_form():
     alpha = (5.0 + 0.0) / 2.0
     want = np.array([alpha * 3.0 / 5.0, alpha * 4.0 / 5.0, alpha])
     np.testing.assert_allclose(cone.project(v), want, atol=1e-9)
-    # the root lies beyond the pole of the secular equation (lam = 1.5 > 1)
+    # the root lies beyond the pole of the secular equation (lam = 1.5 > 1), on
+    # a grid point of the scan; lam = 13/7 is not, so Brent's method refines it
     np.testing.assert_allclose(cone.project(np.array([3.0, 4.0, -1.0])), [1.2, 1.6, 2.0],
                                atol=1e-9)
+    np.testing.assert_allclose(cone.project(np.array([3.0, 4.0, -1.5])), [1.05, 1.4, 1.75],
+                               atol=1e-9)
+    # t < 0 with |t| < ||y|| puts the root beyond the pole, nearer to it as
+    # t/||y|| -> 0; the closed form is ((||y|| + t)/2)(y/||y||, 1)
+    rng = np.random.default_rng(20261020)
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        cone = SecondOrderCone(D=np.eye(k + 1)[:k], d=np.zeros(k), e=np.eye(k + 1)[k], f=0.0)
+        y = rng.normal(size=k)
+        y *= 10.0 ** rng.uniform(-2.0, 3.0) / np.linalg.norm(y)
+        ny = np.linalg.norm(y)
+        t = -(10.0 ** rng.uniform(-5.0, np.log10(0.95))) * ny
+        v = np.append(y, t)
+        want = (ny + t) / 2.0 * np.append(y / ny, 1.0)
+        np.testing.assert_allclose(cone.project(v), want, rtol=0.0,
+                                   atol=1e-10 * (1.0 + np.linalg.norm(v)))
 
 
 def test_ball_cone_projection():
