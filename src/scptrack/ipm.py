@@ -30,20 +30,26 @@ row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix.  Each
 iteration computes one particular solution -A+ ry, which the predictor and
-the corrector share; the predictor computes no dx or dy, G dx comes from the
-kept G Z, and a zero P takes part in no product (``_NullSpaceKKT``).  The
-conic rows are built once per region (``ConvexRegion.conic``), as CSR arrays
-when G is large (the 8x24 cascade: 475 x 225, 1% nonzero).
+the corrector share; G dx comes from the kept G Z, and a zero P takes part
+in no product (``_NullSpaceKKT``).  The conic rows are built once per region
+(``ConvexRegion.conic``), as CSR arrays when G is large (the 8x24 cascade:
+475 x 225, 1% nonzero).
+
+The equality multipliers are fitted, never iterated: Z' A' y = 0 moves none
+of x, s and z, and an iterated y, after a step of any length alpha, keeps
+y_k+1 - fit_k+1 = (1 - alpha)(y_k - fit_k) for fit = -A+' (q + P x + G' z).
+So the loop carries (x, s, z) alone, never reads ``warm.y``, and passes
+``_finish`` that fit (``region._fit_multipliers``).
 
 One status rule: only ``_finish`` returns ``optimal``, for an (x, y) whose
 natural-map residuals meet the contract (stationarity within 10 tol,
 equality and region distance within tol); every other end of the loop is
 ``max_iter``.  The loop decides only ``unbounded`` (a diverging objective or
-x) and ``infeasible`` (diverging duals, or a stall above ``_STALL_PRES``),
-and dropped equality rows that disagree with the kept ones are
-``infeasible`` before the first iteration.  The dual refit's y is certified
-first; the interior point's own y is projected only when the refit's
-residual exceeds 10 tol.  The rescue paths that remain all fire in the test
+x) and ``infeasible`` (a diverging sum |z|, or a stall above
+``_STALL_PRES``), and dropped equality rows that disagree with the kept ones
+are ``infeasible`` before the first iteration.  The dual refit's y is
+certified first; the interior point's fitted y is projected only when the
+refit's residual exceeds 10 tol.  The rescue paths that remain all fire in the test
 suite: the dual refit, the primal polish (the working-set solve of
 ``region``), the cold retry of a warm start that ends other than optimal,
 the tikhonov retry and the 1e-12 shift of a singular reduced Hessian.  The
@@ -70,6 +76,7 @@ from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlaswp, dorgqr
 from .errors import ProjectionError
 from .region import (
     _active_normals,
+    _fit_multipliers,
     _FixedRows,
     _min_norm_lstsq,
     _working_set_solve,
@@ -366,23 +373,22 @@ class _NullSpaceKKT:
     with Hm = P + G' W^{-2} G.  With Z a basis of null(A) and A+ the
     pseudo-inverse of A, dx = xp + Z w with the particular solution
     xp = -A+ ry, where the reduced Hessian Z' Hm Z = Z'PZ + (W^{-1} G Z)' (W^{-1} G Z)
-    is the only matrix formed and LU-factored, and dy = A+' (-rx - P dx - G' dz).
+    is the only matrix formed and LU-factored.  dy is not formed: Z' A' dy = 0,
+    so it moves no other part of the step, and rx need not hold A' y.
 
     The predictor and the corrector of one iteration share (rx, ry), so
     ``particular`` computes xp, G xp and Z'(-rx - P xp) once for both.  The
     reduced right-hand side then needs only the kept GZ = G Z, and so does
-    G dx = G xp + GZ w, from which dz and ds follow.  dx and dy (the only
-    use of G') are formed for the corrector alone; the predictor needs only
-    dz and ds.  P is None for zero curvature, and every product with it is
-    skipped.  G and G' are dense or CSR, as ``ConvexRegion.conic`` chose.
+    G dx = G xp + GZ w, from which dz and ds follow.  P is None for zero
+    curvature, and every product with it is skipped.  G is dense or CSR, as
+    ``ConvexRegion.conic`` chose.
     """
 
-    def __init__(self, P, G, Gt, Z, aplus):
-        self.P, self.G, self.Gt, self.Z, self.aplus = P, G, Gt, Z, aplus
+    def __init__(self, P, G, Z, aplus):
+        self.P, self.G, self.Z, self.aplus = P, G, Z, aplus
         self.GZ = G @ Z
         self.ZPZ = None if P is None else Z.T @ P @ Z
-        self.W = None
-        self.lu = None
+        self.W = self.lu = None
 
     def reduced_hessian(self, W=None):
         """Z' Hm Z for the scaling W (None: the identity)."""
@@ -411,29 +417,24 @@ class _NullSpaceKKT:
         return u if self.W is None else self.W.mul_winv2(u)
 
     def particular(self, rx, ry):
-        """The part every step for (rx, ry) shares: (rx, xp, G xp, Z'(-rx - P xp))."""
+        """The part every step for (rx, ry) shares: (xp, G xp, Z'(-rx - P xp))."""
         xp = -(self.aplus @ ry)
         t = -(self.Z.T @ rx)
         if self.P is not None:
             t -= self.Z.T @ (self.P @ xp)
-        return rx, xp, self.G @ xp, t
+        return xp, self.G @ xp, t
 
-    def solve(self, part, rz, rc=0.0, dual=True):
-        """(dx, dy, dz, ds) for the last factored W; dx and dy are None unless dual."""
-        rx, xp, gxp, t = part
+    def solve(self, part, rz, rc=0.0):
+        """(dx, dz, ds) for the last factored W."""
+        xp, gxp, t = part
         rzc = rz + rc
         w = scipy.linalg.lu_solve(self.lu, t - self.GZ.T @ self._winv2(gxp + rzc),
                                   check_finite=False)
         gdx = gxp + self.GZ @ w
-        dz = self._winv2(gdx + rzc)
-        dx = dy = None
-        if dual:
-            dx = xp + self.Z @ w
-            r = -rx if self.P is None else -rx - self.P @ dx
-            dy = self.aplus.T @ (r - self.Gt @ dz)
-        if not all(np.all(np.isfinite(v)) for v in (dz, dx, dy) if v is not None):
+        dx, dz = xp + self.Z @ w, self._winv2(gdx + rzc)
+        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
             raise np.linalg.LinAlgError("non-finite KKT step")
-        return dx, dy, dz, -rz - gdx
+        return dx, dz, -rz - gdx
 
 
 def _polish_duals(sp, x, grad0, presolve):
@@ -444,9 +445,9 @@ def _polish_duals(sp, x, grad0, presolve):
     grad0 + A_eq' y + N' lam = 0 recovers the limit multipliers directly
     once x is accurate.  The fit runs on the presolve's null space
     (kept, Z, A+): lam is the minimum-norm fit of Z' N' lam = -Z' grad0, and
-    y = -A+' (grad0 + N' lam) on the kept rows, 0 on the dropped ones.  None
-    when the fit gives an active normal a negative multiplier: the interior
-    point's y is then the only candidate.
+    y = -A+' (grad0 + N' lam) on the kept rows, 0 on the dropped ones
+    (``_fit_multipliers``).  None when the fit gives an active normal a
+    negative multiplier: the interior point's y is then the only candidate.
     """
     kept, Z, aplus = presolve
     normals = _active_normals(sp.region, x, 1e-7 * (1.0 + float(np.linalg.norm(x))))
@@ -456,44 +457,33 @@ def _polish_duals(sp, x, grad0, presolve):
     lam = _min_norm_lstsq(Z.T @ nmat, -(Z.T @ grad0))
     if lam is None or np.any(lam < 0.0):
         return None
-    y = np.zeros(sp.m)
-    y[kept] = -(aplus.T @ (grad0 + nmat @ lam))
-    if not np.all(np.isfinite(y)):
-        return None
-    return y
+    y = _fit_multipliers(aplus, grad0 + nmat @ lam, kept, sp.m)
+    return y if np.all(np.isfinite(y)) else None
 
 
-def _primal_polish(sp, x, y, presolve):
-    """Working-set refinement of (x, y) from the constraints active at x.
+def _primal_polish(sp, x, presolve):
+    """Working-set refinement of x, and its y, from the constraints active at x.
 
     The interior-point iterate is accurate to about sqrt(mu) when a curved
     member is active; the working-set Newton solve on the boundary equations
     restores full precision.  The kept equality rows are its fixed rows,
     eliminated through the presolve's (Z, A+) as in the interior point, so
     each Newton step solves a KKT matrix of order n - rank A_eq plus the
-    working set.  Returns (x, y) with 0 on the dropped rows, which the caller
-    re-checks on all of A_eq; candidates are screened by the caller through
-    the natural-map residuals.
+    working set.  Returns (x, y), y fitted at x with 0 on the dropped rows,
+    which the caller re-checks on all of A_eq; candidates are screened by the
+    caller through the natural-map residuals.
     """
     kept, Z, aplus = presolve
     scale = 1.0 + float(np.linalg.norm(x))
-    fixed = _FixedRows(sp.A_eq[kept], (sp.A_eq @ sp.x_ref - sp.b_eq)[kept], Z, aplus)
-    sol = _working_set_solve(sp.region, sp.gradient, sp.H, fixed, y[kept], x, 1e-7 * scale, scale,
-                             1e-12 * scale)
-    if sol is None:
-        return None
-    y_full = np.zeros(sp.m)
-    y_full[kept] = sol[1]
-    return sol[0], y_full
+    fixed = _FixedRows(sp.A_eq[kept], (sp.A_eq @ sp.x_ref - sp.b_eq)[kept], Z, aplus, kept, sp.m)
+    return _working_set_solve(sp.region, sp.gradient, sp.H, fixed, x, 1e-7 * scale, scale,
+                              1e-12 * scale)
 
 
-def _finish(sp, x, y_kept, presolve, s, z, verdict, iters, tol):
+def _finish(sp, x, y, presolve, s, z, verdict, iters, tol):
     """The solution at (x, y), and the only place that decides ``optimal``: with no
     verdict, refit, polish and return ``optimal`` within the contract, else
     ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone."""
-    kept = presolve[0]
-    y = np.zeros(sp.m)
-    y[kept] = y_kept
     grad0 = sp.gradient(x)
     rescue = verdict is None
     # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
@@ -510,7 +500,7 @@ def _finish(sp, x, y_kept, presolve, s, z, verdict, iters, tol):
     dist = None
     if stat > 10.0 * tol and rescue:
         # rescue: an x only sqrt(mu)-accurate because a curved member is active
-        pol = _primal_polish(sp, x, y, presolve)
+        pol = _primal_polish(sp, x, presolve)
         if pol is not None:
             x3, y3 = pol
             grad3 = sp.gradient(x3) + sp.A_eq.T @ y3
@@ -543,10 +533,11 @@ def _solve_no_cones(sp, b, presolve, tol):
         lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0)
         null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
-            return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
+            return _finish(sp, x_ls, np.zeros(sp.m), presolve, None, None,
                            SolveStatus.UNBOUNDED, 0, tol)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, -(aplus.T @ (P @ x + q)), presolve, None, None, None, 0, tol)
+    return _finish(sp, x, _fit_multipliers(aplus, P @ x + q, kept, sp.m), presolve, None, None,
+                   None, 0, tol)
 
 
 def _ipm(sp, opts, warm):
@@ -559,7 +550,7 @@ def _ipm(sp, opts, warm):
         # disagree with the kept one, and then no point meets all of A_eq
         x_ls = aplus @ b
         if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
-            return _finish(sp, x_ls, np.zeros(kept.size), presolve, None, None,
+            return _finish(sp, x_ls, np.zeros(sp.m), presolve, None, None,
                            SolveStatus.INFEASIBLE, 0, opts.tol)
     G, Gt, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
@@ -569,11 +560,10 @@ def _ipm(sp, opts, warm):
         P = None  # zero curvature: every product with P is skipped
 
     e = cones.unit()
-    kkt = _NullSpaceKKT(P, G, Gt, Z, aplus)
+    kkt = _NullSpaceKKT(P, G, Z, aplus)
 
     if warm is not None:
         x = np.array(warm.x, dtype=float)
-        y = np.array(warm.y, dtype=float)[kept]
         s = h - G @ x
         shift = max(0.0, 1e-4 * (1.0 + np.linalg.norm(h, np.inf)) - cones.margin(s))
         s = s + shift * e
@@ -584,7 +574,7 @@ def _ipm(sp, opts, warm):
         try:
             kkt.factor()
             # min 0.5 x'Px + q'x + 0.5 ||Gx - h||^2
-            x, y, zhat, _ = kkt.solve(kkt.particular(q, -b), -h)
+            x, zhat, _ = kkt.solve(kkt.particular(q, -b), -h)
         except np.linalg.LinAlgError:
             return _unsolved(sp)
         s = -zhat
@@ -603,7 +593,7 @@ def _ipm(sp, opts, warm):
     q_scale = max(1.0, np.linalg.norm(q))
 
     for it in range(1, opts.max_iter + 1):
-        rx = (q if P is None else P @ x + q) + Gt @ z + A.T @ y
+        rx = (q if P is None else P @ x + q) + Gt @ z
         ry = A @ x - b
         rz = G @ x + s - h
         gap = float(s @ z)
@@ -616,6 +606,7 @@ def _ipm(sp, opts, warm):
         # the natural-map residuals of the (x, y) pair that is actually returned
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol):
+            y = _fit_multipliers(aplus, rx, kept, sp.m)
             sol = _finish(sp, x, y, presolve, s, z, None, it, opts.tol)
             if sol.status is SolveStatus.OPTIMAL:
                 return sol
@@ -623,7 +614,7 @@ def _ipm(sp, opts, warm):
         if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or x @ x > 1e24:
             verdict = SolveStatus.UNBOUNDED
             break
-        if np.abs(z).sum() + np.abs(y).sum() > _DIVERGE_DUAL and pres > _STALL_PRES:
+        if np.abs(z).sum() > _DIVERGE_DUAL and pres > _STALL_PRES:
             verdict = SolveStatus.INFEASIBLE
             break
 
@@ -633,8 +624,8 @@ def _ipm(sp, opts, warm):
             kkt.factor(W)
             part = kkt.particular(rx, ry)
 
-            # predictor: target zero complementarity, dlam = -lam; no dx or dy
-            _, _, dz, ds = kkt.solve(part, rz, -W.mul_w(lam), dual=False)
+            # predictor: target zero complementarity, dlam = -lam
+            _, dz, ds = kkt.solve(part, rz, -W.mul_w(lam))
             alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
             gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
             sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
@@ -643,7 +634,7 @@ def _ipm(sp, opts, warm):
             corr = cones.prod(W.mul_winv(ds), W.mul_w(dz))  # (W^-1 ds) o (W dz)
             rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
             dlam = cones.inv_prod(lam, rhs_comp)
-            dx, dy, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
+            dx, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
         except np.linalg.LinAlgError:
             break
 
@@ -651,7 +642,6 @@ def _ipm(sp, opts, warm):
         # interior (test_ipm.py::test_fraction_to_boundary_step_stays_interior)
         alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
         x = x + alpha * dx
-        y = y + alpha * dy
         s = s + alpha * ds
         z = z + alpha * dz
         small_steps = small_steps + 1 if alpha < 1e-8 else 0
@@ -659,6 +649,7 @@ def _ipm(sp, opts, warm):
             verdict = SolveStatus.INFEASIBLE if pres > _STALL_PRES else None
             break
 
+    y = _fit_multipliers(aplus, (q if P is None else P @ x + q) + Gt @ z, kept, sp.m)
     return _finish(sp, x, y, presolve, s, z, verdict, it, opts.tol)
 
 
@@ -671,18 +662,18 @@ def _unsolved(sp):
 def solve_subproblem(sp, opts=None, warm=None):
     """Solve one convex subproblem to opts.tol within opts.max_iter iterations.
 
-    The iteration warm-starts from warm (a PrimalDual) when one is given and
-    starts cold otherwise; a warm-started solve that ends other than optimal
-    is repeated once from the cold start, and the solution reports the
-    iterations of both.  When the curvature model is zero and the solve
-    diverges toward an unbounded ray, it is solved once more with H = tik I,
-    tik = 1e-6 (1 + ||c||), centred at x_ref like its own curvature; that
-    solution is flagged ``regularized``, certified on the regularized
-    subproblem and reports the iterations of every attempt.
-    opts.tikhonov_retry = False returns the raw verdict.  Data with a nan or
-    inf entry, a cold start whose KKT system cannot be solved, and a
-    certification projection that verifies no point (ProjectionError) return
-    status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
+    The iteration warm-starts from warm.x (warm a PrimalDual, whose y is not
+    read) when one is given and starts cold otherwise; a warm-started solve
+    that ends other than optimal is repeated once from the cold start, and
+    the solution reports the iterations of both.  When the curvature model
+    is zero and the solve diverges toward an unbounded ray, it is solved
+    once more with H = tik I, tik = 1e-6 (1 + ||c||), centred at x_ref like
+    its own curvature; that solution is flagged ``regularized``, certified
+    on the regularized subproblem and reports the iterations of every
+    attempt.  opts.tikhonov_retry = False returns the raw verdict.  Data
+    with a nan or inf entry, a cold start whose KKT system cannot be solved,
+    and a certification projection that verifies no point (ProjectionError)
+    return status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
     residuals; the tracker then ends its trace as aborted.
     """
     opts = opts or SolverOptions()

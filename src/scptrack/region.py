@@ -36,7 +36,8 @@ interior-point iterates.  Each round of it is solved by the Newton kernel
 equality rows, none for the projection) are eliminated through a basis Z of
 their null space and their pseudo-inverse, as the interior point does, so
 each step (``_kkt_step``) solves only the reduced KKT matrix
-[[Z' H Z, (BZ)'], [BZ, 0]], B the working rows and curved gradients.  That
+[[Z' H Z, (BZ)'], [BZ, 0]], B the working rows and curved gradients, and
+the fixed rows' multipliers are fitted, not stepped (``_fit_multipliers``).  That
 matrix is singular at the first step of a linear objective (zero Hessian
 block, the curved multipliers still at zero) and when an active box row
 repeats a fixed row, so every step is its minimum-norm least-squares
@@ -87,21 +88,20 @@ def _check_finite(what, *data):
         raise UsageError(f"{what} data must be finite")
 
 
-def _monotone_root(gfun, pole, slope, xtol=2e-12):
+def _monotone_root(gfun, pole, slope):
     """The root of gfun on [0, pole), where it decreases, or None.
 
     lam = 0 whenever gfun(0) <= 0; otherwise a geometric bracket from the
     Newton step gfun(0) / -slope that never steps onto the pole, refined by
-    Brent's method to xtol + 4 eps lam.  xtol None is 4 eps times that first
-    bracket end, which for a convex gfun is at most the root.
+    Brent's method to the relative tolerance 4 eps (h + lam), with h that
+    first bracket end (for a convex gfun at most the root).
     """
     lo, g = 0.0, gfun(0.0)
     if g <= 0.0:
         return 0.0
     step = g / -slope if slope < 0.0 else 1.0
     hi = min(step if 0.0 < step < np.inf else 1.0, 0.5 * pole)
-    if xtol is None:
-        xtol = _ROOT_RTOL * hi
+    xtol = _ROOT_RTOL * hi
     while lo < hi < min(pole, 2.0**64) and np.isfinite(g):
         g = gfun(hi)
         if g <= 0.0:
@@ -340,7 +340,7 @@ class _Epigraph(SecondOrderCone):
         # phi'(0) = -(||P x_v + q||^2 + 1), and phi is convex: the Newton step
         # from 0 bounds the root from below, so Brent's tolerance scales with it
         slope = -(float(np.sum((lam * vu + qu) ** 2)) + qq + 1.0)
-        mu = _monotone_root(phi, np.inf, slope, xtol=None)
+        mu = _monotone_root(phi, np.inf, slope)
         if mu is None:
             raise ProjectionError("epigraph projection found no root")
         if mu == 0.0:
@@ -451,8 +451,10 @@ class ConvexRegion:
         n = self.lower.size
         if self.upper.size != n:
             raise DimensionError("box bounds have different lengths")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
-            raise UsageError("box bound is nan")
+        # region.rows would drop a nan bound, a lower one of +inf or an upper one
+        # of -inf as if the coordinate were free (nan fails both comparisons)
+        if not (np.all(self.lower < np.inf) and np.all(self.upper > -np.inf)):
+            raise UsageError("box bound is nan, a lower bound +inf or an upper bound -inf")
         if np.any(self.lower > self.upper):
             raise UsageError("box has lower > upper")
         for m in self.affine:
@@ -560,31 +562,44 @@ class _FixedRows(NamedTuple):
     A has full row rank, Z is an orthonormal basis of its null space and
     aplus its pseudo-inverse (A aplus = I), as ``ipm._presolve_equalities``
     returns them: an array, or an operator that applies ``aplus @ v`` and
-    ``aplus.T @ u`` to vectors.  With no row Z is never read, and ``none``
-    leaves it None.
+    ``aplus.T @ u`` to vectors.  A is the rows ``kept`` of m rows, and the
+    multipliers are reported on all m.  With no row Z is never read, and
+    ``none`` leaves it None.
     """
 
     A: np.ndarray
     r: np.ndarray
     Z: np.ndarray | None
     aplus: Any
+    kept: np.ndarray
+    m: int
 
     @classmethod
     def none(cls, n):
-        return cls(np.zeros((0, n)), np.zeros(0), None, np.zeros((n, 0)))
+        return cls(np.zeros((0, n)), np.zeros(0), None, np.zeros((n, 0)), np.zeros(0, int), 0)
+
+
+def _fit_multipliers(aplus, r, kept, m):
+    """y = -A+' r on the kept rows A (aplus their pseudo-inverse), 0 on the rest
+    of m rows: the least-squares fit of r + A' y = 0.  Every equality
+    multiplier is this fit at the point where it is wanted, never an iterate:
+    a Newton step on the null space of A moves nothing else with y."""
+    y = np.zeros(m)
+    y[kept] = -(aplus.T @ r)
+    return y
 
 
 def _kkt_step(hess, fixed, B, F):
-    """Newton step s = (dp, dy, dl) of the KKT system
+    """Newton step (dp, dl) of the KKT system
 
-        [[hess, A', B'], [A, 0, 0], [B, 0, 0]] s = -F,   F = (F_p, F_A, F_B),
+        [[hess, A', B'], [A, 0, 0], [B, 0, 0]] (dp, dy, dl) = -F,   F = (F_p, F_A, F_B),
 
     taken on the null space of the fixed rows A (Nocedal & Wright, Numerical
     Optimization, 16.2): dp = -A+ F_A + Z dv, where (dv, dl) solves the
     reduced matrix [[Z' hess Z, (BZ)'], [BZ, 0]] in the minimum-norm
-    least-squares sense (``_min_norm_lstsq``), and
-    dy = A+' (-F_p - hess dp - B' dl).  With no fixed row the reduced matrix
-    is the full one.  None when the system is not finite.
+    least-squares sense (``_min_norm_lstsq``).  dy moves neither (Z' A' dy = 0)
+    and is not formed.  With no fixed row the reduced matrix is the full one.
+    None when the system is not finite.
     """
     n, nf, k = hess.shape[0], fixed.A.shape[0], B.shape[0]
     f_p, f_a, f_b = F[:n], F[n : n + nf], F[n + nf :]
@@ -595,29 +610,22 @@ def _kkt_step(hess, fixed, B, F):
     else:
         ZHZ, BZ, rhs = hess, B, F
     nz = ZHZ.shape[0]
-    J = np.zeros((nz + k, nz + k))
-    J[:nz, :nz] = ZHZ
-    J[:nz, nz:] = BZ.T
-    J[nz:, :nz] = BZ
-    red = _min_norm_lstsq(J, -rhs)
-    if red is None or not nf:
-        return red
-    dl = red[nz:]
-    dp = dp + Z @ red[:nz]
-    dy = fixed.aplus.T @ (-f_p - hess @ dp - B.T @ dl)
-    return np.concatenate([dp, dy, dl])
+    red = _min_norm_lstsq(np.block([[ZHZ, BZ.T], [BZ, np.zeros((k, k))]]), -rhs)
+    if red is None:
+        return None
+    return (dp + Z @ red[:nz] if nf else red[:nz]), red[nz:]
 
 
-def _active_set_newton(grad, hess, fixed, E, r, curved, x, y, scale, tol):
+def _active_set_newton(grad, hess, fixed, E, r, curved, x, scale, tol):
     """Newton's method for min f(p) s.t. the fixed rows, E p = r and every
     curved boundary.
 
-    f has gradient grad and constant Hessian hess.  The fixed rows
-    (``_FixedRows``) start from multipliers y, the rows of E and the curved
-    members from zero.  Returns (p, y, w, mu), the multipliers of the fixed
-    rows, of E and of the curved members, once the KKT residual is at most
-    tol in max norm, otherwise None (40 steps, a cone apex or a non-finite
-    step).
+    f has gradient grad and constant Hessian hess.  The multipliers of E and
+    of the curved members start from zero; those of the fixed rows
+    (``_FixedRows``) are fitted at every step, y = -A+' (grad f + B' w).
+    Returns (p, y, w, mu), the multipliers of the fixed rows, of E and of the
+    curved members, once the whole KKT residual is at most tol in max norm,
+    otherwise None (40 steps, a cone apex or a non-finite step).
 
     Each step is ``_kkt_step``: the fixed rows are eliminated through their
     null space, and the reduced KKT matrix gets its minimum-norm
@@ -628,13 +636,15 @@ def _active_set_newton(grad, hess, fixed, E, r, curved, x, y, scale, tol):
     n - rank A constraints are active.  Truly dependent rows (a box-active
     coordinate that a fixed row also fixes) make it singular too.
     """
-    n, nf, le, k = x.size, fixed.A.shape[0], E.shape[0], len(curved)
+    le = E.shape[0]
     p = np.array(x)
-    w = np.zeros(le + k)
+    w = np.zeros(le + len(curved))
     for _ in range(40):
         terms = [m.boundary(p) for m in curved]
         B = np.vstack([E] + [t[1] for t in terms])
-        F = np.concatenate([grad(p) + fixed.A.T @ y + B.T @ w, fixed.A @ p - fixed.r, E @ p - r,
+        g = grad(p) + B.T @ w
+        y = _fit_multipliers(fixed.aplus, g, fixed.kept, fixed.m)
+        F = np.concatenate([g + fixed.A.T @ y[fixed.kept], fixed.A @ p - fixed.r, E @ p - r,
                             [t[0] for t in terms]])
         converged = np.max(np.abs(F)) <= tol
         # the apex check runs on every iteration; a Hessian is formed only
@@ -646,27 +656,25 @@ def _active_set_newton(grad, hess, fixed, E, r, curved, x, y, scale, tol):
         if converged:
             return p, y, w[:le], w[le:]
         step = _kkt_step(hess + sum(hessians), fixed, B, F)
-        if step is None or not np.all(np.isfinite(step)):
+        if step is None or not all(np.all(np.isfinite(d)) for d in step):
             return None
-        p = p + step[:n]
-        y = y + step[n : n + nf]
-        w = w + step[n + nf :]
+        p, w = p + step[0], w + step[1]
     return None
 
 
-def _working_set_solve(region, grad, hess, fixed, y, x, eps, scale, tol):
+def _working_set_solve(region, grad, hess, fixed, x, eps, scale, tol):
     """Working-set solve of min f(p) s.t. the fixed rows and p in the region.
 
     f has gradient grad and constant Hessian hess; the fixed rows
-    (``_FixedRows``, A p = r) start from multipliers y and are eliminated
-    through their null space in every Newton step.  The working set starts
+    (``_FixedRows``, A p = r) are eliminated through their null space in
+    every Newton step, and their multipliers are fitted.  The working set starts
     from the rows of ``region.rows`` and the curved members active at x
     within eps, and each round solves on it with ``_active_set_newton``.  The
     round then adds the most violated constraint outside the set or, when
     none is violated by more than tol, drops the one with the most negative
     multiplier (below -tol) inside it (Nocedal & Wright, Numerical
     Optimization, 16.5).  Returns (p, y) with y the multipliers of the fixed
-    rows once neither exists; None when a Newton solve fails or
+    rows on all m of them once neither exists; None when a Newton solve fails or
     2 (rows + curved) + 1 rounds do not settle the set.
     """
     N, b = region.rows
@@ -680,7 +688,7 @@ def _working_set_solve(region, grad, hess, fixed, y, x, eps, scale, tol):
     for _ in range(2 * on.size + 1):
         rows = on[: b.size]
         sol = _active_set_newton(grad, hess, fixed, N[rows], b[rows],
-                                 [m for m, k in zip(curved, on[b.size :]) if k], p, y, scale, tol)
+                                 [m for m, k in zip(curved, on[b.size :]) if k], p, scale, tol)
         if sol is None:
             return None
         p, y_fixed, w, mu = sol
@@ -703,8 +711,8 @@ def _polish_projection(region, v, x, scale):
     x; the candidate is returned only when it passes the KKT verification.
     """
     n = region.n
-    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), _FixedRows.none(n), np.zeros(0),
-                             x, 1e-9 * scale, scale, 1e-13 * scale)
+    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), _FixedRows.none(n), x,
+                             1e-9 * scale, scale, 1e-13 * scale)
     return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 

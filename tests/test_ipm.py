@@ -32,6 +32,7 @@ from scptrack.region import (
     ConvexRegion,
     Ellipsoid,
     SecondOrderCone,
+    _fit_multipliers,
     project_region,
     region_violation,
 )
@@ -417,7 +418,7 @@ def _finish_with_spy(monkeypatch, sp, x, y, opts):
 
     monkeypatch.setattr(ipm_module, "project_region", spy)
     presolve = _presolve_equalities(sp.A_eq)
-    sol = ipm_module._finish(sp, x, y[presolve[0]], presolve, None, None, None, 1, opts.tol)
+    sol = ipm_module._finish(sp, x, y, presolve, None, None, None, 1, opts.tol)
     return sol, seen
 
 
@@ -710,7 +711,7 @@ def test_reduced_hessian_matches_dense_hm():
     Wi = np.linalg.inv(_dense_w(W))
     for m in (0, 2):
         _, Z, aplus = _presolve_equalities(rng.normal(size=(m, n)) if m else np.zeros((0, n)))
-        kkt = _NullSpaceKKT(P, G, Gt, Z, aplus)
+        kkt = _NullSpaceKKT(P, G, Z, aplus)
         _close(kkt.reduced_hessian(W), Z.T @ (P + G.T @ Wi @ Wi @ G) @ Z, 1e-12)
         _close(kkt.reduced_hessian(), Z.T @ (P + G.T @ G) @ Z, 1e-12)
         if not m:
@@ -731,24 +732,23 @@ def test_null_space_step_matches_dense_bordered_solve(p):
     Wi2 = np.linalg.matrix_power(np.linalg.inv(_dense_w(W)), 2)
     rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=cones.dim)
     rc = rng.normal(size=cones.dim)
-    G_csr, Gt_csr = scipy.sparse.csr_array(G), scipy.sparse.csr_array(Gt)
+    G_csr = scipy.sparse.csr_array(G)
     for P in (0.1 * B @ B.T, None):
         Pd = np.zeros((n, n)) if P is None else P
         K = np.block([[Pd + G.T @ Wi2 @ G, A.T], [A, np.zeros((p, p))]])
-        for Gk, Gtk in ((G, Gt), (G_csr, Gt_csr)):
-            kkt = _NullSpaceKKT(P, Gk, Gtk, Z, aplus)
+        for Gk in (G, G_csr):
+            kkt = _NullSpaceKKT(P, Gk, Z, aplus)
             assert kkt.factor(W) == 0.0
             part = kkt.particular(rx, ry)
             # the corrector form with a complementarity term, then the
-            # predictor form, which returns neither dx nor dy
-            for c, dual in ((rc, True), (0.0, False)):
+            # predictor form.  rx holds no A' y (y = 0), and the multiplier
+            # fitted at the stepped point, -A+' (rx + P dx + G' dz), is the
+            # bordered y + dy
+            for c in (rc, 0.0):
                 ref = np.linalg.solve(K, np.concatenate([-rx - G.T @ Wi2 @ (rz + c), -ry]))
-                dx, dy, dz, ds = kkt.solve(part, rz, c, dual=dual)
-                if dual:
-                    _close(dx, ref[:n], 1e-10)
-                    _close(dy, ref[n:], 1e-10)
-                else:
-                    assert dx is None and dy is None
+                dx, dz, ds = kkt.solve(part, rz, c)
+                _close(dx, ref[:n], 1e-10)
+                _close(_fit_multipliers(aplus, rx + Pd @ dx + G.T @ dz, kept, p), ref[n:], 1e-10)
                 _close(dz, Wi2 @ (G @ ref[:n] + rz + c), 1e-10)
                 _close(ds, -rz - G @ ref[:n], 1e-10)
 
@@ -760,7 +760,7 @@ def test_singular_reduced_hessian_takes_the_shift(monkeypatch):
     W = _Scaling(cones, np.ones(cones.dim), np.ones(cones.dim))
     for A in (np.zeros((0, 3)), np.array([[1.0, 1.0, 0.0]])):
         _, Z, aplus = _presolve_equalities(A)
-        assert _NullSpaceKKT(np.zeros((3, 3)), G, Gt, Z, aplus).factor(W) == 1e-12
+        assert _NullSpaceKKT(np.zeros((3, 3)), G, Z, aplus).factor(W) == 1e-12
 
     shifts = []
     factor = _NullSpaceKKT.factor
@@ -836,17 +836,17 @@ def test_primal_polish_solves_on_the_null_space_of_the_equality_rows(monkeypatch
     polish, newton, lstsq = (ipm_module._primal_polish, region_module._active_set_newton,
                              region_module._min_norm_lstsq)
 
-    def polish_spy(sp, x, y, presolve):
+    def polish_spy(sp, x, presolve):
         free.append(sp.n - np.linalg.matrix_rank(sp.A_eq))
         try:
-            return polish(sp, x, y, presolve)
+            return polish(sp, x, presolve)
         finally:
             free.append(None)
 
-    def newton_spy(grad, hess, fixed, E, r, curved, x, y, scale, tol):
+    def newton_spy(grad, hess, fixed, E, r, curved, x, scale, tol):
         if free and free[-1] is not None:
             bound[0] = free[-1] + E.shape[0] + len(curved)
-        return newton(grad, hess, fixed, E, r, curved, x, y, scale, tol)
+        return newton(grad, hess, fixed, E, r, curved, x, scale, tol)
 
     def step_spy(M, rhs):
         if free and free[-1] is not None:

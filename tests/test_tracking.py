@@ -365,6 +365,33 @@ def test_track_oracle_errors_recorded():
     assert max(errors) <= 0.5
 
 
+@pytest.mark.parametrize("variant, jac, hess, lo, hi", [
+    ("pcscp", "exact", "projected", 1.8, np.inf),
+    ("apcscp", "frozen", "projected", 1.8, np.inf),
+    ("pcscp", "exact", "zero", 0.85, 1.15),
+    ("apcscp", "frozen", "zero", 0.85, 1.15),
+    ("rtgn", "exact", "zero", 0.85, 1.15),
+])
+def test_one_step_error_has_the_order_of_the_contraction_estimate(variant, jac, hess, lo, hi):
+    # one step from the exact solution at xi = 1.5 to 1.5 + h: the contraction
+    # estimate bounds its oracle error by the parameter step, to second order
+    # with the projected Lagrangian Hessian as curvature model and to first
+    # order with none.  The frozen Jacobian is exact at the start, so it
+    # matches pcscp.  rtgn's tangent halfspace drops the cone's curvature, so
+    # the projected model does not make it second order and is not checked
+    problem = tutorial_problem()
+    z0, _ = tutorial_solution(1.5)
+    config = TrackerConfig(variant=variant, jacobian=JacobianStrategy(jac),
+                           hessian=HessianStrategy(hess), record_oracle_error=True)
+    hs = 0.2 / 2.0 ** np.arange(5)
+    errors = [track(problem, [np.array([1.5 + h])], z0, config).records[1].oracle_error
+              for h in hs]
+    # the order between successive halvings of h: 1.88-1.98 with the projected
+    # model, 0.93-0.98 with the zero one
+    orders = np.diff(np.log(errors)) / np.diff(np.log(hs))
+    assert np.all((orders >= lo) & (orders <= hi)), orders
+
+
 def test_track_empty_sequence_rejected():
     problem = tutorial_problem()
     z0, _ = tutorial_solution(1.2)
