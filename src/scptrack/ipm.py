@@ -17,48 +17,51 @@ and the scaling, W = eta (2 v v' - J) per block, applies its diagonal part to
 every coordinate in one product and then each block's rank-one terms; no
 block matrix is formed.
 
-The equality rows are presolved once per solve (``_presolve_equalities``)
-into the kept rows, an orthonormal basis Z of their null space and their
-pseudo-inverse A+.  A row is kept when its pivot in a pivoted QR of A'
-exceeds 1e-10 ||A||_2.  That QR runs only for dependent or near-dependent
-rows.  Otherwise one LU with partial pivoting of A' picks basis columns B of
-A, gives Z by one triangular solve and an economic QR of its n - m columns,
-and gives A+ = (I - Z Z') R, R = A_B^-1 on the rows B, as an operator of two
+The equality rows are presolved once per subproblem
+(``_presolve_equalities``) into one ``region._FixedRows`` value that depends
+on A alone: the kept rows, an orthonormal basis Z of their null space and
+their pseudo-inverse A+.  Every solve attempt and every consumer below takes
+that value.  A row is kept when its pivot in a pivoted QR of A' exceeds
+1e-10 ||A||_2.  That QR runs only for dependent or near-dependent rows.
+Otherwise one LU with partial pivoting of A' picks basis columns B of A,
+gives Z by one triangular solve and an economic QR of its n - m columns, and
+gives A+ = (I - Z Z') R, R = A_B^-1 on the rows B, as an operator of two
 triangular solves that is never formed.  The LU path is taken only when a
 condition estimate of A_B (LAPACK gecon) proves that the QR would keep every
 row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
-n minus the number of kept rows, instead of the bordered KKT matrix.  Each
-iteration computes one particular solution -A+ ry, which the predictor and
-the corrector share; G dx comes from the kept G Z, and a zero P takes part
-in no product (``_NullSpaceKKT``).  The conic rows are built once per region
-(``ConvexRegion.conic``), as CSR arrays when G is large (the 8x24 cascade:
-475 x 225, 1% nonzero).
+n minus the number of kept rows, instead of the bordered KKT matrix; the
+cold start factors it at the NT scaling of (e, e), which is exactly the
+identity.  Each iteration computes one particular solution -A+ ry, which the
+predictor and the corrector share; G dx comes from the kept G Z, and a zero
+P takes part in no product (``_NullSpaceKKT``).  The conic rows are built
+once per region (``ConvexRegion.conic``), as CSR arrays when G is large (the
+8x24 cascade: 475 x 225, 1% nonzero).
 
 The equality multipliers are fitted, never iterated: Z' A' y = 0 moves none
 of x, s and z, and an iterated y, after a step of any length alpha, keeps
 y_k+1 - fit_k+1 = (1 - alpha)(y_k - fit_k) for fit = -A+' (q + P x + G' z).
 So the loop carries (x, s, z) alone, never reads ``warm.y``, and passes
-``_finish`` that fit (``region._fit_multipliers``).
+``_finish`` that fit (``_FixedRows.fit``).
 
 One status rule: only ``_finish`` returns ``optimal``, for an (x, y) whose
 natural-map residuals meet the contract (stationarity within 10 tol,
 equality and region distance within tol); every other end of the loop is
 ``max_iter``.  The loop decides only ``unbounded`` (a diverging objective or
 x) and ``infeasible`` (a diverging sum |z|, or a stall above
-``_STALL_PRES``), and dropped equality rows that disagree with the kept ones
-are ``infeasible`` before the first iteration.  The dual refit's y is
-certified first; the interior point's fitted y is projected only when the
-refit's residual exceeds 10 tol.  The rescue paths that remain all fire in the test
-suite: the dual refit, the primal polish (the working-set solve of
-``region``), the cold retry of a warm start that ends other than optimal,
-the tikhonov retry and the 1e-12 shift of a singular reduced Hessian.  The
-two certification rescues reuse the presolve's (kept, Z, A+), so neither
-solves a system that stacks the equality rows (``_polish_duals``,
-``_primal_polish``).  A certification projection that verifies no point
-raises ``ProjectionError``, and the solve then returns max_iter with no
-iterate.  Regions with no cone at all are solved as an equality-constrained
-QP on the same null space.
+``_STALL_PRES``); ``solve_subproblem`` decides dropped equality rows that
+disagree with the kept ones as ``infeasible`` once, before any attempt.  The
+dual refit's y is certified first; the interior point's fitted y is
+projected only when the refit's residual exceeds 10 tol.  The rescue paths
+that remain all fire in the test suite: the dual refit, the primal polish
+(the working-set solve of ``region``), the cold retry of a warm start that
+ends other than optimal, the tikhonov retry and the 1e-12 shift of a
+singular reduced Hessian.  The two certification rescues reuse the
+presolve's value, so neither solves a system that stacks the equality rows
+(``_polish_duals``, ``_primal_polish``).  A certification projection that
+verifies no point raises ``ProjectionError``, and the solve then returns
+max_iter with no iterate.  Regions with no cone at all are solved as an
+equality-constrained QP on the same null space.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlaswp, dorgqr
 from .errors import ProjectionError
 from .region import (
     _active_normals,
-    _fit_multipliers,
     _FixedRows,
     _min_norm_lstsq,
     _working_set_solve,
@@ -304,7 +306,7 @@ class _Transposed(NamedTuple):
 
 
 def _lu_presolve(A):
-    """(kept, Z, A+) of ``_presolve_equalities`` from one LU of A', or None.
+    """``_presolve_equalities``'s value from one LU of A', or None.
 
     P A' = [L1; L2] U (LAPACK getrf, partial pivoting): the first m permuted
     rows are basis columns B of A, A_B' = L1 U, and Z0[B] = -L1^-T L2',
@@ -331,48 +333,52 @@ def _lu_presolve(A):
     Z0[perm[m:], np.arange(n - m)] = 1.0
     qr, tau, _, _ = dgeqrf(Z0)
     Z = dorgqr(qr, tau)[0]
-    return np.arange(m), Z, _PseudoInverse(lu1, perm[:m], Z)
+    kept = np.arange(m)
+    return _FixedRows(A[kept], Z, _PseudoInverse(lu1, perm[:m], Z), kept, m)
 
 
 def _presolve_equalities(A):
-    """Kept rows of A, an orthonormal basis Z of their null space, and their pseudo-inverse.
+    """The kept rows of A, an orthonormal basis Z of their null space and their
+    pseudo-inverse, as one ``region._FixedRows`` value that depends on A alone.
 
     Row piv[i] is kept when the pivot |r_ii| of a pivoted QR, A'[:, piv] = Q R,
-    exceeds 1e-10 ||A||_2; the kept rows (returned in sorted order) have full
-    row rank, Z spans their null space and A+ is their pseudo-inverse,
+    exceeds 1e-10 ||A||_2; the kept rows (in sorted order) have full row
+    rank, Z spans their null space and A+ is their pseudo-inverse,
     A A+ = I, with columns in the kept order.  A+ is anything with ``@`` and
-    ``.T @`` on vectors.  For m <= n rows, one LU of A' gives the triple, with
+    ``.T @`` on vectors.  For m <= n rows, one LU of A' gives the value, with
     A+ a ``_PseudoInverse`` operator (``_lu_presolve``), when a condition
     estimate of the LU's basis columns A_B proves that the rule keeps every
     row: each |r_ii| >= sigma_min(A) >= sigma_min(A_B) > 1e-10 ||A||_2.
     Otherwise (dependent or near-dependent rows, or m > n) the pivoted QR
     itself runs: Z is the trailing part of Q and A+ = Q1 R11^{-T}, formed.
     """
-    n = A.shape[1]
+    m, n = A.shape
     if A.size == 0:
-        return np.array([], dtype=int), np.eye(n), np.zeros((n, 0))
-    presolve = _lu_presolve(A) if A.shape[0] <= n else None
-    if presolve is not None:
-        return presolve
+        return _FixedRows.none(n, m)
+    fixed = _lu_presolve(A) if m <= n else None
+    if fixed is not None:
+        return fixed
     q, r, piv = scipy.linalg.qr(A.T, pivoting=True)
     rank = int(np.sum(np.abs(np.diag(r)) > 1e-10 * max(np.linalg.norm(A, 2), 1e-300)))
     order = np.argsort(piv[:rank])
     aplus = scipy.linalg.solve_triangular(r[:rank, :rank], q[:, :rank].T, check_finite=False).T
-    return piv[:rank][order], q[:, rank:], aplus[:, order]
+    kept = piv[:rank][order]
+    return _FixedRows(A[kept], q[:, rank:], aplus[:, order], kept, m)
 
 
 class _NullSpaceKKT:
     """The Newton system of the conic iteration, solved on the null space of A.
 
-    For residuals (rx, ry, rz), a complementarity term rc and a scaling W (the
-    identity at the cold start), the step solves
+    For residuals (rx, ry, rz), a complementarity term rc and a scaling W (at
+    the cold start that of (e, e), the identity), the step solves
 
         Hm dx + A' dy = -rx - G' W^{-2} (rz + rc),   A dx = -ry,
         dz = W^{-2} (G dx + rz + rc),   ds = -rz - G dx,
 
     with Hm = P + G' W^{-2} G.  With Z a basis of null(A) and A+ the
-    pseudo-inverse of A, dx = xp + Z w with the particular solution
-    xp = -A+ ry, where the reduced Hessian Z' Hm Z = Z'PZ + (W^{-1} G Z)' (W^{-1} G Z)
+    pseudo-inverse of A (both from the presolve), dx = xp + Z w with the
+    particular solution xp = -A+ ry, where the reduced Hessian
+    Z' Hm Z = Z'PZ + (W^{-1} G Z)' (W^{-1} G Z)
     is the only matrix formed and LU-factored.  dy is not formed: Z' A' dy = 0,
     so it moves no other part of the step, and rx need not hold A' y.
 
@@ -384,18 +390,18 @@ class _NullSpaceKKT:
     ``ConvexRegion.conic`` chose.
     """
 
-    def __init__(self, P, G, Z, aplus):
-        self.P, self.G, self.Z, self.aplus = P, G, Z, aplus
-        self.GZ = G @ Z
-        self.ZPZ = None if P is None else Z.T @ P @ Z
+    def __init__(self, P, G, fixed):
+        self.P, self.G, self.Z, self.aplus = P, G, fixed.Z, fixed.aplus
+        self.GZ = G @ self.Z
+        self.ZPZ = None if P is None else self.Z.T @ P @ self.Z
         self.W = self.lu = None
 
-    def reduced_hessian(self, W=None):
-        """Z' Hm Z for the scaling W (None: the identity)."""
-        RZ = self.GZ if W is None else W.mul_winv(self.GZ)
+    def reduced_hessian(self, W):
+        """Z' Hm Z for the scaling W."""
+        RZ = W.mul_winv(self.GZ)
         return RZ.T @ RZ if self.ZPZ is None else self.ZPZ + RZ.T @ RZ
 
-    def factor(self, W=None):
+    def factor(self, W):
         """LU-factor Z' Hm Z for W; returns the diagonal shift that was needed."""
         self.W = W
         Hr = self.reduced_hessian(W)
@@ -413,9 +419,6 @@ class _NullSpaceKKT:
                 return reg
         raise np.linalg.LinAlgError("reduced KKT matrix is numerically singular")
 
-    def _winv2(self, u):
-        return u if self.W is None else self.W.mul_winv2(u)
-
     def particular(self, rx, ry):
         """The part every step for (rx, ry) shares: (xp, G xp, Z'(-rx - P xp))."""
         xp = -(self.aplus @ ry)
@@ -428,59 +431,57 @@ class _NullSpaceKKT:
         """(dx, dz, ds) for the last factored W."""
         xp, gxp, t = part
         rzc = rz + rc
-        w = scipy.linalg.lu_solve(self.lu, t - self.GZ.T @ self._winv2(gxp + rzc),
+        w = scipy.linalg.lu_solve(self.lu, t - self.GZ.T @ self.W.mul_winv2(gxp + rzc),
                                   check_finite=False)
         gdx = gxp + self.GZ @ w
-        dx, dz = xp + self.Z @ w, self._winv2(gdx + rzc)
+        dx, dz = xp + self.Z @ w, self.W.mul_winv2(gdx + rzc)
         if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
             raise np.linalg.LinAlgError("non-finite KKT step")
         return dx, dz, -rz - gdx
 
 
-def _polish_duals(sp, x, grad0, presolve):
+def _polish_duals(sp, x, grad0, fixed):
     """Equality multipliers refit against the active normals at x.
 
     The interior-point duals for constraints that sit on zero rows of the
     conic matrix converge slowly; a least-squares refit of
     grad0 + A_eq' y + N' lam = 0 recovers the limit multipliers directly
-    once x is accurate.  The fit runs on the presolve's null space
-    (kept, Z, A+): lam is the minimum-norm fit of Z' N' lam = -Z' grad0, and
+    once x is accurate.  The fit runs on the presolve's null space Z: lam is
+    the minimum-norm fit of Z' N' lam = -Z' grad0, and
     y = -A+' (grad0 + N' lam) on the kept rows, 0 on the dropped ones
-    (``_fit_multipliers``).  None when the fit gives an active normal a
+    (``_FixedRows.fit``).  None when the fit gives an active normal a
     negative multiplier: the interior point's y is then the only candidate.
     """
-    kept, Z, aplus = presolve
     normals = _active_normals(sp.region, x, 1e-7 * (1.0 + float(np.linalg.norm(x))))
     nmat = np.array(normals).T if normals else np.zeros((sp.n, 0))
     if sp.m + nmat.shape[1] == 0:
         return None
-    lam = _min_norm_lstsq(Z.T @ nmat, -(Z.T @ grad0))
+    lam = _min_norm_lstsq(fixed.Z.T @ nmat, -(fixed.Z.T @ grad0))
     if lam is None or np.any(lam < 0.0):
         return None
-    y = _fit_multipliers(aplus, grad0 + nmat @ lam, kept, sp.m)
+    y = fixed.fit(grad0 + nmat @ lam)
     return y if np.all(np.isfinite(y)) else None
 
 
-def _primal_polish(sp, x, presolve):
+def _primal_polish(sp, x, fixed):
     """Working-set refinement of x, and its y, from the constraints active at x.
 
     The interior-point iterate is accurate to about sqrt(mu) when a curved
     member is active; the working-set Newton solve on the boundary equations
-    restores full precision.  The kept equality rows are its fixed rows,
-    eliminated through the presolve's (Z, A+) as in the interior point, so
+    restores full precision.  The presolve's ``_FixedRows`` are its fixed
+    rows, eliminated through their (Z, A+) as in the interior point, so
     each Newton step solves a KKT matrix of order n - rank A_eq plus the
     working set.  Returns (x, y), y fitted at x with 0 on the dropped rows,
     which the caller re-checks on all of A_eq; candidates are screened by the
     caller through the natural-map residuals.
     """
-    kept, Z, aplus = presolve
     scale = 1.0 + float(np.linalg.norm(x))
-    fixed = _FixedRows(sp.A_eq[kept], (sp.A_eq @ sp.x_ref - sp.b_eq)[kept], Z, aplus, kept, sp.m)
-    return _working_set_solve(sp.region, sp.gradient, sp.H, fixed, x, 1e-7 * scale, scale,
+    rhs = (sp.A_eq @ sp.x_ref - sp.b_eq)[fixed.kept]
+    return _working_set_solve(sp.region, sp.gradient, sp.H, fixed, rhs, x, 1e-7 * scale, scale,
                               1e-12 * scale)
 
 
-def _finish(sp, x, y, presolve, s, z, verdict, iters, tol):
+def _finish(sp, x, y, fixed, s, z, verdict, iters, tol):
     """The solution at (x, y), and the only place that decides ``optimal``: with no
     verdict, refit, polish and return ``optimal`` within the contract, else
     ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone."""
@@ -489,7 +490,7 @@ def _finish(sp, x, y, presolve, s, z, verdict, iters, tol):
     # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
     # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
     # that, the interior point's y is projected too and the smaller residual is kept
-    y2 = _polish_duals(sp, x, grad0, presolve) if rescue else None
+    y2 = _polish_duals(sp, x, grad0, fixed) if rescue else None
     stat = stat2 = np.inf
     if y2 is not None:
         stat2 = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y2))))
@@ -500,7 +501,7 @@ def _finish(sp, x, y, presolve, s, z, verdict, iters, tol):
     dist = None
     if stat > 10.0 * tol and rescue:
         # rescue: an x only sqrt(mu)-accurate because a curved member is active
-        pol = _primal_polish(sp, x, presolve)
+        pol = _primal_polish(sp, x, fixed)
         if pol is not None:
             x3, y3 = pol
             grad3 = sp.gradient(x3) + sp.A_eq.T @ y3
@@ -521,11 +522,11 @@ def _finish(sp, x, y, presolve, s, z, verdict, iters, tol):
                               residuals=SubproblemResiduals(stat, eq, dist, gap))
 
 
-def _solve_no_cones(sp, b, presolve, tol):
+def _solve_no_cones(sp, fixed, b, tol):
     """Equality-constrained QP on the null space, for regions without members."""
-    kept, Z, aplus = presolve
+    Z = fixed.Z
     P, q = sp.H, sp.grad_const
-    x_ls = aplus @ b
+    x_ls = fixed.aplus @ b
     Hr = Z.T @ P @ Z
     gr = Z.T @ (P @ x_ls + q)
     x = x_ls
@@ -533,34 +534,24 @@ def _solve_no_cones(sp, b, presolve, tol):
         lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0)
         null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
-            return _finish(sp, x_ls, np.zeros(sp.m), presolve, None, None,
+            return _finish(sp, x_ls, np.zeros(sp.m), fixed, None, None,
                            SolveStatus.UNBOUNDED, 0, tol)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, _fit_multipliers(aplus, P @ x + q, kept, sp.m), presolve, None, None,
-                   None, 0, tol)
+    return _finish(sp, x, fixed.fit(P @ x + q), fixed, None, None, None, 0, tol)
 
 
-def _ipm(sp, opts, warm):
+def _ipm(sp, opts, warm, fixed):
     P, q = sp.H, sp.grad_const
-    presolve = kept, Z, aplus = _presolve_equalities(sp.A_eq)
-    b_all = sp.A_eq @ sp.x_ref - sp.b_eq
-    A, b = sp.A_eq[kept], b_all[kept]
-    if kept.size < sp.m:
-        # the dropped rows are decided once, before iterating: a duplicate row may
-        # disagree with the kept one, and then no point meets all of A_eq
-        x_ls = aplus @ b
-        if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
-            return _finish(sp, x_ls, np.zeros(sp.m), presolve, None, None,
-                           SolveStatus.INFEASIBLE, 0, opts.tol)
+    A, b = fixed.A, (sp.A_eq @ sp.x_ref - sp.b_eq)[fixed.kept]
     G, Gt, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
         # a region with no finite bound and no member leaves no cone to step in
-        return _solve_no_cones(sp, b, presolve, opts.tol)
+        return _solve_no_cones(sp, fixed, b, opts.tol)
     if not np.any(P):
         P = None  # zero curvature: every product with P is skipped
 
     e = cones.unit()
-    kkt = _NullSpaceKKT(P, G, Z, aplus)
+    kkt = _NullSpaceKKT(P, G, fixed)
 
     if warm is not None:
         x = np.array(warm.x, dtype=float)
@@ -572,7 +563,7 @@ def _ipm(sp, opts, warm):
             z = np.array(e)
     else:
         try:
-            kkt.factor()
+            kkt.factor(_Scaling(cones, e, e))
             # min 0.5 x'Px + q'x + 0.5 ||Gx - h||^2
             x, zhat, _ = kkt.solve(kkt.particular(q, -b), -h)
         except np.linalg.LinAlgError:
@@ -606,8 +597,7 @@ def _ipm(sp, opts, warm):
         # the natural-map residuals of the (x, y) pair that is actually returned
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol):
-            y = _fit_multipliers(aplus, rx, kept, sp.m)
-            sol = _finish(sp, x, y, presolve, s, z, None, it, opts.tol)
+            sol = _finish(sp, x, fixed.fit(rx), fixed, s, z, None, it, opts.tol)
             if sol.status is SolveStatus.OPTIMAL:
                 return sol
 
@@ -649,8 +639,8 @@ def _ipm(sp, opts, warm):
             verdict = SolveStatus.INFEASIBLE if pres > _STALL_PRES else None
             break
 
-    y = _fit_multipliers(aplus, (q if P is None else P @ x + q) + Gt @ z, kept, sp.m)
-    return _finish(sp, x, y, presolve, s, z, verdict, it, opts.tol)
+    y = fixed.fit((q if P is None else P @ x + q) + Gt @ z)
+    return _finish(sp, x, y, fixed, s, z, verdict, it, opts.tol)
 
 
 def _unsolved(sp):
@@ -662,6 +652,8 @@ def _unsolved(sp):
 def solve_subproblem(sp, opts=None, warm=None):
     """Solve one convex subproblem to opts.tol within opts.max_iter iterations.
 
+    The equality rows are presolved once, for every attempt below; dropped
+    rows that disagree with the kept ones are ``infeasible`` with no attempt.
     The iteration warm-starts from warm.x (warm a PrimalDual, whose y is not
     read) when one is given and starts cold otherwise; a warm-started solve
     that ends other than optimal is repeated once from the cold start, and
@@ -679,17 +671,24 @@ def solve_subproblem(sp, opts=None, warm=None):
     opts = opts or SolverOptions()
     if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
         return _unsolved(sp)
+    fixed = _presolve_equalities(sp.A_eq)
     try:
-        sol = _ipm(sp, opts, warm)
+        if fixed.kept.size < sp.m:
+            b_all = sp.A_eq @ sp.x_ref - sp.b_eq
+            x_ls = fixed.aplus @ b_all[fixed.kept]
+            if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
+                return _finish(sp, x_ls, np.zeros(sp.m), fixed, None, None,
+                               SolveStatus.INFEASIBLE, 0, opts.tol)
+        sol = _ipm(sp, opts, warm, fixed)
         if warm is not None and sol.status is not SolveStatus.OPTIMAL:
             # rescue: an iteration warm-started far outside the region can stall
             # into a false verdict; the cold start does not depend on warm
-            cold = _ipm(sp, opts, None)
+            cold = _ipm(sp, opts, None, fixed)
             sol = replace(cold, iterations=sol.iterations + cold.iterations)
         if sol.status is SolveStatus.UNBOUNDED and opts.tikhonov_retry and not np.any(sp.H):
             # rescue: a zero curvature model whose linear objective runs off a ray
             tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
-            reg = _ipm(replace(sp, H=tik * np.eye(sp.n)), opts, warm)
+            reg = _ipm(replace(sp, H=tik * np.eye(sp.n)), opts, warm, fixed)
             sol = replace(reg, iterations=sol.iterations + reg.iterations, regularized=True)
     except ProjectionError:
         return _unsolved(sp)

@@ -32,12 +32,12 @@ Both polishing steps share one working-set solve, ``_working_set_solve``:
 ``_polish_projection`` turns a slow Dykstra run (at most 100 sweeps) into an
 exactly verified projection with it, and ``ipm._primal_polish`` refines
 interior-point iterates.  Each round of it is solved by the Newton kernel
-``_active_set_newton``.  Rows held fixed (``_FixedRows``: the polish's
-equality rows, none for the projection) are eliminated through a basis Z of
-their null space and their pseudo-inverse, as the interior point does, so
-each step (``_kkt_step``) solves only the reduced KKT matrix
-[[Z' H Z, (BZ)'], [BZ, 0]], B the working rows and curved gradients, and
-the fixed rows' multipliers are fitted, not stepped (``_fit_multipliers``).  That
+``_active_set_newton``.  Rows held fixed are the interior point's presolve,
+one ``_FixedRows`` value (``none``, Z = I, for the projection), with their
+right-hand side beside it; they are eliminated through its null-space basis
+Z and pseudo-inverse, so each step (``_kkt_step``) solves only the reduced
+KKT matrix [[Z' H Z, (BZ)'], [BZ, 0]], B the working rows and curved
+gradients, and their multipliers are fitted, not stepped (``fit``).  That
 matrix is singular at the first step of a linear objective (zero Hessian
 block, the curved multipliers still at zero) and when an active box row
 repeats a fixed row, so every step is its minimum-norm least-squares
@@ -540,7 +540,8 @@ def _verify_projection(region, v, cand, scale):
     if not normals:
         return None
     _, rnorm = nnls(np.array(normals).T, r)
-    if rnorm <= 1e-9 * (1.0 + np.linalg.norm(r)):
+    # r carries the rounding of cand, a few eps * scale: the floor acts beyond scale 1e6
+    if rnorm <= max(1e-9 * (1.0 + np.linalg.norm(r)), 1e-15 * scale):
         return cand
     return None
 
@@ -557,36 +558,34 @@ def _min_norm_lstsq(M, rhs):
 
 
 class _FixedRows(NamedTuple):
-    """Rows A p = r that a working-set solve keeps fixed.
+    """The null-space elimination of equality rows, built from their matrix alone.
 
     A has full row rank, Z is an orthonormal basis of its null space and
     aplus its pseudo-inverse (A aplus = I), as ``ipm._presolve_equalities``
-    returns them: an array, or an operator that applies ``aplus @ v`` and
+    builds them: an array, or an operator that applies ``aplus @ v`` and
     ``aplus.T @ u`` to vectors.  A is the rows ``kept`` of m rows, and the
-    multipliers are reported on all m.  With no row Z is never read, and
-    ``none`` leaves it None.
+    multipliers are reported on all m.  ``none`` has no kept row and Z = I.
+    The rows' right-hand side is passed beside the value.
     """
 
     A: np.ndarray
-    r: np.ndarray
-    Z: np.ndarray | None
+    Z: np.ndarray
     aplus: Any
     kept: np.ndarray
     m: int
 
     @classmethod
-    def none(cls, n):
-        return cls(np.zeros((0, n)), np.zeros(0), None, np.zeros((n, 0)), np.zeros(0, int), 0)
+    def none(cls, n, m=0):
+        return cls(np.zeros((0, n)), np.eye(n), np.zeros((n, 0)), np.zeros(0, int), m)
 
-
-def _fit_multipliers(aplus, r, kept, m):
-    """y = -A+' r on the kept rows A (aplus their pseudo-inverse), 0 on the rest
-    of m rows: the least-squares fit of r + A' y = 0.  Every equality
-    multiplier is this fit at the point where it is wanted, never an iterate:
-    a Newton step on the null space of A moves nothing else with y."""
-    y = np.zeros(m)
-    y[kept] = -(aplus.T @ r)
-    return y
+    def fit(self, r):
+        """y = -A+' r on the kept rows, 0 on the rest of the m rows: the
+        least-squares fit of r + A' y = 0.  Every equality multiplier is
+        this fit at the point where it is wanted, never an iterate: a Newton
+        step on the null space of A moves nothing else with y."""
+        y = np.zeros(self.m)
+        y[self.kept] = -(self.aplus.T @ r)
+        return y
 
 
 def _kkt_step(hess, fixed, B, F):
@@ -616,9 +615,9 @@ def _kkt_step(hess, fixed, B, F):
     return (dp + Z @ red[:nz] if nf else red[:nz]), red[nz:]
 
 
-def _active_set_newton(grad, hess, fixed, E, r, curved, x, scale, tol):
-    """Newton's method for min f(p) s.t. the fixed rows, E p = r and every
-    curved boundary.
+def _active_set_newton(grad, hess, fixed, rhs, E, r, curved, x, scale, tol):
+    """Newton's method for min f(p) s.t. the fixed rows A p = rhs, E p = r and
+    every curved boundary.
 
     f has gradient grad and constant Hessian hess.  The multipliers of E and
     of the curved members start from zero; those of the fixed rows
@@ -643,8 +642,8 @@ def _active_set_newton(grad, hess, fixed, E, r, curved, x, scale, tol):
         terms = [m.boundary(p) for m in curved]
         B = np.vstack([E] + [t[1] for t in terms])
         g = grad(p) + B.T @ w
-        y = _fit_multipliers(fixed.aplus, g, fixed.kept, fixed.m)
-        F = np.concatenate([g + fixed.A.T @ y[fixed.kept], fixed.A @ p - fixed.r, E @ p - r,
+        y = fixed.fit(g)
+        F = np.concatenate([g + fixed.A.T @ y[fixed.kept], fixed.A @ p - rhs, E @ p - r,
                             [t[0] for t in terms]])
         converged = np.max(np.abs(F)) <= tol
         # the apex check runs on every iteration; a Hessian is formed only
@@ -662,11 +661,11 @@ def _active_set_newton(grad, hess, fixed, E, r, curved, x, scale, tol):
     return None
 
 
-def _working_set_solve(region, grad, hess, fixed, x, eps, scale, tol):
+def _working_set_solve(region, grad, hess, fixed, rhs, x, eps, scale, tol):
     """Working-set solve of min f(p) s.t. the fixed rows and p in the region.
 
     f has gradient grad and constant Hessian hess; the fixed rows
-    (``_FixedRows``, A p = r) are eliminated through their null space in
+    (``_FixedRows``, A p = rhs) are eliminated through their null space in
     every Newton step, and their multipliers are fitted.  The working set starts
     from the rows of ``region.rows`` and the curved members active at x
     within eps, and each round solves on it with ``_active_set_newton``.  The
@@ -687,7 +686,7 @@ def _working_set_solve(region, grad, hess, fixed, x, eps, scale, tol):
     p = x
     for _ in range(2 * on.size + 1):
         rows = on[: b.size]
-        sol = _active_set_newton(grad, hess, fixed, N[rows], b[rows],
+        sol = _active_set_newton(grad, hess, fixed, rhs, N[rows], b[rows],
                                  [m for m, k in zip(curved, on[b.size :]) if k], p, scale, tol)
         if sol is None:
             return None
@@ -711,8 +710,8 @@ def _polish_projection(region, v, x, scale):
     x; the candidate is returned only when it passes the KKT verification.
     """
     n = region.n
-    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), _FixedRows.none(n), x,
-                             1e-9 * scale, scale, 1e-13 * scale)
+    sol = _working_set_solve(region, lambda p: p - v, np.eye(n), _FixedRows.none(n), np.zeros(0),
+                             x, 1e-9 * scale, scale, 1e-13 * scale)
     return None if sol is None else _verify_projection(region, v, sol[0], scale)
 
 

@@ -73,7 +73,7 @@ class ConvexSubproblem:
 
     def objective(self, x):
         dx = x - self.x_ref
-        return float((self.c + self.m_corr) @ x + 0.5 * dx @ self.H @ dx)
+        return float(self.c @ x + self.m_corr @ dx + 0.5 * dx @ self.H @ dx)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ def test_layout_slices():
     assert control_slice(cfg, 0) == slice(3, 4)
     assert state_slice(cfg, 1) == slice(4, 7)
     assert state_slice(cfg, 8) == slice(32, 35)
+    for layout, i in ((state_slice, -1), (state_slice, 9), (control_slice, -1), (control_slice, 8)):
+        with pytest.raises(UsageError, match=f"index {i} outside horizon 8"):
+            layout(cfg, i)
 
 
 def test_steady_state_zeroes_dynamics():

@@ -306,14 +306,17 @@ def test_bench_scenario_failure_exits_2_with_status(tmp_path):
     assert lines[2].split(",")[1] == "aborted"
 
 
-def test_bench_malformed_scenario_is_config_error(tmp_path):
+def test_bench_malformed_scenario_is_config_error(tmp_path, capsys):
     _write(tmp_path / "broken.cfg", "problem = tutorial\nnot a config line\n")
-    bench = _write(
-        tmp_path / "bench.cfg",
-        f"scenarios = broken.cfg\noutput = {tmp_path/'bench.csv'}\n",
-    )
-    assert main(["bench", bench]) == 1
-    assert not (tmp_path / "bench.csv").exists()
+    # a malformed scenario, then a bench file that lists none
+    for scenarios in ("broken.cfg", " ; "):
+        bench = _write(
+            tmp_path / "bench.cfg",
+            f"scenarios = {scenarios}\noutput = {tmp_path/'bench.csv'}\n",
+        )
+        assert main(["bench", bench]) == 1
+        assert not (tmp_path / "bench.csv").exists()
+    assert "scenarios must list at least one config path" in capsys.readouterr().err
 
 
 INFEASIBLE_SOLVE = (

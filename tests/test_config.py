@@ -217,6 +217,14 @@ def _error(pairs, base_dir="."):
       "xi.start": None, "xi.step": None, "xi.count": None},
      "schedule samples disagree on dimension"),
     ({"variant": "fascp", "fascp.max_iter": "0"}, "fascp.max_iter must be >= 1"),
+    ({"xi.schedule": "file", "xi.start": None, "xi.step": None, "xi.count": None},
+     "xi.file is required for a file schedule"),
+    # CascadeConfig's own rejections reach the scenario as config errors
+    ({"problem": "cascade", "cascade.n_substeps": "0"}, "n_substeps must be at least 1"),
+    ({"problem": "cascade", "cascade.terminal_radius_scale": "1.5"},
+     "terminal_radius_scale must lie in (0, 1]"),
+    ({"problem": "cascade", "cascade.surface": "1 0 1"}, "tank surfaces must be positive"),
+    ({"problem": "cascade", "cascade.h_lo": "2", "cascade.h_hi": "2"}, "state box is empty"),
 ])
 def test_config_error_messages(over, message):
     assert _error(_pairs(**over)) == message

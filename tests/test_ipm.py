@@ -32,7 +32,6 @@ from scptrack.region import (
     ConvexRegion,
     Ellipsoid,
     SecondOrderCone,
-    _fit_multipliers,
     project_region,
     region_violation,
 )
@@ -358,12 +357,12 @@ def test_dual_refit_bounds_a_negative_normal_multiplier():
     grad0 = -(M @ np.array([0.5, -1.0, 2.0, -3.0])) + 0.1 * rng.normal(size=n)
     unbounded, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
     assert np.any(unbounded[2:] < 0.0)
-    presolve = _presolve_equalities(A)
-    assert _polish_duals(sp, x, grad0, presolve) is None
+    fixed = _presolve_equalities(A)
+    assert _polish_duals(sp, x, grad0, fixed) is None
 
     # with every normal multiplier nonnegative the unbounded fit is returned
     grad0 = -(M @ np.array([0.5, -1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(_polish_duals(sp, x, grad0, presolve), [0.5, -1.0], rtol=1e-12)
+    np.testing.assert_allclose(_polish_duals(sp, x, grad0, fixed), [0.5, -1.0], rtol=1e-12)
 
 
 def _normal_fit_case(rng, A):
@@ -397,11 +396,11 @@ def test_dual_refit_on_the_null_space_matches_the_full_fit():
     # and the fit certifies x exactly as the full minimum-norm fit does
     A = np.vstack([A, A[1]])
     sp, x, M, grad0 = _normal_fit_case(rng, A)
-    presolve = _presolve_equalities(A)
-    dropped = np.setdiff1d(np.arange(4), presolve[0])
+    fixed = _presolve_equalities(A)
+    dropped = np.setdiff1d(np.arange(4), fixed.kept)
     assert dropped.size == 1
     ref, *_ = np.linalg.lstsq(M, -grad0, rcond=None)
-    y = _polish_duals(sp, x, grad0, presolve)
+    y = _polish_duals(sp, x, grad0, fixed)
     assert y[dropped] == 0.0
     want = _natural_map(sp, x, grad0 + A.T @ ref[:4])
     assert abs(_natural_map(sp, x, grad0 + A.T @ y) - want) <= 1e-12 * np.linalg.norm(grad0)
@@ -417,8 +416,8 @@ def _finish_with_spy(monkeypatch, sp, x, y, opts):
         return project_region(region, v)
 
     monkeypatch.setattr(ipm_module, "project_region", spy)
-    presolve = _presolve_equalities(sp.A_eq)
-    sol = ipm_module._finish(sp, x, y, presolve, None, None, None, 1, opts.tol)
+    fixed = _presolve_equalities(sp.A_eq)
+    sol = ipm_module._finish(sp, x, y, fixed, None, None, None, 1, opts.tol)
     return sol, seen
 
 
@@ -492,12 +491,12 @@ def test_presolve_keeps_the_spectral_norm_rule_rows():
             np.vstack([Q[0] + 1e-3 * Q[1:10], Q[0] + 1e-3 * Q[1] + delta * Q[11]]),  # ||A||_2 ~ 3 |r_00|
         ):
             ref, diag = _spectral_rule(A)
-            np.testing.assert_array_equal(_presolve_equalities(A)[0], ref)
+            np.testing.assert_array_equal(_presolve_equalities(A).kept, ref)
             if 1e-10 * diag[0] < diag[-1] <= 1e-10 * np.linalg.norm(A):
                 banded.add(ref.size)
     assert banded == {A.shape[0] - 1, A.shape[0]}
     for empty in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3))):
-        assert _presolve_equalities(empty)[0].size == 0
+        assert _presolve_equalities(empty).kept.size == 0
 
 
 def _full_rank_cases():
@@ -522,9 +521,11 @@ def test_presolve_gives_an_orthonormal_null_basis_and_the_pseudo_inverse(monkeyp
         monkeypatch.setattr(ipm_module, "_lu_presolve", lambda A: None)
     for name, A in _full_rank_cases().items():
         m, n = A.shape
-        kept, Z, aplus = _presolve_equalities(A)
+        fixed = _presolve_equalities(A)
+        Z, aplus = fixed.Z, fixed.aplus
         assert isinstance(aplus, _PseudoInverse) is (path == "lu"), name
-        np.testing.assert_array_equal(kept, _spectral_rule(A)[0])
+        np.testing.assert_array_equal(fixed.kept, _spectral_rule(A)[0])
+        np.testing.assert_array_equal(fixed.A, A)
         assert np.linalg.norm(A @ Z) <= 1e-12 * np.linalg.norm(A), name
         assert np.linalg.norm(Z.T @ Z - np.eye(n - m)) <= 1e-12, name
         dense = np.column_stack([aplus @ e for e in np.eye(m)])
@@ -549,10 +550,11 @@ def test_presolve_takes_the_pivoted_qr_for_near_dependent_rows():
     for M in cases:
         if M.shape[0] <= M.shape[1]:
             assert _lu_presolve(M) is None
-        kept, Z, aplus = _presolve_equalities(M)
-        assert isinstance(aplus, np.ndarray)
-        np.testing.assert_array_equal(kept, _spectral_rule(M)[0])
-    assert _presolve_equalities(cases[0])[0].size == 4  # one copy of the duplicate dropped
+        fixed = _presolve_equalities(M)
+        assert isinstance(fixed.aplus, np.ndarray)
+        np.testing.assert_array_equal(fixed.kept, _spectral_rule(M)[0])
+        np.testing.assert_array_equal(fixed.A, M[fixed.kept])
+    assert _presolve_equalities(cases[0]).kept.size == 4  # one copy of the duplicate dropped
 
 
 def _close(got, want, rtol):
@@ -605,6 +607,16 @@ def test_nt_scaling_products_match_dense_blocks():
         _close(W.mul_winv(u), Wi @ u, 1e-12)
         _close(W.mul_winv(U), Wi @ U, 1e-12)
         _close(W.mul_winv2(u), Wi @ Wi @ u, 1e-12)
+    # the cold start factors at the scaling of (e, e): every product returns
+    # its input unchanged, so that scaling is the identity
+    cones = _Cones(4, [1, 2, 5, 3])
+    e = cones.unit()
+    W = _Scaling(cones, e, e)
+    for _ in range(200):
+        u, U = rng.normal(size=cones.dim), rng.normal(size=(cones.dim, 26))
+        for product in (W.mul_w, W.mul_winv, W.mul_winv2):
+            np.testing.assert_array_equal(product(u), u)
+        np.testing.assert_array_equal(W.mul_winv(U), U)
 
 
 def _jordan_blocks(cones, a, b):
@@ -699,7 +711,8 @@ def test_fraction_to_boundary_step_stays_interior():
 
 
 def test_reduced_hessian_matches_dense_hm():
-    # with no equality row Z = I and the reduced Hessian is Hm itself
+    # with no equality row Z = I and the reduced Hessian is Hm itself; at the
+    # identity scaling of the cold start, Hm = P + G' G
     rng = np.random.default_rng(63)
     n = 6
     region = _mixed_region(rng, n)
@@ -709,11 +722,13 @@ def test_reduced_hessian_matches_dense_hm():
     P = B @ B.T
     W = _Scaling(cones, _interior(cones, rng), _interior(cones, rng))
     Wi = np.linalg.inv(_dense_w(W))
+    unit = _Scaling(cones, cones.unit(), cones.unit())
     for m in (0, 2):
-        _, Z, aplus = _presolve_equalities(rng.normal(size=(m, n)) if m else np.zeros((0, n)))
-        kkt = _NullSpaceKKT(P, G, Z, aplus)
+        fixed = _presolve_equalities(rng.normal(size=(m, n)) if m else np.zeros((0, n)))
+        Z = fixed.Z
+        kkt = _NullSpaceKKT(P, G, fixed)
         _close(kkt.reduced_hessian(W), Z.T @ (P + G.T @ Wi @ Wi @ G) @ Z, 1e-12)
-        _close(kkt.reduced_hessian(), Z.T @ (P + G.T @ G) @ Z, 1e-12)
+        _close(kkt.reduced_hessian(unit), Z.T @ (P + G.T @ G) @ Z, 1e-12)
         if not m:
             np.testing.assert_array_equal(Z, np.eye(n))
 
@@ -726,8 +741,8 @@ def test_null_space_step_matches_dense_bordered_solve(p):
     G, Gt, h, cones = assemble_cones(region)
     B = rng.normal(size=(n, n))
     A = rng.normal(size=(p, n))
-    kept, Z, aplus = _presolve_equalities(A)
-    assert kept.size == p and Z.shape == (n, n - p)
+    fixed = _presolve_equalities(A)
+    assert fixed.kept.size == p and fixed.Z.shape == (n, n - p)
     W = _Scaling(cones, _interior(cones, rng), _interior(cones, rng))
     Wi2 = np.linalg.matrix_power(np.linalg.inv(_dense_w(W)), 2)
     rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=cones.dim)
@@ -737,7 +752,7 @@ def test_null_space_step_matches_dense_bordered_solve(p):
         Pd = np.zeros((n, n)) if P is None else P
         K = np.block([[Pd + G.T @ Wi2 @ G, A.T], [A, np.zeros((p, p))]])
         for Gk in (G, G_csr):
-            kkt = _NullSpaceKKT(P, Gk, Z, aplus)
+            kkt = _NullSpaceKKT(P, Gk, fixed)
             assert kkt.factor(W) == 0.0
             part = kkt.particular(rx, ry)
             # the corrector form with a complementarity term, then the
@@ -748,7 +763,7 @@ def test_null_space_step_matches_dense_bordered_solve(p):
                 ref = np.linalg.solve(K, np.concatenate([-rx - G.T @ Wi2 @ (rz + c), -ry]))
                 dx, dz, ds = kkt.solve(part, rz, c)
                 _close(dx, ref[:n], 1e-10)
-                _close(_fit_multipliers(aplus, rx + Pd @ dx + G.T @ dz, kept, p), ref[n:], 1e-10)
+                _close(fixed.fit(rx + Pd @ dx + G.T @ dz), ref[n:], 1e-10)
                 _close(dz, Wi2 @ (G @ ref[:n] + rz + c), 1e-10)
                 _close(ds, -rz - G @ ref[:n], 1e-10)
 
@@ -759,13 +774,12 @@ def test_singular_reduced_hessian_takes_the_shift(monkeypatch):
     G, Gt, h, cones = assemble_cones(region)
     W = _Scaling(cones, np.ones(cones.dim), np.ones(cones.dim))
     for A in (np.zeros((0, 3)), np.array([[1.0, 1.0, 0.0]])):
-        _, Z, aplus = _presolve_equalities(A)
-        assert _NullSpaceKKT(np.zeros((3, 3)), G, Z, aplus).factor(W) == 1e-12
+        assert _NullSpaceKKT(np.zeros((3, 3)), G, _presolve_equalities(A)).factor(W) == 1e-12
 
     shifts = []
     factor = _NullSpaceKKT.factor
 
-    def spy(self, W=None):
+    def spy(self, W):
         shifts.append(factor(self, W))
         return shifts[-1]
 
@@ -836,17 +850,17 @@ def test_primal_polish_solves_on_the_null_space_of_the_equality_rows(monkeypatch
     polish, newton, lstsq = (ipm_module._primal_polish, region_module._active_set_newton,
                              region_module._min_norm_lstsq)
 
-    def polish_spy(sp, x, presolve):
+    def polish_spy(sp, x, fixed):
         free.append(sp.n - np.linalg.matrix_rank(sp.A_eq))
         try:
-            return polish(sp, x, presolve)
+            return polish(sp, x, fixed)
         finally:
             free.append(None)
 
-    def newton_spy(grad, hess, fixed, E, r, curved, x, scale, tol):
+    def newton_spy(grad, hess, fixed, rhs, E, r, curved, x, scale, tol):
         if free and free[-1] is not None:
             bound[0] = free[-1] + E.shape[0] + len(curved)
-        return newton(grad, hess, fixed, E, r, curved, x, scale, tol)
+        return newton(grad, hess, fixed, rhs, E, r, curved, x, scale, tol)
 
     def step_spy(M, rhs):
         if free and free[-1] is not None:

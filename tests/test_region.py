@@ -5,8 +5,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 import scipy.sparse
 from scipy.optimize import minimize, root
 
@@ -22,7 +20,6 @@ from scptrack.region import (
     SecondOrderCone,
     _FixedRows,
     _active_set_newton,
-    _fit_multipliers,
     _kkt_step,
     _min_norm_lstsq,
     _verify_projection,
@@ -544,7 +541,8 @@ def test_newton_kernel_rejects_non_finite_systems():
     r = np.array([1.5])
 
     def run(grad, hess):
-        return _active_set_newton(grad, hess, _FixedRows.none(3), E, r, [cone], x, 1.0, 1e-13)
+        return _active_set_newton(grad, hess, _FixedRows.none(3), np.zeros(0), E, r, [cone], x,
+                                  1.0, 1e-13)
 
     assert run(lambda p: p - v, np.eye(3)) is not None
     for bad in (np.nan, np.inf):
@@ -560,9 +558,8 @@ def _fixed_kkt_case(rng, n, A, H, box):
     """Fixed rows A (with their null space and pseudo-inverse), working rows
     box and an ellipsoid's gradient, the dense bordered J and a right-hand
     side F = -J s0 that J can meet."""
-    kept, Z, aplus = _presolve_equalities(A)
-    assert kept.size == A.shape[0]
-    fixed = _FixedRows(A, rng.normal(size=A.shape[0]), Z, aplus, kept, A.shape[0])
+    fixed = _presolve_equalities(A)
+    assert fixed.kept.size == A.shape[0]
     C = rng.normal(size=(n, n))
     ell = Ellipsoid(rng.normal(size=n), C @ C.T / n + 0.5 * np.eye(n), 2.0)
     B = np.vstack([box, ell.boundary(rng.normal(size=n))[1]])
@@ -575,7 +572,7 @@ def _bordered_step(H, fixed, B, F):
     and dy is the fixed rows' multiplier fitted at the stepped point,
     -A+' (F_p + H dp + B' dl)."""
     dp, dl = _kkt_step(H, fixed, B, F)
-    y = _fit_multipliers(fixed.aplus, F[: H.shape[0]] + H @ dp + B.T @ dl, fixed.kept, fixed.m)
+    y = fixed.fit(F[: H.shape[0]] + H @ dp + B.T @ dl)
     return np.concatenate([dp, y, dl])
 
 
@@ -631,9 +628,9 @@ def test_working_set_drops_faces_the_answer_leaves(monkeypatch):
     calls = []
     newton = region_module._active_set_newton
 
-    def spy(grad, hess, fixed, E, r, curved, x, scale, tol):
+    def spy(grad, hess, fixed, rhs, E, r, curved, x, scale, tol):
         calls.append((E.shape[0], len(curved)))
-        return newton(grad, hess, fixed, E, r, curved, x, scale, tol)
+        return newton(grad, hess, fixed, rhs, E, r, curved, x, scale, tol)
 
     monkeypatch.setattr(region_module, "_active_set_newton", spy)
     ball = Ellipsoid(np.zeros(2), np.eye(2), 1.0)
@@ -647,8 +644,8 @@ def test_working_set_drops_faces_the_answer_leaves(monkeypatch):
     ]
     for x, v, rounds in cases:
         calls.clear()
-        p, y = _working_set_solve(region, lambda p: p - v, np.eye(2), _FixedRows.none(2), x, 1e-9,
-                                  1.0, 1e-13)
+        p, y = _working_set_solve(region, lambda p: p - v, np.eye(2), _FixedRows.none(2),
+                                  np.zeros(0), x, 1e-9, 1.0, 1e-13)
         assert calls == rounds
         assert y.size == 0
         want = v if region_violation(region, v) <= 0.0 else v / np.linalg.norm(v)
@@ -727,30 +724,51 @@ def test_nearly_parallel_halfspaces_still_go_through_the_polish(monkeypatch, eps
     assert np.linalg.norm(p - _slsqp_projection(region, v, cons)) <= 1e-9
 
 
-@st.composite
-def _crossing_regions(draw):
+class _Rejected(Exception):
+    """A drawn case outside the family its generator describes."""
+
+
+def _assume(condition):
+    if not condition:
+        raise _Rejected
+
+
+def _drawn_cases(build, count, seed):
+    """count cases build(rng) drawn from one seeded generator; a case that
+    build rejects (``_assume``) is drawn again and does not count.  The draws
+    depend on the seed alone, never on the code under test."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        try:
+            cases.append(build(rng))
+        except _Rejected:
+            pass
+    return cases
+
+
+def _crossing_region(rng):
     """A box with one ellipsoid or cone member that sticks out through one of
     its faces, and a point to project."""
-    n = draw(st.integers(2, 6))
-    floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
-    lo = -1.0 - draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
-    hi = 1.0 + draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
-    center = lo + (hi - lo) * draw(arrays(float, n, elements=st.floats(0.2, 0.8)))
-    B = draw(arrays(float, (n, n), elements=floats))
+    n = int(rng.integers(2, 7))
+    lo = -1.0 - rng.uniform(0.0, 1.0, n)
+    hi = 1.0 + rng.uniform(0.0, 1.0, n)
+    center = lo + (hi - lo) * rng.uniform(0.2, 0.8, n)
+    B = rng.uniform(-1.0, 1.0, (n, n))
     shape = B @ B.T / n + 0.2 * np.eye(n)
     # the member reaches past the face x_i = hi_i (or lo_i) by the factor 1 + t
-    i, upper, t = draw(st.integers(0, n - 1)), draw(st.booleans()), draw(st.floats(0.05, 1.0))
+    i, upper, t = int(rng.integers(n)), bool(rng.integers(2)), rng.uniform(0.05, 1.0)
     dist = hi[i] - center[i] if upper else center[i] - lo[i]
     radius = (dist * (1.0 + t)) ** 2 / np.linalg.inv(shape)[i, i]
     ell = Ellipsoid(center, shape, radius)
     # a convex member holding every vertex holds the whole box
     vertices = itertools.product(*zip(lo, hi))
-    assume(any(ell.violation(np.array(x)) > 0.0 for x in vertices))
-    if draw(st.booleans()):
+    _assume(any(ell.violation(np.array(x)) > 0.0 for x in vertices))
+    if rng.integers(2):
         members = {"ellipsoids": (ell,)}
     else:
         # the cone form, tilted: e != 0 can give the secular equation a pole
-        tilt = 0.5 * draw(arrays(float, n, elements=floats))
+        tilt = 0.5 * rng.uniform(-1.0, 1.0, n)
         cone = ell.cone
         members = {"cones": (SecondOrderCone(cone.D, cone.d, tilt, cone.f - tilt @ center),)}
     # q: where a line in the face plane, from the face point below the
@@ -758,77 +776,72 @@ def _crossing_regions(draw):
     sign = 1.0 if upper else -1.0
     tip = center + sign * np.sqrt(radius / np.linalg.inv(shape)[i, i]) * np.linalg.inv(shape)[:, i]
     tip[i] = hi[i] if upper else lo[i]
-    d = draw(arrays(float, n, elements=floats))
+    d = rng.uniform(-1.0, 1.0, n)
     d[i] = 0.0
-    assume(np.linalg.norm(d) > 0.1)
+    _assume(np.linalg.norm(d) > 0.1)
     u = tip - center
     a, b, c = d @ shape @ d, 2.0 * d @ shape @ u, u @ shape @ u - radius
-    assume(c < 0.0)
+    _assume(c < 0.0)
     q = tip + (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a) * d
     normal = shape @ (q - center)
-    v = q + draw(st.floats(0.0, 2.0)) * normal / np.linalg.norm(normal)
-    v[i] += sign * draw(st.floats(0.0, 2.0))
+    v = q + rng.uniform(0.0, 2.0) * normal / np.linalg.norm(normal)
+    v[i] += sign * rng.uniform(0.0, 2.0)
     return ConvexRegion(lo, hi, **members), v
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(_crossing_regions())
-def test_projection_matches_slsqp_where_members_cross_box_faces(case):
+def test_projection_matches_slsqp_where_members_cross_box_faces():
     # the family where the box and a curved member are both active at the
     # projection; Dykstra alone creeps there
-    region, v = case
-    (member,) = region.members
-    ref = _slsqp_projection(region, v, [{"type": "ineq", "fun": lambda x: -member.boundary(x)[0],
-                                         "jac": lambda x: -member.boundary(x)[1]}])
-    # SLSQP's own flag is not checked: it can report failure on a converged point
-    p = project_region(region, v)
-    assert region_violation(region, p) <= 1e-9
-    assert np.linalg.norm(p - ref) <= 1e-6
+    for k, (region, v) in enumerate(_drawn_cases(_crossing_region, 200, 20261021)):
+        (member,) = region.members
+        ref = _slsqp_projection(region, v, [{"type": "ineq",
+                                             "fun": lambda x: -member.boundary(x)[0],
+                                             "jac": lambda x: -member.boundary(x)[1]}])
+        # SLSQP's own flag is not checked: it can report failure on a converged point
+        p = project_region(region, v)
+        assert region_violation(region, p) <= 1e-9, k
+        assert np.linalg.norm(p - ref) <= 1e-6, k
 
 
-@st.composite
-def _epigraph_cases(draw):
+def _epigraph_case(rng):
     """A convex quadratic f of rank <= n <= 6 with q partly outside range(P),
     and a point (x, t) inside its epigraph, on it, far outside, or far below."""
-    n = draw(st.integers(1, 6))
-    rank = draw(st.integers(1, n))
-    where = draw(st.sampled_from(["inside", "boundary", "far outside", "far below"]))
-    floats = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    n = int(rng.integers(1, 7))
+    rank = int(rng.integers(1, n + 1))
+    where = ("inside", "boundary", "far outside", "far below")[rng.integers(4)]
     # steep graphs need the root to full relative precision; far below them
     # the plain cone's own rounding (its gap squares the cone residual)
     # passes 1e-10, so depth is drawn at unit scale only
-    steep = 1.0 if where == "far below" else draw(st.sampled_from([1.0, 10.0]))
-    B = draw(arrays(float, (n, rank), elements=floats)) * steep
+    steep = 1.0 if where == "far below" else (1.0, 10.0)[rng.integers(2)]
+    B = rng.uniform(-2.0, 2.0, (n, rank)) * steep
     lam, u = np.linalg.eigh(B @ B.T)
     keep = lam > 1e-14 * max(1.0, lam[-1])
-    assume(np.any(keep))
-    q = draw(arrays(float, n, elements=floats))
-    offset = draw(floats)
-    x = draw(arrays(float, n, elements=floats)) * (100.0 if where == "far outside" else 1.0)
+    _assume(np.any(keep))
+    q = rng.uniform(-2.0, 2.0, n)
+    offset = rng.uniform(-2.0, 2.0)
+    x = rng.uniform(-2.0, 2.0, n) * (100.0 if where == "far outside" else 1.0)
     fx = 0.5 * x @ B @ B.T @ x + q @ x + offset
-    t = {"inside": fx + draw(st.floats(1e-6, 10.0)), "boundary": fx,
-         "far outside": fx - draw(st.floats(1.0, 100.0)),
-         "far below": -draw(st.floats(1e2, 1e4))}[where]
+    t = {"inside": fx + rng.uniform(1e-6, 10.0), "boundary": fx,
+         "far outside": fx - rng.uniform(1.0, 100.0),
+         "far below": -rng.uniform(1e2, 1e4)}[where]
     return (lam[keep], u[:, keep], u[:, ~keep], q, offset), np.append(x, t)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(_epigraph_cases())
-def test_epigraph_projection_matches_its_cone_form(case):
+def test_epigraph_projection_matches_its_cone_form():
     # the epigraph projects in P's eigen-coordinates; its cone data, and so
     # the conic form the interior point solves, are the plain cone's
-    data, v = case
-    epigraph = quadratic_epigraph(*data)
-    plain = SecondOrderCone(epigraph.D, epigraph.d, epigraph.e, epigraph.f)
-    n = v.size
-    free = np.full(n, np.inf)
-    region = ConvexRegion(-free, free, cones=(epigraph,))
-    for a, b in zip(region.conic, ConvexRegion(-free, free, cones=(plain,)).conic):
-        np.testing.assert_array_equal(a, b)
-    scale = 1.0 + np.linalg.norm(v)
-    p = epigraph.project(v)
-    assert np.linalg.norm(p - plain.project(v)) <= 1e-10 * scale
-    assert _verify_projection(region, v, p, scale) is not None
+    for k, (data, v) in enumerate(_drawn_cases(_epigraph_case, 300, 20261022)):
+        epigraph = quadratic_epigraph(*data)
+        plain = SecondOrderCone(epigraph.D, epigraph.d, epigraph.e, epigraph.f)
+        n = v.size
+        free = np.full(n, np.inf)
+        region = ConvexRegion(-free, free, cones=(epigraph,))
+        for a, b in zip(region.conic, ConvexRegion(-free, free, cones=(plain,)).conic):
+            np.testing.assert_array_equal(a, b)
+        scale = 1.0 + np.linalg.norm(v)
+        p = epigraph.project(v)
+        assert np.linalg.norm(p - plain.project(v)) <= 1e-10 * scale, k
+        assert _verify_projection(region, v, p, scale) is not None, k
 
 
 def test_steep_epigraph_projection_is_verified_just_below_its_graph():
@@ -865,8 +878,7 @@ def _exit_time(h, d):
     return lo
 
 
-@st.composite
-def _one_violated_cases(draw):
+def _one_violated_case(rng):
     """A box, one cone member or quadratic epigraph and one ellipsoid, each
     holding the origin inside, and a point outside exactly one of them: on a
     ray from the origin, past the first set it leaves, short of the second.
@@ -874,22 +886,21 @@ def _one_violated_cases(draw):
     Returns the region, the point and each set's constraint h(x) <= 0 with
     its gradient, written out from the drawn data (not from the package's
     members)."""
-    n = draw(st.integers(2, 6))
-    floats = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    n = int(rng.integers(2, 7))
     # the set grown 3-fold is less likely to be the one left first
-    grow = draw(st.sampled_from(["box", "member", "ellipsoid"]))
-    lo = -draw(arrays(float, n, elements=st.floats(0.3, 2.0))) * (3.0 if grow == "box" else 1.0)
-    hi = draw(arrays(float, n, elements=st.floats(0.3, 2.0))) * (3.0 if grow == "box" else 1.0)
-    B = draw(arrays(float, (n, n), elements=floats))
+    grow = ("box", "member", "ellipsoid")[rng.integers(3)]
+    lo = -rng.uniform(0.3, 2.0, n) * (3.0 if grow == "box" else 1.0)
+    hi = rng.uniform(0.3, 2.0, n) * (3.0 if grow == "box" else 1.0)
+    B = rng.uniform(-1.0, 1.0, (n, n))
     S = B @ B.T / n + 0.2 * np.eye(n)
-    c = 0.3 * draw(arrays(float, n, elements=floats))
-    r = (c @ S @ c + draw(st.floats(0.1, 2.0))) * (9.0 if grow == "ellipsoid" else 1.0)
+    c = 0.3 * rng.uniform(-1.0, 1.0, n)
+    r = (c @ S @ c + rng.uniform(0.1, 2.0)) * (9.0 if grow == "ellipsoid" else 1.0)
     ellipsoid = Ellipsoid(c, S, r)
     member_scale = 3.0 if grow == "member" else 1.0
-    if draw(st.booleans()):
-        D = draw(arrays(float, (2, n), elements=floats))
-        d = 0.2 * draw(arrays(float, 2, elements=floats))
-        f = (np.linalg.norm(d) + draw(st.floats(0.2, 2.0))) * member_scale
+    if rng.integers(2):
+        D = rng.uniform(-1.0, 1.0, (2, n))
+        d = 0.2 * rng.uniform(-1.0, 1.0, 2)
+        f = (np.linalg.norm(d) + rng.uniform(0.2, 2.0)) * member_scale
         cones = (SecondOrderCone(D, d, np.zeros(n), f),)
 
         def member(x):
@@ -900,13 +911,13 @@ def _one_violated_cases(draw):
     else:
         # 0.5 x.P.x + q.x + offset <= s over the last coordinate s, which the box leaves free
         k = n - 1
-        C = draw(arrays(float, (k, draw(st.integers(1, k))), elements=floats))
+        C = rng.uniform(-1.0, 1.0, (k, int(rng.integers(1, k + 1))))
         P = C @ C.T
         lam, u = np.linalg.eigh(P)
         keep = lam > 1e-12 * max(1.0, lam[-1])
-        assume(np.any(keep))
-        q = draw(arrays(float, k, elements=floats))
-        offset = -draw(st.floats(0.2, 2.0)) * member_scale
+        _assume(np.any(keep))
+        q = rng.uniform(-1.0, 1.0, k)
+        offset = -rng.uniform(0.2, 2.0) * member_scale
         cones = (quadratic_epigraph(lam[keep], u[:, keep], u[:, ~keep], q, offset),)
         lo[-1], hi[-1] = -np.inf, np.inf
 
@@ -923,13 +934,13 @@ def _one_violated_cases(draw):
         return (x - c) @ S @ (x - c) - r
 
     sets = (box, member, ball)
-    direction = draw(arrays(float, n, elements=floats))
-    assume(np.linalg.norm(direction) > 0.1)
+    direction = rng.uniform(-1.0, 1.0, n)
+    _assume(np.linalg.norm(direction) > 0.1)
     first, second = sorted(_exit_time(h, direction) for h in sets)[:2]
-    assume(first < np.inf and second > 1.01 * first)
-    t = first + draw(st.floats(0.01, 0.99)) * (min(second, 10.0 * first) - first)
+    _assume(first < np.inf and second > 1.01 * first)
+    t = first + rng.uniform(0.01, 0.99) * (min(second, 10.0 * first) - first)
     v = t * direction
-    assume(sum(h(v) > 0.0 for h in sets) == 1)
+    _assume(sum(h(v) > 0.0 for h in sets) == 1)
     constraints = ((member, member_grad), (ball, lambda x: 2.0 * S @ (x - c)))
     return ConvexRegion(lo, hi, cones=cones, ellipsoids=(ellipsoid,)), v, constraints
 
@@ -973,17 +984,15 @@ def _reference_projection(region, v, constraints):
     return x
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(_one_violated_cases())
-def test_projection_of_a_point_outside_one_set_matches_slsqp(case):
+def test_projection_of_a_point_outside_one_set_matches_slsqp():
     # the violated set's own projection is the answer whenever it lands in the
     # region (P_S(v) in C, C in S, gives P_C(v) = P_S(v)); the check decides
-    region, v, constraints = case
-    p = project_region(region, v)
-    scale = 1.0 + np.linalg.norm(v)
-    assert _verify_projection(region, v, p, scale) is not None
-    # SLSQP's own flag is not checked: it can report failure on a converged point
-    assert np.linalg.norm(p - _reference_projection(region, v, constraints)) <= 1e-7
+    for k, (region, v, constraints) in enumerate(_drawn_cases(_one_violated_case, 150, 20261023)):
+        p = project_region(region, v)
+        scale = 1.0 + np.linalg.norm(v)
+        assert _verify_projection(region, v, p, scale) is not None, k
+        # SLSQP's own flag is not checked: it can report failure on a converged point
+        assert np.linalg.norm(p - _reference_projection(region, v, constraints)) <= 1e-7, k
 
 
 def _counted_ellipsoid_projections(monkeypatch):

@@ -121,6 +121,9 @@ def test_correction_enters_gradient_not_equality():
     sp = build_subproblem(problem, state, np.zeros(2))
     np.testing.assert_allclose(sp.m_corr, m_corr)
     np.testing.assert_allclose(sp.H, np.eye(2))
+    # c.x + m.(x - x_ref) + 0.5 |x - x_ref|^2 at x = (2, 0), dx = (1, -2):
+    # 2 + 0.5 + 2.5; (c + m).x would add m.x_ref = 0.1
+    assert sp.objective(np.array([2.0, 0.0])) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_residual_total_is_worst_component():

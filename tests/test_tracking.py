@@ -316,8 +316,8 @@ def test_rtgn_warm_start_far_outside_the_region_is_retried_cold(monkeypatch):
     attempts = []
     ipm = ipm_module._ipm
 
-    def spy(sp, opts, warm):
-        sol = ipm(sp, opts, warm)
+    def spy(sp, opts, warm, fixed):
+        sol = ipm(sp, opts, warm, fixed)
         attempts.append((warm is None, sol.status, sol.iterations))
         return sol
 
@@ -451,6 +451,15 @@ def test_track_oracle_failure_keeps_finished_records():
     assert [r.k for r in trace.records] == [0, 1, 2]
     assert all(r.oracle_error is not None for r in trace.records)
 
+    # a failed record-0 diagnostic leaves an aborted trace with no record
+    def failing(problem, xi, hint):
+        raise OracleError("no reference point")
+
+    trace = track(problem, sweep, z0, config, oracle=failing)
+    assert trace.aborted
+    assert trace.message == "record 0: no reference point"
+    assert len(trace) == 0
+
 
 def test_retry_fresh_jacobian_repairs_bad_model():
     problem = _box_problem()
@@ -479,6 +488,37 @@ def test_fascp_converges_quadratically_near_solution():
     assert len(trace) <= 10
     errors = [np.linalg.norm(r.z.x - z_star.x) for r in trace.records]
     assert errors[-1] <= 1e-7
+
+
+def test_fascp_runs_the_adjoint_corrected_step_for_any_variant():
+    # a pcscp config is run as apcscp: the same iterates, and one counted
+    # adjoint product per step after the start model's (pcscp would make none)
+    problem = tutorial_problem()
+    z_star, _ = tutorial_solution(1.2)
+    z0 = PrimalDual(z_star.x + 0.1, z_star.y)
+    config = TrackerConfig(variant="pcscp", hessian=HessianStrategy("projected"))
+    _, trace = fascp_solve(problem, 1.2, z0, config, eps=1e-9, max_iter=30)
+    _, ref = fascp_solve(problem, 1.2, z0, replace(config, variant="apcscp"), eps=1e-9,
+                         max_iter=30)
+    assert trace.converged
+    assert [r.z.x.tobytes() for r in trace.records] == [r.z.x.tobytes() for r in ref.records]
+    assert trace.counters.adjoint_evals == 1 + len(trace) == ref.counters.adjoint_evals
+
+
+def test_scalar_g_and_row_g_jac_stand_for_one_constraint():
+    # with m = 1, g may return a float and g_jac a 1-D row: each is read with a
+    # 1-long leading axis, and the run is bit for bit the array-valued one
+    problem = tutorial_problem()
+    loose = replace(problem, g=lambda x: float(problem.g(x)[0]),
+                    g_jac=lambda x: problem.g_jac(x)[0])
+    assert np.ndim(loose.g(np.ones(2))) == 0 and np.shape(loose.g_jac(np.ones(2))) == (2,)
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(variant="pcscp", jacobian=JacobianStrategy("exact"))
+    runs = [track(p, _sweep(), z0, config) for p in (problem, loose)]
+    assert not runs[1].aborted
+    for a, b in zip(*(run.records for run in runs), strict=True):
+        assert (a.x.tobytes(), a.y.tobytes(), a.kkt, a.jac_error) == (
+            b.x.tobytes(), b.y.tobytes(), b.kkt, b.jac_error)
 
 
 def test_fascp_kkt_stop_short_circuits():
@@ -595,11 +635,11 @@ def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):
     calls = []
     ipm = ipm_module._ipm
 
-    def flaky(sp, opts, warm):
+    def flaky(sp, opts, warm, fixed):
         calls.append(None)
         if len(calls) == 3:
             raise ProjectionError("no verified projection")
-        return ipm(sp, opts, warm)
+        return ipm(sp, opts, warm, fixed)
 
     monkeypatch.setattr(ipm_module, "_ipm", flaky)
     problem = tutorial_problem()
