@@ -17,18 +17,23 @@ and the scaling, W = eta (2 v v' - J) per block, applies its diagonal part to
 every coordinate in one product and then each block's rank-one terms; no
 block matrix is formed.
 
-The equality rows are presolved once per subproblem
-(``_presolve_equalities``) into one ``region._FixedRows`` value that depends
-on A alone: the kept rows, an orthonormal basis Z of their null space and
-their pseudo-inverse A+.  Every solve attempt and every consumer below takes
-that value.  A row is kept when its pivot in a pivoted QR of A' exceeds
-1e-10 ||A||_2.  That QR runs only for dependent or near-dependent rows.
-Otherwise one LU with partial pivoting of A' picks basis columns B of A,
-gives Z by one triangular solve and an economic QR of its n - m columns, and
-gives A+ = (I - Z Z') R, R = A_B^-1 on the rows B, as an operator of two
-triangular solves that is never formed.  The LU path is taken only when a
-condition estimate of A_B (LAPACK gecon) proves that the QR would keep every
-row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
+The equality rows are presolved (``_presolve_equalities``) into one
+``region._FixedRows`` value that depends on A alone: the kept rows, an
+orthonormal basis Z of their null space and their pseudo-inverse A+.  Every
+solve attempt and every consumer below takes that value.  The tracker builds
+it at the first solve of a Jacobian model, carries it while the model is
+unchanged and passes it to ``solve_subproblem``, which builds it without one.
+A row is kept when its pivot in a pivoted QR of A' exceeds 1e-10 ||A||_2.
+That QR runs only for dependent or near-dependent rows.  Otherwise one band
+LU with partial pivoting of A' (LAPACK gbtrf, at the bands of A's nonzero
+pattern; the shooting-structured cascade's A' has 24 and 15 at 8 tanks and
+24 steps) picks basis columns B of A.  With unit columns on the other rows N
+it is the factor of the square S = [A' | E_N], which gives Z by one band
+solve and an economic QR of its n - m columns, and A+ = (I - Z Z') R,
+R v = S^-T (v, 0) = A_B^-1 v on the rows B, as an operator of band solves
+that is never formed.  The LU path is taken only when a condition estimate
+of S (LAPACK gbcon) proves that the QR would keep every row: each of its
+pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix; the
 cold start factors it at the NT scaling of (e, e), which is exactly the
@@ -73,8 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dgecon, dgeqrf, dgetrf, dgetrs, dlaswp, dorgqr
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgeqrf, dorgqr
 
 from .errors import ProjectionError
 from .region import (
@@ -272,69 +276,83 @@ def assemble_cones(region):
 
 
 class _PseudoInverse:
-    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank A, never formed.
+    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank m x n A, never formed.
 
-    lu is the Fortran-ordered LU factor L1 U of A_B' for basis columns B of
-    A, Z an orthonormal basis of null(A), and R puts A_B^-1 on the rows B.
-    A R = I and I - Z Z' projects onto the row space of A, so this is the
-    Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` (vectors) each take
-    one LAPACK getrs on the factor, with no row interchange, and two
-    products with Z.
+    lu is LAPACK's band LU (bands kl, ku, pivots ipiv) of the square matrix
+    S = [A' | E_N]: the band LU of A' picks basis columns B of A, and unit
+    columns on the other rows N complete it.  S' w = (v, 0) reads A w = v,
+    w_N = 0, so R v = S^-T (v, 0) is A_B^-1 v on the rows B and 0 on N, and
+    A R = I.  Z is an orthonormal basis of null(A), and I - Z Z' projects onto
+    the row space of A, so this is the Moore-Penrose inverse.  ``A+ @ v`` and
+    ``A+.T @ u`` = (S^-1 (I - Z Z') u)[:m] (vectors) each take one LAPACK gbtrs
+    on the factor and two products with Z.
     """
 
-    def __init__(self, lu, basis, Z):
-        self.lu, self.basis, self.Z, self.ZB = lu, basis, Z, Z[basis]
-        self.ipiv = np.arange(lu.shape[0], dtype=np.int32)
+    def __init__(self, lu, kl, ku, ipiv, Z):
+        self.lu, self.kl, self.ku, self.ipiv, self.Z = lu, kl, ku, ipiv, Z
+        self.m = Z.shape[0] - Z.shape[1]
         self.T = _Transposed(self)
 
     def __matmul__(self, v):
-        # A_B^-1 v = (L1 U)^-T v on the rows B, less its part in null(A)
-        r = dgetrs(self.lu, self.ipiv, v, trans=1)[0]
-        out = self.Z @ -(self.ZB.T @ r)
-        out[self.basis] += r
-        return out
+        b = np.zeros(len(self.ipiv))
+        b[: self.m] = v
+        r = dgbtrs(self.lu, self.kl, self.ku, b, self.ipiv, trans=1, overwrite_b=1)[0]
+        return r - self.Z @ (self.Z.T @ r)
 
 
 class _Transposed(NamedTuple):
-    """A+' of a ``_PseudoInverse``: A+' u = A_B^-T [(I - Z Z') u]_B."""
+    """A+' of a ``_PseudoInverse``: A+' u = (S^-1 (I - Z Z') u)[:m]."""
 
     a: _PseudoInverse
 
     def __matmul__(self, u):
         a = self.a
-        return dgetrs(a.lu, a.ipiv, u[a.basis] - a.ZB @ (a.Z.T @ u))[0]
+        w = dgbtrs(a.lu, a.kl, a.ku, u - a.Z @ (a.Z.T @ u), a.ipiv, overwrite_b=1)[0]
+        return w[: a.m]
 
 
 def _lu_presolve(A):
-    """``_presolve_equalities``'s value from one LU of A', or None.
+    """``_presolve_equalities``'s value from one band LU of A', or None.
 
-    P A' = [L1; L2] U (LAPACK getrf, partial pivoting): the first m permuted
-    rows are basis columns B of A, A_B' = L1 U, and Z0[B] = -L1^-T L2',
-    Z0[N] = I spans null(A); Z is the economic QR factor of Z0.  LAPACK and
-    BLAS are called directly, which halves the cost at 27 x 36.  None unless
-    the factor proves that the QR rule keeps every row.  Each pivoted-QR
-    |r_ii| >= sigma_min(A) (a column's distance from the span of those before
-    it), sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and sigma_min(A_B)
-    >= 1 / (sqrt(m) ||A_B^-T||_1).  gecon's rcond at anorm 1 estimates
-    1 / ||A_B^-T||_1 from above, in practice within a small factor, so
-    rcond > 1e-7 sqrt(m) ||A||_F leaves a factor 1000 over 1e-10 ||A||_F.
+    The bands (kl, ku) of A' are read from A's nonzero pattern, and LAPACK
+    gbtrf factors A' with partial pivoting, as a dense getrf would: its m
+    pivot rows are basis columns B of A.  Unit columns on the other rows N
+    make the factor that of the square S = [A' | E_N] (``_PseudoInverse``),
+    and Z0 = S^-T (0; I), one gbtrs, has A Z0 = 0 and Z0[N] = I: it spans
+    null(A), and Z is the economic QR factor of Z0.  None unless the factor
+    proves that the QR rule keeps every row.  Each pivoted-QR |r_ii| >=
+    sigma_min(A) (a column's distance from the span of those before it),
+    sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and sigma_min(A_B) >=
+    1 / (sqrt(m) ||A_B^-T||_1).  The first m rows of S^-1 hold A_B^-T on the
+    columns B, so ||S^-1||_1 >= ||A_B^-T||_1.  gbcon's rcond of S at
+    anorm 1 estimates 1 / ||S^-1||_1 from above, in practice within a small
+    factor, so rcond > 1e-7 sqrt(m) ||A||_F leaves a factor 1000 over
+    1e-10 ||A||_F.
     """
     m, n = A.shape
-    lu, piv, info = dgetrf(A.T)
-    if info != 0 or not np.all(np.isfinite(lu)):
+    nonzero = np.flatnonzero(A != 0.0)
+    rows, cols = np.divmod(nonzero, n)
+    band = cols - rows  # A'[i, j] = A[j, i] lies on the band i - j
+    kl, ku = int(band.max(initial=0)), int(-band.min(initial=0))
+    # LAPACK band storage of A', with kl rows above it for the factor's fill
+    ab = np.zeros((2 * kl + ku + 1, m), order="F")
+    ab[kl + ku + band, rows] = A.ravel()[nonzero]
+    lu, piv, info = dgbtrf(ab, kl, ku, m=n, n=m, overwrite_ab=1)
+    if info != 0:
         return None
-    lu1 = np.asfortranarray(lu[:m])
-    rcond, _ = dgecon(lu1, 1.0)
+    factor = np.zeros((lu.shape[0], n), order="F")
+    factor[:, :m] = lu
+    factor[kl + ku, m:] = 1.0
+    ipiv = np.concatenate([piv, np.arange(m, n, dtype=piv.dtype)])
+    rcond, _ = dgbcon(kl, ku, factor, ipiv, 1.0)
     if not rcond > 1e-7 * np.sqrt(m) * np.linalg.norm(A):
         return None
-    perm = dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0].astype(int)
-    Z0 = np.zeros((n, n - m))
-    Z0[perm[:m]] = dtrsm(-1.0, lu1, lu[m:].T, lower=1, trans_a=1, diag=1)
-    Z0[perm[m:], np.arange(n - m)] = 1.0
+    rhs = np.zeros((n, n - m), order="F")
+    rhs[m:] = np.eye(n - m)
+    Z0 = dgbtrs(factor, kl, ku, rhs, ipiv, trans=1, overwrite_b=1)[0]
     qr, tau, _, _ = dgeqrf(Z0)
     Z = dorgqr(qr, tau)[0]
-    kept = np.arange(m)
-    return _FixedRows(A[kept], Z, _PseudoInverse(lu1, perm[:m], Z), kept, m)
+    return _FixedRows(A, Z, _PseudoInverse(factor, kl, ku, ipiv, Z), np.arange(m), m)
 
 
 def _presolve_equalities(A):
@@ -345,10 +363,11 @@ def _presolve_equalities(A):
     exceeds 1e-10 ||A||_2; the kept rows (in sorted order) have full row
     rank, Z spans their null space and A+ is their pseudo-inverse,
     A A+ = I, with columns in the kept order.  A+ is anything with ``@`` and
-    ``.T @`` on vectors.  For m <= n rows, one LU of A' gives the value, with
-    A+ a ``_PseudoInverse`` operator (``_lu_presolve``), when a condition
-    estimate of the LU's basis columns A_B proves that the rule keeps every
-    row: each |r_ii| >= sigma_min(A) >= sigma_min(A_B) > 1e-10 ||A||_2.
+    ``.T @`` on vectors.  For m <= n rows, one band LU of A' gives the value,
+    with A+ a ``_PseudoInverse`` operator (``_lu_presolve``), when a
+    condition estimate of its factor proves that the rule keeps every row:
+    each |r_ii| >= sigma_min(A) >= sigma_min(A_B) > 1e-10 ||A||_2 for the
+    LU's basis columns A_B.
     Otherwise (dependent or near-dependent rows, or m > n) the pivoted QR
     itself runs: Z is the trailing part of Q and A+ = Q1 R11^{-T}, formed.
     """
@@ -649,11 +668,14 @@ def _unsolved(sp):
                               iterations=0, residuals=SubproblemResiduals(*[np.inf] * 4))
 
 
-def solve_subproblem(sp, opts=None, warm=None):
+def solve_subproblem(sp, opts=None, warm=None, fixed=None):
     """Solve one convex subproblem to opts.tol within opts.max_iter iterations.
 
-    The equality rows are presolved once, for every attempt below; dropped
-    rows that disagree with the kept ones are ``infeasible`` with no attempt.
+    The equality rows are presolved once, for every attempt below: fixed is
+    that value, ``_presolve_equalities(sp.A_eq)``, when the caller holds it
+    (the tracker carries it while its Jacobian model is unchanged), and it
+    is built here when fixed is None.  Dropped rows that disagree with the
+    kept ones are ``infeasible`` with no attempt.
     The iteration warm-starts from warm.x (warm a PrimalDual, whose y is not
     read) when one is given and starts cold otherwise; a warm-started solve
     that ends other than optimal is repeated once from the cold start, and
@@ -671,7 +693,8 @@ def solve_subproblem(sp, opts=None, warm=None):
     opts = opts or SolverOptions()
     if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
         return _unsolved(sp)
-    fixed = _presolve_equalities(sp.A_eq)
+    if fixed is None:
+        fixed = _presolve_equalities(sp.A_eq)
     try:
         if fixed.kept.size < sp.m:
             b_all = sp.A_eq @ sp.x_ref - sp.b_eq

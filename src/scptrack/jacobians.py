@@ -9,7 +9,7 @@ or secant-updated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -92,6 +92,7 @@ class IterateState:
     adj_y: Optional[np.ndarray] = None  # cached g'(x)^T y, when a step computed it
     A_is_g_jac: bool = False  # A is g_jac evaluated at z.x itself
     region_distance: Optional[float] = None  # ||x - P(x)||, when the step certified it
+    fixed: Any = None  # ipm._presolve_equalities(A) once a solve built it; None with a new A
 
 
 def adjoint_product(problem, x, y):

@@ -32,7 +32,7 @@ from .jacobians import (
     update_hessian,
     update_jacobian,
 )
-from .ipm import solve_subproblem
+from .ipm import _presolve_equalities, solve_subproblem
 from .problem import KKTResidual, PrimalDual, checked_output, kkt_residual
 from .region import AffineInequality, ConvexRegion, region_violation
 from .subproblem import SolveStatus, SolverOptions, build_subproblem
@@ -168,13 +168,19 @@ def _linearize_region(region, x):
 
 
 def _attempt(problem, state, xi, config, counters, region=None):
-    """One subproblem solve at xi around the carried iterate."""
+    """One subproblem solve at xi around the carried iterate: (state, solution).
+
+    The returned state carries the presolve of its A, built here when the
+    state has none; a non-finite A gets none, and its solve ends max_iter.
+    """
     sp = build_subproblem(problem, state, xi)
     if region is not None:
         sp = replace(sp, region=region)
-    sol = solve_subproblem(sp, config.solver_opts, state.z)
+    if state.fixed is None and np.all(np.isfinite(sp.A_eq)):
+        state = replace(state, fixed=_presolve_equalities(sp.A_eq))
+    sol = solve_subproblem(sp, config.solver_opts, state.z, state.fixed)
     counters.solver_iters += sol.iterations
-    return sol
+    return state, sol
 
 
 def _carried(problem, z, A, is_g_jac, config, counters):
@@ -193,11 +199,11 @@ def _carried(problem, z, A, is_g_jac, config, counters):
 
 def _refresh_state(problem, state, config, counters):
     """Hold the iterate, rebuild the models from an exact Jacobian; the held
-    x keeps its certified distance."""
+    x keeps its certified distance, and the presolve of the old A is dropped."""
     A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters, state.g_x)
     is_g_jac = problem.g_jac is not None
     m, adj = _carried(problem, state.z, A, is_g_jac, config, counters)
-    return replace(state, A=A, A_is_g_jac=is_g_jac, m_corr=m, adj_y=adj)
+    return replace(state, A=A, A_is_g_jac=is_g_jac, m_corr=m, adj_y=adj, fixed=None)
 
 
 def _model_update(problem, state, config, sol, counters):
@@ -209,7 +215,8 @@ def _model_update(problem, state, config, sol, counters):
     A is g_jac at the new x.  Frozen and secant strategies never see a
     full Jacobian evaluation here.  The new state keeps the solve's
     certified region distance, except under rtgn, whose region is the
-    linearised one.
+    linearised one, and the presolve of A when update_jacobian returns the
+    same A (a frozen model, a skipped secant step).
     """
     z_new = PrimalDual(sol.x, sol.y)
     counters.g_evals += 1
@@ -225,6 +232,7 @@ def _model_update(problem, state, config, sol, counters):
     return IterateState(
         z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new,
         A_is_g_jac=is_g_jac, region_distance=dist,
+        fixed=state.fixed if A_new is state.A else None,
     )
 
 
@@ -236,10 +244,10 @@ def _tracked_step(problem, state, xi, config, counters=None):
         counters.g_evals += 1
         state = replace(state, g_x=checked_output("g", problem.g(state.z.x), (problem.m,)))
     region = _linearize_region(problem.region, state.z.x) if config.variant == "rtgn" else None
-    sol = _attempt(problem, state, xi, config, counters, region)
+    state, sol = _attempt(problem, state, xi, config, counters, region)
     if sol.status is not SolveStatus.OPTIMAL and config.retry_fresh_jacobian:
         state = _refresh_state(problem, state, config, counters)
-        sol = _attempt(problem, state, xi, config, counters, region)
+        state, sol = _attempt(problem, state, xi, config, counters, region)
     if sol.status is not SolveStatus.OPTIMAL:
         raise StepError(
             f"subproblem returned {sol.status.value} at sample {state.k + 1}",

@@ -96,11 +96,6 @@ def with_equality_members(sp):
     )
 
 
-def subproblem_objective(sp, x):
-    dx = x - sp.x_ref
-    return float((sp.c + sp.m_corr) @ x + 0.5 * dx @ sp.H @ dx)
-
-
 def feasible_samples(sp, rng, count=10):
     """Points feasible for the full subproblem, by alternating projection.
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import feasible_samples, random_subproblem, subproblem_objective
+from conftest import feasible_samples, random_subproblem
 from scptrack.cascade import (
     CascadeConfig,
     ClosedLoopPlant,
@@ -323,10 +323,10 @@ def test_criterion_08_subproblem_solver_correctness():
             assert sol.status is SolveStatus.OPTIMAL, f"{kind} not solved"
             worst_kkt = max(worst_kkt, sol.residuals.total)
             assert region_violation(sp.region, sol.x) <= 1e-7
-            obj = subproblem_objective(sp, sol.x)
+            obj = sp.objective(sol.x)
             scale = 1.0 + abs(obj)
             for w in feasible_samples(sp, rng):
-                worst_gap = max(worst_gap, (obj - subproblem_objective(sp, w)) / scale)
+                worst_gap = max(worst_gap, (obj - sp.objective(w)) / scale)
 
     # deliberately inconsistent and unbounded constructions
     opts = SolverOptions(tikhonov_retry=False)

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from conftest import feasible_samples, random_subproblem, subproblem_objective
+from conftest import feasible_samples, random_subproblem
 from scptrack import ClosedLoopPlant, JacobianStrategy, TrackerConfig, steady_start, track
 from scptrack import ipm as ipm_module
 from scptrack import region as region_module
@@ -226,12 +226,12 @@ def test_random_instances_kkt_and_objective(kind):
         assert region_violation(sp.region, sol.x) <= 1e-7
 
         # no sampled feasible point does better
-        obj = subproblem_objective(sp, sol.x)
+        obj = sp.objective(sol.x)
         scale = 1.0 + abs(obj)
         samples = feasible_samples(sp, rng)
         assert len(samples) == 10
         for w in samples:
-            assert obj <= subproblem_objective(sp, w) + 1e-5 * scale
+            assert obj <= sp.objective(w) + 1e-5 * scale
 
 
 def test_tight_tolerance_solutions():
@@ -557,6 +557,66 @@ def test_presolve_takes_the_pivoted_qr_for_near_dependent_rows():
     assert _presolve_equalities(cases[0]).kept.size == 4  # one copy of the duplicate dropped
 
 
+def _banded(rng, m, n, lo, hi):
+    """A random m x n A with A[j, i] nonzero exactly where lo <= i - j <= hi."""
+    offset = np.arange(n)[None, :] - np.arange(m)[:, None]
+    return np.where((offset >= lo) & (offset <= hi), rng.normal(size=(m, n)), 0.0)
+
+
+def _pivot_rows(ipiv, n):
+    """The rows of A' that LAPACK's interchanges ipiv move to the top, in order."""
+    rows = np.arange(n)
+    for j, p in enumerate(ipiv):
+        rows[[j, p]] = rows[[p, j]]
+    return rows[: len(ipiv)]
+
+
+# (m, n, lo, hi): A[j, i] is nonzero for lo <= i - j <= hi, so A' has the
+# bands kl = max(hi, 0) and ku = max(-lo, 0)
+_BAND_CASES = {
+    "diagonal": (8, 12, 0, 0),
+    "upper-only": (8, 12, -3, 0),
+    "lower-only": (8, 12, 0, 4),
+    "both": (8, 12, -2, 5),
+    "off-diagonal": (8, 12, 2, 5),
+    "off-diagonal-narrow": (8, 12, 3, 4),
+    "square": (6, 6, -1, 2),
+    "dense": (5, 9, -4, 8),
+    "one-row": (1, 7, 0, 6),
+    "one-row-sparse": (1, 7, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_CASES))
+def test_band_presolve_matches_the_dense_references(name):
+    # the band LU reads its bands from A's pattern, picks the pivot rows of a
+    # dense LU of A', and gives an orthonormal null basis and the Moore-Penrose
+    # inverse; a near-dependent row still goes to the pivoted QR
+    m, n, lo, hi = _BAND_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    A = _banded(rng, m, n, lo, hi)
+    fixed = _presolve_equalities(A)
+    aplus = fixed.aplus
+    assert isinstance(aplus, _PseudoInverse)
+    assert (aplus.kl, aplus.ku) == (max(hi, 0), max(-lo, 0))
+    p, _, _ = scipy.linalg.lu(A.T)
+    np.testing.assert_array_equal(_pivot_rows(aplus.ipiv[:m], n), np.argmax(p, axis=0)[:m])
+    np.testing.assert_array_equal(fixed.kept, np.arange(m))
+    assert np.linalg.norm(A @ fixed.Z) <= 1e-12 * np.linalg.norm(A)
+    assert np.linalg.norm(fixed.Z.T @ fixed.Z - np.eye(n - m)) <= 1e-12
+    pinv = np.linalg.pinv(A)
+    _close(np.column_stack([aplus @ e for e in np.eye(m)]), pinv, 1e-12)
+    _close(np.column_stack([aplus.T @ e for e in np.eye(n)]), pinv.T, 1e-12)
+    if m > 1:
+        near = np.array(A)
+        near[-1] = A[-2] + 1e-13 * np.linalg.norm(A) * rng.normal(size=n)
+        assert _lu_presolve(near) is None
+        fixed = _presolve_equalities(near)
+        assert isinstance(fixed.aplus, np.ndarray)
+        np.testing.assert_array_equal(fixed.kept, _spectral_rule(near)[0])
+        assert fixed.kept.size == m - 1
+
+
 def _close(got, want, rtol):
     assert np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1e-300)
 
@@ -818,13 +878,13 @@ def test_certification_where_an_ellipsoid_crosses_a_box_corner():
     assert sol.status is SolveStatus.OPTIMAL
     assert elapsed < 1.0
     ref = scipy.optimize.minimize(
-        lambda x: subproblem_objective(sp, x), x_ref,
+        sp.objective, x_ref,
         bounds=list(zip(region.lower, region.upper)),
         constraints=[{"type": "ineq", "fun": lambda x: -ell.violation(x)}],
         method="SLSQP", options={"maxiter": 400, "ftol": 1e-14},
     )
     assert region_violation(region, ref.x) <= 1e-9
-    assert abs(subproblem_objective(sp, sol.x) - subproblem_objective(sp, ref.x)) <= 1e-6
+    assert abs(sp.objective(sol.x) - sp.objective(ref.x)) <= 1e-6
 
 
 def test_projection_error_in_certification_returns_max_iter(monkeypatch):
@@ -892,11 +952,11 @@ def test_box_and_halfspace_qp_that_makes_mehrotra_cycle():
                           A_eq=np.zeros((0, 2)), b_eq=np.zeros(0), region=region)
     sol = solve_subproblem(sp)
     ref = scipy.optimize.minimize(
-        lambda x: subproblem_objective(sp, x), sp.x_ref,
+        sp.objective, sp.x_ref,
         bounds=list(zip(region.lower, region.upper)),
         constraints=[{"type": "ineq", "fun": lambda x, m=m: -m.violation(x)} for m in region.affine],
         method="SLSQP", options={"maxiter": 400, "ftol": 1e-14},
     )
     assert region_violation(region, ref.x) <= 1e-9
     assert sol.status is SolveStatus.OPTIMAL
-    assert abs(subproblem_objective(sp, sol.x) - subproblem_objective(sp, ref.x)) <= 1e-6
+    assert abs(sp.objective(sol.x) - sp.objective(ref.x)) <= 1e-6

@@ -263,9 +263,9 @@ def test_records_reuse_what_the_step_certified(monkeypatch, setup, variant):
     calls = []
     solve = tracking_module.solve_subproblem
 
-    def failing(sp, opts, warm):
+    def failing(sp, opts, warm, fixed):
         calls.append(None)
-        sol = solve(sp, opts, warm)
+        sol = solve(sp, opts, warm, fixed)
         return replace(sol, status=SolveStatus.MAX_ITER) if len(calls) in (3, 4) else sol
 
     monkeypatch.setattr(tracking_module, "solve_subproblem", failing)
@@ -738,3 +738,99 @@ def test_step_on_a_state_without_cached_g_evaluates_it_once():
     # g at the carried iterate, then g at the accepted one; both counted
     assert len(calls) == 2
     assert counters.g_evals == 2
+
+
+def _presolve_probe(monkeypatch):
+    """The list of matrices ``_presolve_equalities`` is called on, by the tracker
+    or by the solver, and the list of (A_eq, fixed) that each
+    ``solve_subproblem`` call of the tracker gets."""
+    presolved, solves = [], []
+    presolve, solve = ipm_module._presolve_equalities, tracking_module.solve_subproblem
+
+    def counted(A):
+        presolved.append(A)
+        return presolve(A)
+
+    def spied(sp, opts, warm, fixed):
+        solves.append((sp.A_eq, fixed))
+        return solve(sp, opts, warm, fixed)
+
+    monkeypatch.setattr(ipm_module, "_presolve_equalities", counted)
+    monkeypatch.setattr(tracking_module, "_presolve_equalities", counted)
+    monkeypatch.setattr(tracking_module, "solve_subproblem", spied)
+    return presolved, solves
+
+
+@pytest.mark.parametrize("jacobian, variant", [("frozen", "apcscp"), ("exact", "pcscp")])
+def test_the_presolve_is_built_once_per_jacobian_model(monkeypatch, jacobian, variant):
+    # a frozen model is presolved at the first solve and carried to every
+    # later one; an exact model is new at every sample, and so is its presolve
+    presolved, solves = _presolve_probe(monkeypatch)
+    problem, samples, z0 = _short_track("cascade")
+    config = TrackerConfig(variant=variant, jacobian=JacobianStrategy(jacobian))
+    trace = track(problem, samples, z0, config)
+    assert not trace.aborted and len(solves) == len(samples)
+    assert len(presolved) == (1 if jacobian == "frozen" else len(samples))
+    for A, fixed in solves:
+        assert fixed.A is A  # each solve takes the presolve of its own model
+
+
+def test_a_secant_model_is_presolved_once_per_changed_matrix(monkeypatch):
+    # Broyden steps shorter than the skip threshold keep the model matrix and
+    # its presolve; every other step makes a new matrix and one new presolve
+    presolved, solves = _presolve_probe(monkeypatch)
+    z0, _ = tutorial_solution(1.2)
+    samples = [np.array([xi]) for xi in (1.45,) * 6 + (1.7,) * 6]
+    config = TrackerConfig(jacobian=JacobianStrategy("broyden", skip_threshold=1e-6))
+    trace = track(tutorial_problem(), samples, z0, config)
+    assert not trace.aborted
+    models = [A for i, (A, _) in enumerate(solves) if i == 0 or A is not solves[i - 1][0]]
+    assert 1 < len(models) < len(solves)
+    assert len(presolved) == len(models)
+    assert all(p is A for p, A in zip(presolved, models))
+
+
+def test_retry_fresh_jacobian_rebuilds_the_presolve(monkeypatch):
+    # the zeroed frozen model fails; the refreshed model gets its own presolve,
+    # which the next state carries
+    presolved, solves = _presolve_probe(monkeypatch)
+    problem = _box_problem()
+    z0 = PrimalDual([0.5, 0.5], [0.0])
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"), retry_fresh_jacobian=True)
+    state = init_state(problem, z0, config.jacobian, config.hessian, None)
+    bad = replace(state, A=np.zeros((1, 2)),
+                  m_corr=correction_vector(problem, z0.x, z0.y, np.zeros((1, 2))))
+    new = apcscp_step(bad, problem, 1.5, config)
+    assert len(solves) == 2 and len(presolved) == 2
+    assert solves[0][1].kept.size == 0  # the zero row is dropped
+    assert solves[1][1].A is solves[1][0] and np.any(solves[1][0])
+    assert new.A is solves[1][0] and new.fixed is solves[1][1]
+
+
+def test_carried_presolve_gives_the_trace_of_a_fresh_one(monkeypatch):
+    # the same frozen track, once with the carried presolve and once with
+    # every solve building its own: bit for bit the same trace
+    problem, samples, z0 = _short_track("cascade")
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"))
+    carried = track(problem, samples, z0, config)
+    solve = tracking_module.solve_subproblem
+    monkeypatch.setattr(tracking_module, "solve_subproblem",
+                        lambda sp, opts, warm, fixed: solve(sp, opts, warm, None))
+    fresh = track(problem, samples, z0, config)
+    assert len(carried) == len(fresh) == len(samples) + 1
+    for a, b in zip(carried, fresh):
+        assert (a.step_status, a.solver_iters) == (b.step_status, b.solver_iters)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
+def test_a_non_finite_jacobian_model_ends_max_iter_without_a_presolve():
+    problem = tutorial_problem()
+    z0, _ = tutorial_solution(1.2)
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"))
+    state = init_state(problem, z0, config.jacobian, config.hessian, None)
+    bad = replace(state, A=np.full_like(state.A, np.nan))
+    with pytest.raises(StepError) as info:
+        apcscp_step(bad, problem, np.array([1.45]), config)
+    sol = info.value.solution
+    assert (sol.status, sol.iterations) == (SolveStatus.MAX_ITER, 0)
+    assert info.value.state.fixed is None

@@ -10,15 +10,17 @@ with this file loaded as a pytest plugin (``-p solve_parity``).  The plugin
 wraps ``scptrack.ipm._ipm`` through ``*args``, so it logs every attempt
 whatever its arity, and writes one JSON line per test that runs and one per
 call: the test id, the call's index within its test, the status, the
-iteration count and a SHA-256 of the bytes of x and of y (or the exception
-the call raised).
+iteration count, x and y, and a SHA-256 of the bytes of each (or the
+exception the call raised).
 
 The two logs are matched test by test.  Within a test the calls are aligned
 as sequences (``difflib``), so a call that one side makes and the other does
 not shows as that call alone, not as a shift of every later one.  The script
 prints each difference: a status or iteration count that differs, a call on
 one side only, x or y bytes that differ, and a test that runs on one side
-only (with its call count).  It exits 1 on a difference of the first two
+only (with its call count).  A line on x or y bytes gives the difference
+as ||d||_inf / (1 + ||x_parent||_inf), and the last lines give the largest
+such difference of x and of y.  It exits 1 on a difference of the first two
 kinds; otherwise 0.  The suites' own pass/fail counts are printed too.
 """
 
@@ -61,7 +63,8 @@ def pytest_configure(config):
         else:
             entry.update(status=sol.status.value, iterations=int(sol.iterations),
                          x=hashlib.sha256(sol.x.tobytes()).hexdigest(),
-                         y=hashlib.sha256(sol.y.tobytes()).hexdigest())
+                         y=hashlib.sha256(sol.y.tobytes()).hexdigest(),
+                         x_values=sol.x.tolist(), y_values=sol.y.tolist())
         finally:
             _state["log"].write(json.dumps(entry) + "\n")
         return sol
@@ -117,9 +120,21 @@ def _describe(entry):
     return f"call {entry['index']} ({entry['status']}, {entry['iterations']} iterations)"
 
 
+def _difference(ea, eb, key):
+    """||d||_inf / (1 + ||parent||_inf) of one vector of two matched calls."""
+    a, b = ea[f"{key}_values"], eb[f"{key}_values"]
+    if len(a) != len(b):
+        return float("inf")
+    scale = 1.0 + max((abs(v) for v in a), default=0.0)
+    return max((abs(u - v) for u, v in zip(a, b)), default=0.0) / scale
+
+
 def compare(parent, change):
-    """(lines that fail parity, lines that list other differences, identical call count)."""
+    """(lines that fail parity, lines that list other differences, identical call
+    count, the largest difference of x and of y among calls that differ only in
+    their bytes)."""
     failing, listed, same = [], [], 0
+    worst = {"x": 0.0, "y": 0.0}
     for test in sorted(set(parent) | set(change), key=str):
         if (test in parent) != (test in change):
             side, calls = ("parent", parent[test]) if test in parent else ("change", change[test])
@@ -138,13 +153,18 @@ def compare(parent, change):
                     if _outcome(ea) != _outcome(eb):
                         failing.append(f"{test}: parent {_describe(ea)}, change {_describe(eb)}")
                     else:
-                        parts = [k for k in ("x", "y") if ea[k] != eb[k]]
-                        listed.append(f"{test}: {_describe(ea)} {' and '.join(parts)} bytes"
-                                      f" differ (change call {eb['index']})")
+                        parts = []
+                        for k in ("x", "y"):
+                            if ea[k] != eb[k]:
+                                d = _difference(ea, eb, k)
+                                worst[k] = max(worst[k], d)
+                                parts.append(f"{k} by {d:.1e}")
+                        listed.append(f"{test}: {_describe(ea)} {' and '.join(parts)}"
+                                      f" (change call {eb['index']})")
                 continue
             failing += [f"{test}: only in parent, {_describe(e)}" for e in a[i1:i2]]
             failing += [f"{test}: only in change, {_describe(e)}" for e in b[j1:j2]]
-    return failing, listed, same
+    return failing, listed, same, worst
 
 
 def main(argv=None):
@@ -168,12 +188,14 @@ def main(argv=None):
     for side, calls in (("parent", parent), ("change", change)):
         print(f"{side}: {sum(map(len, calls.values()))} _ipm calls in {len(calls)} tests"
               f" (log {logs[side]})")
-    failing, listed, same = compare(parent, change)
+    failing, listed, same, worst = compare(parent, change)
     for line in failing + listed:
         print(line)
     print(f"{same} calls identical in status, iterations and x and y bytes;"
           f" {len(failing)} status, iteration or one-side call differences;"
           f" {len(listed)} other differences listed")
+    print(f"largest difference of calls that differ only in their bytes, as"
+          f" ||d||_inf / (1 + ||parent||_inf): x {worst['x']:.1e}, y {worst['y']:.1e}")
     print("parity: " + ("statuses and iterations identical" if not failing else "FAILED"))
     return 1 if failing else 0
 
