@@ -24,16 +24,17 @@ solve attempt and every consumer below takes that value.  The tracker builds
 it at the first solve of a Jacobian model, carries it while the model is
 unchanged and passes it to ``solve_subproblem``, which builds it without one.
 A row is kept when its pivot in a pivoted QR of A' exceeds 1e-10 ||A||_2.
-That QR runs only for dependent or near-dependent rows.  Otherwise one band
-LU with partial pivoting of A' (LAPACK gbtrf, at the bands of A's nonzero
-pattern; the shooting-structured cascade's A' has 24 and 15 at 8 tanks and
-24 steps) picks basis columns B of A.  With unit columns on the other rows N
-it is the factor of the square S = [A' | E_N], which gives Z by one band
-solve and an economic QR of its n - m columns, and A+ = (I - Z Z') R,
-R v = S^-T (v, 0) = A_B^-1 v on the rows B, as an operator of band solves
-that is never formed.  The LU path is taken only when a condition estimate
-of S (LAPACK gbcon) proves that the QR would keep every row: each of its
-pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
+That QR runs only for dependent or near-dependent rows.  Otherwise one LU
+with partial pivoting of A' picks basis columns B of A, gives Z by one
+solve and an economic QR of its n - m columns, and gives A+ = (I - Z Z') R,
+R = A_B^-1 on the rows B, as an operator of LU solves that is never formed.
+The LU is LAPACK's band one (gbtrf, at the bands of A's nonzero pattern),
+completed to the factor of the square S = [A' | E_N] by unit columns on
+the other rows N, when its solves cost fewer flops than dense ones, as on
+the shooting-structured cascade at 8 tanks and 24 steps; otherwise it is a
+dense getrf (``_lu_presolve``).  The LU path is taken only when a
+condition estimate of the factor proves that the QR would keep every row:
+each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix; the
 cold start factors it at the NT scaling of (e, e), which is exactly the
@@ -74,11 +75,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs, dgeqrf, dorgqr
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgeqrf, dgetrf, dgetrs, dlaswp, dorgqr
 
 from .errors import ProjectionError
 from .region import (
@@ -275,17 +278,53 @@ def assemble_cones(region):
     return G, Gt, h, _Cones(l, soc_dims)
 
 
-class _PseudoInverse:
-    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank m x n A, never formed.
+class _Transposed(NamedTuple):
+    """A+' of an LU pseudo-inverse operator a, applied by ``a.transposed``."""
+
+    a: object
+
+    def __matmul__(self, u):
+        return self.a.transposed(u)
+
+
+class _DensePseudoInverse:
+    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank A, never formed.
+
+    lu is the Fortran-ordered LU factor L1 U of A_B' for basis columns B of
+    A, Z an orthonormal basis of null(A), and R puts A_B^-1 on the rows B.
+    A R = I and I - Z Z' projects onto the row space of A, so this is the
+    Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` = A_B^-T [(I - Z Z') u]_B
+    (vectors) each take one LAPACK getrs on the factor, with no row
+    interchange, and two products with Z.
+    """
+
+    def __init__(self, lu, basis, Z):
+        self.lu, self.basis, self.Z, self.ZB = lu, basis, Z, Z[basis]
+        self.ipiv = np.arange(lu.shape[0], dtype=np.int32)
+        self.T = _Transposed(self)
+
+    def __matmul__(self, v):
+        # A_B^-1 v = (L1 U)^-T v on the rows B, less its part in null(A)
+        r = dgetrs(self.lu, self.ipiv, v, trans=1)[0]
+        out = self.Z @ -(self.ZB.T @ r)
+        out[self.basis] += r
+        return out
+
+    def transposed(self, u):
+        return dgetrs(self.lu, self.ipiv, u[self.basis] - self.ZB @ (self.Z.T @ u))[0]
+
+
+class _BandPseudoInverse:
+    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank m x n A, from a band LU.
 
     lu is LAPACK's band LU (bands kl, ku, pivots ipiv) of the square matrix
     S = [A' | E_N]: the band LU of A' picks basis columns B of A, and unit
     columns on the other rows N complete it.  S' w = (v, 0) reads A w = v,
     w_N = 0, so R v = S^-T (v, 0) is A_B^-1 v on the rows B and 0 on N, and
-    A R = I.  Z is an orthonormal basis of null(A), and I - Z Z' projects onto
-    the row space of A, so this is the Moore-Penrose inverse.  ``A+ @ v`` and
-    ``A+.T @ u`` = (S^-1 (I - Z Z') u)[:m] (vectors) each take one LAPACK gbtrs
-    on the factor and two products with Z.
+    A R = I.  Z is an orthonormal basis of null(A), so, as for
+    ``_DensePseudoInverse``, this is the Moore-Penrose inverse.  ``A+ @ v``
+    and ``A+.T @ u`` = (S^-1 (I - Z Z') u)[:m] (vectors) each take one
+    LAPACK gbtrs on the factor and two products with Z.
     """
 
     def __init__(self, lu, kl, ku, ipiv, Z):
@@ -299,44 +338,104 @@ class _PseudoInverse:
         r = dgbtrs(self.lu, self.kl, self.ku, b, self.ipiv, trans=1, overwrite_b=1)[0]
         return r - self.Z @ (self.Z.T @ r)
 
-
-class _Transposed(NamedTuple):
-    """A+' of a ``_PseudoInverse``: A+' u = (S^-1 (I - Z Z') u)[:m]."""
-
-    a: _PseudoInverse
-
-    def __matmul__(self, u):
-        a = self.a
-        w = dgbtrs(a.lu, a.kl, a.ku, u - a.Z @ (a.Z.T @ u), a.ipiv, overwrite_b=1)[0]
-        return w[: a.m]
+    def transposed(self, u):
+        w = dgbtrs(self.lu, self.kl, self.ku, u - self.Z @ (self.Z.T @ u), self.ipiv,
+                   overwrite_b=1)[0]
+        return w[: self.m]
 
 
-def _lu_presolve(A):
-    """``_presolve_equalities``'s value from one band LU of A', or None.
+def _keeps_every_row(rcond, A):
+    """Whether rcond, an estimate from above of 1 / ||A_B^-T||_1 or of a
+    number below it, proves that the QR rule keeps every row of A
+    (``_lu_presolve``)."""
+    return rcond > 1e-7 * np.sqrt(A.shape[0]) * np.linalg.norm(A)
 
-    The bands (kl, ku) of A' are read from A's nonzero pattern, and LAPACK
-    gbtrf factors A' with partial pivoting, as a dense getrf would: its m
-    pivot rows are basis columns B of A.  Unit columns on the other rows N
-    make the factor that of the square S = [A' | E_N] (``_PseudoInverse``),
-    and Z0 = S^-T (0; I), one gbtrs, has A Z0 = 0 and Z0[N] = I: it spans
-    null(A), and Z is the economic QR factor of Z0.  None unless the factor
-    proves that the QR rule keeps every row.  Each pivoted-QR |r_ii| >=
-    sigma_min(A) (a column's distance from the span of those before it),
-    sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and sigma_min(A_B) >=
-    1 / (sqrt(m) ||A_B^-T||_1).  The first m rows of S^-1 hold A_B^-T on the
-    columns B, so ||S^-1||_1 >= ||A_B^-T||_1.  gbcon's rcond of S at
-    anorm 1 estimates 1 / ||S^-1||_1 from above, in practice within a small
-    factor, so rcond > 1e-7 sqrt(m) ||A||_F leaves a factor 1000 over
-    1e-10 ||A||_F.
+
+def _bands(A):
+    """(kl, ku, nonzero): the bands of A' and the flat indices of A's nonzeros."""
+    nonzero = np.flatnonzero(A != 0.0)
+    rows, cols = np.divmod(nonzero, A.shape[1])
+    band = cols - rows  # A'[i, j] = A[j, i] lies on the band i - j
+    return int(band.max(initial=0)), int(-band.min(initial=0)), nonzero
+
+
+def _narrow_bands(A):
+    """``_bands(A)`` when a band LU of A' costs less than a dense one, else None.
+
+    A band solve with S costs about n (2 kl + ku) multiply-adds, a dense one
+    with A_B' about m^2 (``_lu_presolve``).  The bands hold at most
+    m (kl + ku + 1) nonzeros, so A with m (m^2 / n + 1) or more is not read.
     """
     m, n = A.shape
-    nonzero = np.flatnonzero(A != 0.0)
+    if np.count_nonzero(A != 0.0) * n >= m * (m * m + n):
+        return None
+    kl, ku, _ = bands = _bands(A)
+    return bands if n * (2 * kl + ku) < m * m else None
+
+
+def _inverse_norm1(lu, kl, ku, ipiv):
+    """An estimate from below of ||S^-1||_1 from the band LU of S.
+
+    Hager's iteration, at most five pairs of gbtrs, then Higham's
+    alternating-sign vector: the estimator that LAPACK's condition routines
+    run through lacn2.  Each trial is ||S^-1 x||_1 / ||x||_1 for one x.
+    """
+    n = len(ipiv)
+    x, est = np.full(n, 1.0 / n), 0.0
+    for _ in range(5):
+        y = dgbtrs(lu, kl, ku, x, ipiv)[0]
+        trial = np.abs(y).sum()
+        if not trial > est:
+            break
+        est = trial
+        z = dgbtrs(lu, kl, ku, np.where(y < 0.0, -1.0, 1.0), ipiv, trans=1)[0]
+        j = np.argmax(np.abs(z))
+        if not abs(z[j]) > z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    alt = np.where(np.arange(n) % 2, -1.0, 1.0) * (1.0 + np.arange(n) / max(n - 1, 1))
+    return max(est, 2.0 * np.abs(dgbtrs(lu, kl, ku, alt, ipiv)[0]).sum() / (3.0 * n))
+
+
+def _dense_lu(A):
+    """Z0 and the A+ of ``_lu_presolve`` from one dense LU of A', or None.
+
+    P A' = [L1; L2] U (LAPACK getrf): the first m permuted rows are basis
+    columns B of A, A_B' = L1 U, and Z0[B] = -L1^-T L2', Z0[N] = I.  gecon's
+    rcond of A_B' at anorm 1 estimates 1 / ||A_B^-T||_1.
+    """
+    m, n = A.shape
+    lu, piv, info = dgetrf(A.T)
+    if info != 0 or not np.all(np.isfinite(lu)):
+        return None
+    lu1 = np.asfortranarray(lu[:m])
+    if not _keeps_every_row(dgecon(lu1, 1.0)[0], A):
+        return None
+    perm = dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0].astype(int)
+    Z0 = np.zeros((n, n - m))
+    Z0[perm[:m]] = dtrsm(-1.0, lu1, lu[m:].T, lower=1, trans_a=1, diag=1)
+    Z0[perm[m:], np.arange(n - m)] = 1.0
+    return Z0, partial(_DensePseudoInverse, lu1, perm[:m])
+
+
+def _band_lu(A, kl, ku, nonzero):
+    """Z0 and the A+ of ``_lu_presolve`` from one band LU of A', or None.
+
+    (kl, ku) are the bands of A' and nonzero the flat indices of A's
+    nonzeros (``_bands``).  LAPACK gbtrf factors A' with the partial
+    pivoting of getrf, so its m pivot rows are the same basis columns B.
+    Unit columns on the other rows N make the factor that of the square
+    S = [A' | E_N] (``_BandPseudoInverse``), and Z0 = S^-T (0; I), one
+    gbtrs, has A Z0 = 0 and Z0[N] = I.  The first m rows of S^-1 hold A_B^-T on the columns B,
+    so ||S^-1||_1 >= ||A_B^-T||_1, and 1 / ``_inverse_norm1`` of S is an
+    estimate from above of a number below 1 / ||A_B^-T||_1.
+    """
+    m, n = A.shape
     rows, cols = np.divmod(nonzero, n)
-    band = cols - rows  # A'[i, j] = A[j, i] lies on the band i - j
-    kl, ku = int(band.max(initial=0)), int(-band.min(initial=0))
     # LAPACK band storage of A', with kl rows above it for the factor's fill
     ab = np.zeros((2 * kl + ku + 1, m), order="F")
-    ab[kl + ku + band, rows] = A.ravel()[nonzero]
+    ab[kl + ku + cols - rows, rows] = A.ravel()[nonzero]
     lu, piv, info = dgbtrf(ab, kl, ku, m=n, n=m, overwrite_ab=1)
     if info != 0:
         return None
@@ -344,15 +443,48 @@ def _lu_presolve(A):
     factor[:, :m] = lu
     factor[kl + ku, m:] = 1.0
     ipiv = np.concatenate([piv, np.arange(m, n, dtype=piv.dtype)])
-    rcond, _ = dgbcon(kl, ku, factor, ipiv, 1.0)
-    if not rcond > 1e-7 * np.sqrt(m) * np.linalg.norm(A):
+    if not _keeps_every_row(1.0 / _inverse_norm1(factor, kl, ku, ipiv), A):
         return None
     rhs = np.zeros((n, n - m), order="F")
     rhs[m:] = np.eye(n - m)
     Z0 = dgbtrs(factor, kl, ku, rhs, ipiv, trans=1, overwrite_b=1)[0]
+    return Z0, partial(_BandPseudoInverse, factor, kl, ku, ipiv)
+
+
+def _lu_presolve(A):
+    """``_presolve_equalities``'s value from one LU of A', or None.
+
+    An LU with partial pivoting of A' picks basis columns B of A; Z0, with
+    A Z0 = 0 and Z0[N] = I on the other columns N, spans null(A), and Z is
+    the economic QR factor of Z0.  The LU is LAPACK's band one
+    (``_band_lu``), at the bands (kl, ku) of A' read from A's nonzero
+    pattern, when its solves cost fewer flops than dense ones
+    (``_narrow_bands``), and a dense getrf (``_dense_lu``) otherwise.  The
+    shooting-structured cascade's A' has bands (24, 15) at 8 tanks and 24
+    steps and takes the band LU; at 3 tanks and 8 steps, bands (8, 5), the
+    two cost about the same and the dense one is taken.  A row that couples
+    the first and last states, or a secant update, which fills A, widens
+    the bands to about n; there a band LU took twice the dense presolve's
+    time and up to five times its time per A+ application.  LAPACK and BLAS
+    are called directly.
+
+    None unless the factor proves that the QR rule keeps every row.  Each
+    pivoted-QR |r_ii| >= sigma_min(A) (a column's distance from the span of
+    those before it), sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and
+    sigma_min(A_B) >= 1 / (sqrt(m) ||A_B^-T||_1).  Both condition estimates
+    are in practice within a small factor of the norm they bound, so
+    rcond > 1e-7 sqrt(m) ||A||_F (``_keeps_every_row``) leaves a factor 1000
+    over 1e-10 ||A||_F.
+    """
+    m = A.shape[0]
+    bands = _narrow_bands(A)
+    made = _dense_lu(A) if bands is None else _band_lu(A, *bands)
+    if made is None:
+        return None
+    Z0, operator = made
     qr, tau, _, _ = dgeqrf(Z0)
     Z = dorgqr(qr, tau)[0]
-    return _FixedRows(A, Z, _PseudoInverse(factor, kl, ku, ipiv, Z), np.arange(m), m)
+    return _FixedRows(A, Z, operator(Z), np.arange(m), m)
 
 
 def _presolve_equalities(A):
@@ -363,9 +495,10 @@ def _presolve_equalities(A):
     exceeds 1e-10 ||A||_2; the kept rows (in sorted order) have full row
     rank, Z spans their null space and A+ is their pseudo-inverse,
     A A+ = I, with columns in the kept order.  A+ is anything with ``@`` and
-    ``.T @`` on vectors.  For m <= n rows, one band LU of A' gives the value,
-    with A+ a ``_PseudoInverse`` operator (``_lu_presolve``), when a
-    condition estimate of its factor proves that the rule keeps every row:
+    ``.T @`` on vectors.  For m <= n rows, one band or dense LU of A' gives
+    the value, with A+ a ``_BandPseudoInverse`` or ``_DensePseudoInverse``
+    operator (``_lu_presolve``), when a condition estimate of its factor
+    proves that the rule keeps every row:
     each |r_ii| >= sigma_min(A) >= sigma_min(A_B) > 1e-10 ||A||_2 for the
     LU's basis columns A_B.
     Otherwise (dependent or near-dependent rows, or m > n) the pivoted QR

@@ -92,7 +92,7 @@ class IterateState:
     adj_y: Optional[np.ndarray] = None  # cached g'(x)^T y, when a step computed it
     A_is_g_jac: bool = False  # A is g_jac evaluated at z.x itself
     region_distance: Optional[float] = None  # ||x - P(x)||, when the step certified it
-    fixed: Any = None  # ipm._presolve_equalities(A) once a solve built it; None with a new A
+    fixed: Any = None  # ipm._presolve_equalities(A), built at a solve; rebuilt unless fixed.A is A
 
 
 def adjoint_product(problem, x, y):

@@ -89,8 +89,9 @@ class ParametricNLP:
 def checked_output(what, value, shape):
     """A callback's output (what: its name) as a float array of the given
     shape; the library reads every g, g_adjoint, g_jac and
-    lagrangian_hessian output through here."""
-    out = np.asarray(value, dtype=float)
+    lagrangian_hessian output through here.  The array is a copy, so a
+    callback may refill and return one array at every call."""
+    out = np.array(value, dtype=float)
     if out.ndim < len(shape):  # a scalar or a row stands for a 1-long leading axis
         out = out.reshape((1,) * (len(shape) - out.ndim) + out.shape)
     if out.shape != shape:

@@ -171,13 +171,15 @@ def _attempt(problem, state, xi, config, counters, region=None):
     """One subproblem solve at xi around the carried iterate: (state, solution).
 
     The returned state carries the presolve of its A, built here when the
-    state has none; a non-finite A gets none, and its solve ends max_iter.
+    state has none or one of another matrix (``fixed.A`` is the A it was
+    built from); a non-finite A gets none, and its solve ends max_iter.
     """
     sp = build_subproblem(problem, state, xi)
     if region is not None:
         sp = replace(sp, region=region)
-    if state.fixed is None and np.all(np.isfinite(sp.A_eq)):
-        state = replace(state, fixed=_presolve_equalities(sp.A_eq))
+    if state.fixed is None or state.fixed.A is not sp.A_eq:
+        finite = np.all(np.isfinite(sp.A_eq))
+        state = replace(state, fixed=_presolve_equalities(sp.A_eq) if finite else None)
     sol = solve_subproblem(sp, config.solver_opts, state.z, state.fixed)
     counters.solver_iters += sol.iterations
     return state, sol
@@ -216,7 +218,8 @@ def _model_update(problem, state, config, sol, counters):
     full Jacobian evaluation here.  The new state keeps the solve's
     certified region distance, except under rtgn, whose region is the
     linearised one, and the presolve of A when update_jacobian returns the
-    same A (a frozen model, a skipped secant step).
+    same A (a frozen model, a skipped secant step; a fresh evaluation is a
+    new array, ``checked_output``).
     """
     z_new = PrimalDual(sol.x, sol.y)
     counters.g_evals += 1

@@ -19,7 +19,9 @@ from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
 from scptrack.ipm import (
     _Cones,
     _NullSpaceKKT,
-    _PseudoInverse,
+    _BandPseudoInverse,
+    _DensePseudoInverse,
+    _bands,
     _Scaling,
     _lu_presolve,
     _polish_duals,
@@ -505,25 +507,45 @@ def _full_rank_cases():
     shapes = ((1, 4), (3, 7), (6, 6), (9, 15))
     cases = {f"random-{m}x{n}": rng.normal(size=(m, n)) for m, n in shapes}
     for n_tanks, horizon in ((3, 8), (8, 24)):
-        cfg = CascadeConfig(n_tanks=n_tanks, horizon=horizon)
-        steady = steady_state(cfg, 1.0)
-        problem = cascade_problem(cfg, steady)
-        cases[f"cascade-{n_tanks}x{horizon}"] = problem.g_jac(steady_start(cfg, steady).x)
+        cases[f"cascade-{n_tanks}x{horizon}"] = _cascade_jacobian(n_tanks, horizon)
     return cases
 
 
-@pytest.mark.parametrize("path", ["lu", "qr"])
-def test_presolve_gives_an_orthonormal_null_basis_and_the_pseudo_inverse(monkeypatch, path):
-    # the LU path (taken on every one of these) and the pivoted QR forced in
-    # its place: Z is an orthonormal basis of null(A), A A+ = I, and A+ and
-    # A+' are the Moore-Penrose inverse and its transpose
-    if path == "qr":
+def _cascade_jacobian(n_tanks, horizon):
+    """g_jac of the tank cascade at its steady start."""
+    cfg = CascadeConfig(n_tanks=n_tanks, horizon=horizon)
+    steady = steady_state(cfg, 1.0)
+    return cascade_problem(cfg, steady).g_jac(steady_start(cfg, steady).x)
+
+
+_OPERATORS = {"band": _BandPseudoInverse, "dense": _DensePseudoInverse, "qr": np.ndarray}
+
+
+def _force_path(monkeypatch, path):
+    """Make ``_presolve_equalities`` take path: the band LU at any bands, the
+    dense LU, or the pivoted QR; "lu" leaves the choice to ``_narrow_bands``."""
+    if path == "band":
+        monkeypatch.setattr(ipm_module, "_narrow_bands", _bands)
+    elif path == "dense":
+        monkeypatch.setattr(ipm_module, "_narrow_bands", lambda A: None)
+    elif path == "qr":
         monkeypatch.setattr(ipm_module, "_lu_presolve", lambda A: None)
+
+
+@pytest.mark.parametrize("path", ["lu", "band", "dense", "qr"])
+def test_presolve_gives_an_orthonormal_null_basis_and_the_pseudo_inverse(monkeypatch, path):
+    # each LU path (the one the bands choose, and each forced) and the pivoted
+    # QR forced in its place: Z is an orthonormal basis of null(A), A A+ = I,
+    # and A+ and A+' are the Moore-Penrose inverse and its transpose
+    _force_path(monkeypatch, path)
     for name, A in _full_rank_cases().items():
         m, n = A.shape
         fixed = _presolve_equalities(A)
         Z, aplus = fixed.Z, fixed.aplus
-        assert isinstance(aplus, _PseudoInverse) is (path == "lu"), name
+        if path == "lu":
+            assert isinstance(aplus, (_BandPseudoInverse, _DensePseudoInverse)), name
+        else:
+            assert isinstance(aplus, _OPERATORS[path]), name
         np.testing.assert_array_equal(fixed.kept, _spectral_rule(A)[0])
         np.testing.assert_array_equal(fixed.A, A)
         assert np.linalg.norm(A @ Z) <= 1e-12 * np.linalg.norm(A), name
@@ -534,6 +556,31 @@ def test_presolve_gives_an_orthonormal_null_basis_and_the_pseudo_inverse(monkeyp
         _close(A @ dense, np.eye(m), 1e-12)
         _close(dense, pinv, 1e-12)
         _close(dense_t, pinv.T, 1e-12)
+
+
+def test_the_band_lu_is_taken_where_its_solves_are_cheaper():
+    # the 8x24 and 8x40 cascades are banded; at 3x8 the two LUs cost about
+    # the same; a row coupling the first and last states, a secant update
+    # (which fills A) and a dense A widen the bands to about n
+    rng = np.random.default_rng(79)
+    wide = _cascade_jacobian(8, 24)
+    coupled = np.vstack([wide, np.eye(wide.shape[1])[0] - np.eye(wide.shape[1])[-1]])
+    dx = rng.normal(size=wide.shape[1])
+    secant = wide + np.outer(rng.normal(size=wide.shape[0]) - wide @ dx, dx) / (dx @ dx)
+    cases = {"cascade-8x24": (wide, _BandPseudoInverse),
+             "cascade-8x40": (_cascade_jacobian(8, 40), _BandPseudoInverse),
+             "cascade-3x8": (_cascade_jacobian(3, 8), _DensePseudoInverse),
+             "coupled-8x24": (coupled, _DensePseudoInverse),
+             "secant-8x24": (secant, _DensePseudoInverse),
+             "dense": (rng.normal(size=(20, 60)), _DensePseudoInverse)}
+    for name, (A, operator) in cases.items():
+        m, n = A.shape
+        kl, ku, _ = _bands(A)
+        assert (n * (2 * kl + ku) < m * m) is (operator is _BandPseudoInverse), name
+        fixed = _presolve_equalities(A)
+        assert isinstance(fixed.aplus, operator), name
+        assert np.linalg.norm(A @ fixed.Z) <= 1e-12 * np.linalg.norm(A), name
+        _close(fixed.aplus @ np.ones(m), np.linalg.pinv(A) @ np.ones(m), 1e-12)
 
 
 def test_presolve_takes_the_pivoted_qr_for_near_dependent_rows():
@@ -588,25 +635,31 @@ _BAND_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(_BAND_CASES))
-def test_band_presolve_matches_the_dense_references(name):
-    # the band LU reads its bands from A's pattern, picks the pivot rows of a
-    # dense LU of A', and gives an orthonormal null basis and the Moore-Penrose
-    # inverse; a near-dependent row still goes to the pivoted QR
+def test_band_presolve_matches_the_dense_references(monkeypatch, name):
+    # the band LU, forced at any bands, reads its bands from A's pattern,
+    # picks the pivot rows of a dense LU of A', and gives an orthonormal null
+    # basis and the Moore-Penrose inverse; a near-dependent row still goes to
+    # the pivoted QR
+    _force_path(monkeypatch, "band")
     m, n, lo, hi = _BAND_CASES[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     A = _banded(rng, m, n, lo, hi)
     fixed = _presolve_equalities(A)
     aplus = fixed.aplus
-    assert isinstance(aplus, _PseudoInverse)
+    assert isinstance(aplus, _BandPseudoInverse)
     assert (aplus.kl, aplus.ku) == (max(hi, 0), max(-lo, 0))
     p, _, _ = scipy.linalg.lu(A.T)
-    np.testing.assert_array_equal(_pivot_rows(aplus.ipiv[:m], n), np.argmax(p, axis=0)[:m])
+    basis = np.argmax(p, axis=0)[:m]
+    np.testing.assert_array_equal(_pivot_rows(aplus.ipiv[:m], n), basis)
     np.testing.assert_array_equal(fixed.kept, np.arange(m))
     assert np.linalg.norm(A @ fixed.Z) <= 1e-12 * np.linalg.norm(A)
     assert np.linalg.norm(fixed.Z.T @ fixed.Z - np.eye(n - m)) <= 1e-12
     pinv = np.linalg.pinv(A)
     _close(np.column_stack([aplus @ e for e in np.eye(m)]), pinv, 1e-12)
     _close(np.column_stack([aplus.T @ e for e in np.eye(n)]), pinv.T, 1e-12)
+    _force_path(monkeypatch, "dense")  # which picks the same basis columns
+    np.testing.assert_array_equal(_presolve_equalities(A).aplus.basis, basis)
+    _force_path(monkeypatch, "band")
     if m > 1:
         near = np.array(A)
         near[-1] = A[-2] + 1e-13 * np.linalg.norm(A) * rng.normal(size=n)

@@ -807,6 +807,55 @@ def test_retry_fresh_jacobian_rebuilds_the_presolve(monkeypatch):
     assert new.A is solves[1][0] and new.fixed is solves[1][1]
 
 
+@pytest.mark.parametrize("jacobian", ["exact", "frozen"])
+def test_an_oracle_that_refills_one_array_gets_a_fresh_presolve(monkeypatch, jacobian):
+    # g_jac writes every evaluation into one array and returns it, so each
+    # exact model is the same object with new values: every solve still gets
+    # the presolve of the values it solves with, and the trace is bit for bit
+    # that of an oracle returning new arrays
+    problem, samples, z0 = _short_track("cascade")
+    buffer = np.empty((problem.m, problem.n))
+
+    def refilled(x):
+        buffer[:] = problem.g_jac(x)
+        return buffer
+
+    config = TrackerConfig(jacobian=JacobianStrategy(jacobian), retry_fresh_jacobian=True)
+    fresh = track(problem, samples, z0, config)
+    presolved, solves = _presolve_probe(monkeypatch)
+    spied = tracking_module.solve_subproblem
+    nulls = []
+
+    def checked(sp, opts, warm, fixed):
+        nulls.append(np.linalg.norm(sp.A_eq @ fixed.Z) / np.linalg.norm(sp.A_eq))
+        return spied(sp, opts, warm, fixed)
+
+    monkeypatch.setattr(tracking_module, "solve_subproblem", checked)
+    reused = track(replace(problem, g_jac=refilled), samples, z0, config)
+    assert len(presolved) == (len(samples) if jacobian == "exact" else 1)
+    assert len(nulls) == len(samples) and max(nulls) <= 1e-12
+    for a, b in zip(fresh, reused):
+        assert (a.step_status, a.solver_iters) == (b.step_status, b.solver_iters)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
+def test_a_state_given_another_matrix_gets_its_presolve(monkeypatch):
+    # a state that carries the presolve of its A, replaced by one with another
+    # A, is presolved again for that A before the solve
+    problem, samples, z0 = _short_track("cascade")
+    config = TrackerConfig(jacobian=JacobianStrategy("frozen"))
+    state = init_state(problem, z0, config.jacobian, config.hessian, None)
+    state = apcscp_step(state, problem, samples[0], config)
+    assert state.fixed is not None and state.fixed.A is state.A
+    presolved, solves = _presolve_probe(monkeypatch)
+    other = replace(state, A=1.01 * state.A)
+    new = apcscp_step(other, problem, samples[1], config)
+    assert len(presolved) == 1 and presolved[0] is other.A
+    assert solves[0][1].A is other.A
+    assert np.linalg.norm(other.A @ solves[0][1].Z) <= 1e-12 * np.linalg.norm(other.A)
+    assert new.A is other.A and new.fixed is solves[0][1]
+
+
 def test_carried_presolve_gives_the_trace_of_a_fresh_one(monkeypatch):
     # the same frozen track, once with the carried presolve and once with
     # every solve building its own: bit for bit the same trace
