@@ -25,16 +25,17 @@ it at the first solve of a Jacobian model, carries it while the model is
 unchanged and passes it to ``solve_subproblem``, which builds it without one.
 A row is kept when its pivot in a pivoted QR of A' exceeds 1e-10 ||A||_2.
 That QR runs only for dependent or near-dependent rows.  Otherwise one LU
-with partial pivoting of A' picks basis columns B of A, gives Z by one
-solve and an economic QR of its n - m columns, and gives A+ = (I - Z Z') R,
-R = A_B^-1 on the rows B, as an operator of LU solves that is never formed.
-The LU is LAPACK's band one (gbtrf, at the bands of A's nonzero pattern),
-completed to the factor of the square S = [A' | E_N] by unit columns on
-the other rows N, when its solves cost fewer flops than dense ones, as on
-the shooting-structured cascade at 8 tanks and 24 steps; otherwise it is a
-dense getrf (``_lu_presolve``).  The LU path is taken only when a
-condition estimate of the factor proves that the QR would keep every row:
-each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
+with partial pivoting of A' picks basis columns B of A, and unit columns on
+the other rows N complete it to the LU of the square S = [A' | E_N]
+(``_lu_presolve``).  Solves with S give Z, by one solve and an economic QR
+of its n - m columns, and A+ = (I - Z Z') R, R = A_B^-1 on the rows B, as
+one operator that is never formed (``_PseudoInverse``).  Only the factor's
+storage depends on A: LAPACK's band storage (gbtrf, at the bands of A's
+nonzero pattern) when its solves cost fewer flops than dense ones, as on
+the shooting-structured cascade at 8 tanks and 24 steps, and dense (getrf)
+otherwise.  The LU path is taken only when one condition estimate of S,
+on either storage (``_inverse_norm1``), proves that the QR would keep every
+row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
 iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
 n minus the number of kept rows, instead of the bordered KKT matrix; the
 cold start factors it at the NT scaling of (e, e), which is exactly the
@@ -75,13 +76,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgeqrf, dgetrf, dgetrs, dlaswp, dorgqr
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import ProjectionError
 from .region import (
@@ -278,77 +277,57 @@ def assemble_cones(region):
     return G, Gt, h, _Cones(l, soc_dims)
 
 
-class _Transposed(NamedTuple):
-    """A+' of an LU pseudo-inverse operator a, applied by ``a.transposed``."""
+class _LU(NamedTuple):
+    """LAPACK's LU of the square S = [A' | E_N] of ``_lu_presolve``: factor
+    and row interchanges ipiv in dense storage (getrf's) when bands is None,
+    in band storage (gbtrf's, bands (kl, ku)) otherwise."""
 
-    a: object
+    factor: np.ndarray
+    ipiv: np.ndarray
+    bands: tuple | None
 
-    def __matmul__(self, u):
-        return self.a.transposed(u)
+    def solve(self, b, trans=0):
+        """S^-1 b, or S^-T b for trans = 1, for a vector or a matrix b."""
+        if self.bands is None:
+            return dgetrs(self.factor, self.ipiv, b, trans=trans)[0]
+        return dgbtrs(self.factor, *self.bands, b, self.ipiv, trans=trans)[0]
 
 
-class _DensePseudoInverse:
-    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank A, never formed.
+class _PseudoInverse:
+    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank m x n A, never formed.
 
-    lu is the Fortran-ordered LU factor L1 U of A_B' for basis columns B of
-    A, Z an orthonormal basis of null(A), and R puts A_B^-1 on the rows B.
-    A R = I and I - Z Z' projects onto the row space of A, so this is the
-    Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` = A_B^-T [(I - Z Z') u]_B
-    (vectors) each take one LAPACK getrs on the factor, with no row
-    interchange, and two products with Z.
+    lu is the ``_LU`` of the square S = [A' | E_N]: the LU of A' picks basis
+    columns B of A, and unit columns on the other rows N complete it.
+    S' w = (v, 0) reads A w = v, w_N = 0, so R v = S^-T (v, 0) is A_B^-1 v
+    on the rows B and 0 on N, and A R = I.  Z is an orthonormal basis of
+    null(A) and I - Z Z' projects onto the row space of A, so this is the
+    Moore-Penrose inverse.  ``A+ @ v`` and ``A+.T @ u`` = (S^-1 (I - Z Z') u)[:m]
+    (vectors) each take one LAPACK solve on the factor and two products with Z.
     """
 
-    def __init__(self, lu, basis, Z):
-        self.lu, self.basis, self.Z, self.ZB = lu, basis, Z, Z[basis]
-        self.ipiv = np.arange(lu.shape[0], dtype=np.int32)
-        self.T = _Transposed(self)
-
-    def __matmul__(self, v):
-        # A_B^-1 v = (L1 U)^-T v on the rows B, less its part in null(A)
-        r = dgetrs(self.lu, self.ipiv, v, trans=1)[0]
-        out = self.Z @ -(self.ZB.T @ r)
-        out[self.basis] += r
-        return out
-
-    def transposed(self, u):
-        return dgetrs(self.lu, self.ipiv, u[self.basis] - self.ZB @ (self.Z.T @ u))[0]
-
-
-class _BandPseudoInverse:
-    """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank m x n A, from a band LU.
-
-    lu is LAPACK's band LU (bands kl, ku, pivots ipiv) of the square matrix
-    S = [A' | E_N]: the band LU of A' picks basis columns B of A, and unit
-    columns on the other rows N complete it.  S' w = (v, 0) reads A w = v,
-    w_N = 0, so R v = S^-T (v, 0) is A_B^-1 v on the rows B and 0 on N, and
-    A R = I.  Z is an orthonormal basis of null(A), so, as for
-    ``_DensePseudoInverse``, this is the Moore-Penrose inverse.  ``A+ @ v``
-    and ``A+.T @ u`` = (S^-1 (I - Z Z') u)[:m] (vectors) each take one
-    LAPACK gbtrs on the factor and two products with Z.
-    """
-
-    def __init__(self, lu, kl, ku, ipiv, Z):
-        self.lu, self.kl, self.ku, self.ipiv, self.Z = lu, kl, ku, ipiv, Z
+    def __init__(self, lu, Z):
+        self.lu, self.Z = lu, Z
         self.m = Z.shape[0] - Z.shape[1]
-        self.T = _Transposed(self)
+        # T holds the parts, not self: a cycle would keep the factor and Z
+        # alive until the cycle collector runs
+        self.T = _Transposed(lu, Z, self.m)
 
     def __matmul__(self, v):
-        b = np.zeros(len(self.ipiv))
+        b = np.zeros(len(self.Z))
         b[: self.m] = v
-        r = dgbtrs(self.lu, self.kl, self.ku, b, self.ipiv, trans=1, overwrite_b=1)[0]
+        r = self.lu.solve(b, 1)
         return r - self.Z @ (self.Z.T @ r)
 
-    def transposed(self, u):
-        w = dgbtrs(self.lu, self.kl, self.ku, u - self.Z @ (self.Z.T @ u), self.ipiv,
-                   overwrite_b=1)[0]
-        return w[: self.m]
 
+class _Transposed(NamedTuple):
+    """A+' of a ``_PseudoInverse``: A+' u = (S^-1 (I - Z Z') u)[:m]."""
 
-def _keeps_every_row(rcond, A):
-    """Whether rcond, an estimate from above of 1 / ||A_B^-T||_1 or of a
-    number below it, proves that the QR rule keeps every row of A
-    (``_lu_presolve``)."""
-    return rcond > 1e-7 * np.sqrt(A.shape[0]) * np.linalg.norm(A)
+    lu: _LU
+    Z: np.ndarray
+    m: int
+
+    def __matmul__(self, u):
+        return self.lu.solve(u - self.Z @ (self.Z.T @ u))[: self.m]
 
 
 def _bands(A):
@@ -363,7 +342,8 @@ def _narrow_bands(A):
     """``_bands(A)`` when a band LU of A' costs less than a dense one, else None.
 
     A band solve with S costs about n (2 kl + ku) multiply-adds, a dense one
-    with A_B' about m^2 (``_lu_presolve``).  The bands hold at most
+    n^2, of which about m^2 are A_B's (``_lu_presolve``); band storage is
+    taken only where it beats the A_B part alone.  The bands hold at most
     m (kl + ku + 1) nonzeros, so A with m (m^2 / n + 1) or more is not read.
     """
     m, n = A.shape
@@ -373,118 +353,97 @@ def _narrow_bands(A):
     return bands if n * (2 * kl + ku) < m * m else None
 
 
-def _inverse_norm1(lu, kl, ku, ipiv):
-    """An estimate from below of ||S^-1||_1 from the band LU of S.
+def _inverse_norm1(solve, n):
+    """An estimate from below of ||S^-1||_1 for an n x n S, with S^-1 b and
+    S^-T b applied by solve(b, trans).
 
-    Hager's iteration, at most five pairs of gbtrs, then Higham's
-    alternating-sign vector: the estimator that LAPACK's condition routines
-    run through lacn2.  Each trial is ||S^-1 x||_1 / ||x||_1 for one x.
+    Hager's method as LAPACK's lacn2 runs it for the condition routines
+    (Higham, ACM TOMS 14(4), 1988): each trial is ||S^-1 x||_1 for a unit
+    vector x, moved to the largest entry of S^-T sign(S^-1 x), for at most
+    four trials after x = e / n; then Higham's alternating-sign vector.
+    gecon runs the same steps on (P S)^-1, a column permutation of S^-1, so
+    over a dense factor the two estimates agree unless a tie in the largest
+    entry or the alternating vector decides; either is at most ||S^-1||_1.
     """
-    n = len(ipiv)
-    x, est = np.full(n, 1.0 / n), 0.0
-    for _ in range(5):
-        y = dgbtrs(lu, kl, ku, x, ipiv)[0]
-        trial = np.abs(y).sum()
-        if not trial > est:
-            break
-        est = trial
-        z = dgbtrs(lu, kl, ku, np.where(y < 0.0, -1.0, 1.0), ipiv, trans=1)[0]
-        j = np.argmax(np.abs(z))
-        if not abs(z[j]) > z @ x:
-            break
+    y = solve(np.full(n, 1.0 / n))
+    est = np.abs(y).sum()
+    signs = np.where(y >= 0.0, 1.0, -1.0)
+    j = np.argmax(np.abs(solve(signs, 1)))
+    for _ in range(4):
         x = np.zeros(n)
         x[j] = 1.0
+        y = solve(x)
+        old, est = est, np.abs(y).sum()
+        trial = np.where(y >= 0.0, 1.0, -1.0)
+        # lacn2's stops: a repeated sign vector, a trial that does not grow
+        # (whose value it keeps), and a largest entry that stays
+        if np.array_equal(trial, signs) or est <= old:
+            break
+        signs = trial
+        z = solve(signs, 1)
+        last, j = j, np.argmax(np.abs(z))
+        if z[last] == abs(z[j]):
+            break
     alt = np.where(np.arange(n) % 2, -1.0, 1.0) * (1.0 + np.arange(n) / max(n - 1, 1))
-    return max(est, 2.0 * np.abs(dgbtrs(lu, kl, ku, alt, ipiv)[0]).sum() / (3.0 * n))
-
-
-def _dense_lu(A):
-    """Z0 and the A+ of ``_lu_presolve`` from one dense LU of A', or None.
-
-    P A' = [L1; L2] U (LAPACK getrf): the first m permuted rows are basis
-    columns B of A, A_B' = L1 U, and Z0[B] = -L1^-T L2', Z0[N] = I.  gecon's
-    rcond of A_B' at anorm 1 estimates 1 / ||A_B^-T||_1.
-    """
-    m, n = A.shape
-    lu, piv, info = dgetrf(A.T)
-    if info != 0 or not np.all(np.isfinite(lu)):
-        return None
-    lu1 = np.asfortranarray(lu[:m])
-    if not _keeps_every_row(dgecon(lu1, 1.0)[0], A):
-        return None
-    perm = dlaswp(np.arange(n, dtype=float)[:, None], piv)[:, 0].astype(int)
-    Z0 = np.zeros((n, n - m))
-    Z0[perm[:m]] = dtrsm(-1.0, lu1, lu[m:].T, lower=1, trans_a=1, diag=1)
-    Z0[perm[m:], np.arange(n - m)] = 1.0
-    return Z0, partial(_DensePseudoInverse, lu1, perm[:m])
-
-
-def _band_lu(A, kl, ku, nonzero):
-    """Z0 and the A+ of ``_lu_presolve`` from one band LU of A', or None.
-
-    (kl, ku) are the bands of A' and nonzero the flat indices of A's
-    nonzeros (``_bands``).  LAPACK gbtrf factors A' with the partial
-    pivoting of getrf, so its m pivot rows are the same basis columns B.
-    Unit columns on the other rows N make the factor that of the square
-    S = [A' | E_N] (``_BandPseudoInverse``), and Z0 = S^-T (0; I), one
-    gbtrs, has A Z0 = 0 and Z0[N] = I.  The first m rows of S^-1 hold A_B^-T on the columns B,
-    so ||S^-1||_1 >= ||A_B^-T||_1, and 1 / ``_inverse_norm1`` of S is an
-    estimate from above of a number below 1 / ||A_B^-T||_1.
-    """
-    m, n = A.shape
-    rows, cols = np.divmod(nonzero, n)
-    # LAPACK band storage of A', with kl rows above it for the factor's fill
-    ab = np.zeros((2 * kl + ku + 1, m), order="F")
-    ab[kl + ku + cols - rows, rows] = A.ravel()[nonzero]
-    lu, piv, info = dgbtrf(ab, kl, ku, m=n, n=m, overwrite_ab=1)
-    if info != 0:
-        return None
-    factor = np.zeros((lu.shape[0], n), order="F")
-    factor[:, :m] = lu
-    factor[kl + ku, m:] = 1.0
-    ipiv = np.concatenate([piv, np.arange(m, n, dtype=piv.dtype)])
-    if not _keeps_every_row(1.0 / _inverse_norm1(factor, kl, ku, ipiv), A):
-        return None
-    rhs = np.zeros((n, n - m), order="F")
-    rhs[m:] = np.eye(n - m)
-    Z0 = dgbtrs(factor, kl, ku, rhs, ipiv, trans=1, overwrite_b=1)[0]
-    return Z0, partial(_BandPseudoInverse, factor, kl, ku, ipiv)
+    return max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * n))
 
 
 def _lu_presolve(A):
     """``_presolve_equalities``'s value from one LU of A', or None.
 
-    An LU with partial pivoting of A' picks basis columns B of A; Z0, with
-    A Z0 = 0 and Z0[N] = I on the other columns N, spans null(A), and Z is
-    the economic QR factor of Z0.  The LU is LAPACK's band one
-    (``_band_lu``), at the bands (kl, ku) of A' read from A's nonzero
+    An LU with partial pivoting of A' picks basis columns B of A: its m
+    pivot rows.  Unit columns on the other rows N complete it to the LU of
+    the square S = [A' | E_N] (``_LU``), and every later step is a solve
+    with S: Z0 = S^-T (0; I) has A Z0 = 0 and Z0[N] = I, so it spans
+    null(A), Z is its economic QR factor, and A+ is a ``_PseudoInverse``
+    on S.  Only the storage of the factor depends on A.  It is LAPACK's
+    band one (gbtrf), at the bands (kl, ku) of A' read from A's nonzero
     pattern, when its solves cost fewer flops than dense ones
-    (``_narrow_bands``), and a dense getrf (``_dense_lu``) otherwise.  The
-    shooting-structured cascade's A' has bands (24, 15) at 8 tanks and 24
-    steps and takes the band LU; at 3 tanks and 8 steps, bands (8, 5), the
-    two cost about the same and the dense one is taken.  A row that couples
-    the first and last states, or a secant update, which fills A, widens
-    the bands to about n; there a band LU took twice the dense presolve's
-    time and up to five times its time per A+ application.  LAPACK and BLAS
-    are called directly.
+    (``_narrow_bands``), and dense (getrf) otherwise; gbtrf pivots as getrf
+    does, so both pick the same B.  The shooting-structured cascade's A'
+    has bands (24, 15) at 8 tanks and 24 steps and takes band storage; at
+    3 tanks and 8 steps, bands (8, 5), the two cost about the same and
+    dense storage is taken.  A row that couples the first and last states,
+    or a secant update, which fills A, widens the bands to about n; there
+    a band LU took twice the dense presolve's time and up to five times
+    its time per A+ application.  LAPACK is called directly.
 
     None unless the factor proves that the QR rule keeps every row.  Each
     pivoted-QR |r_ii| >= sigma_min(A) (a column's distance from the span of
     those before it), sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and
-    sigma_min(A_B) >= 1 / (sqrt(m) ||A_B^-T||_1).  Both condition estimates
-    are in practice within a small factor of the norm they bound, so
-    rcond > 1e-7 sqrt(m) ||A||_F (``_keeps_every_row``) leaves a factor 1000
+    sigma_min(A_B) >= 1 / (sqrt(m) ||A_B^-T||_1).  The first m rows of S^-1
+    hold A_B^-T on the columns B, so ||S^-1||_1 >= ||A_B^-T||_1, and
+    1 / ``_inverse_norm1`` of S is an estimate from above of a number below
+    1 / ||A_B^-T||_1.  The estimate is in practice within a small factor of
+    the norm it bounds, so rcond > 1e-7 sqrt(m) ||A||_F leaves a factor 1000
     over 1e-10 ||A||_F.
     """
-    m = A.shape[0]
+    m, n = A.shape
     bands = _narrow_bands(A)
-    made = _dense_lu(A) if bands is None else _band_lu(A, *bands)
-    if made is None:
+    if bands is None:
+        lu, piv, info = dgetrf(A.T)
+        diagonal = np.arange(m, n)
+    else:
+        kl, ku, nonzero = bands
+        rows, cols = np.divmod(nonzero, n)
+        # LAPACK band storage of A', with kl rows above it for the factor's fill
+        ab = np.zeros((2 * kl + ku + 1, m), order="F")
+        ab[kl + ku + cols - rows, rows] = A.ravel()[nonzero]
+        lu, piv, info = dgbtrf(ab, kl, ku, m=n, n=m, overwrite_ab=1)
+        diagonal, bands = kl + ku, (kl, ku)
+    if info != 0 or not np.all(np.isfinite(lu)):
         return None
-    Z0, operator = made
-    qr, tau, _, _ = dgeqrf(Z0)
+    # the unit columns of E_N: U's diagonal entries in the columns m..n-1
+    factor = np.zeros((lu.shape[0], n), order="F")
+    factor[:, :m] = lu
+    factor[diagonal, np.arange(m, n)] = 1.0
+    lu = _LU(factor, np.concatenate([piv, np.arange(m, n, dtype=piv.dtype)]), bands)
+    rcond = 1.0 / _inverse_norm1(lu.solve, n)
+    if not rcond > 1e-7 * np.sqrt(m) * np.linalg.norm(A):
+        return None
+    qr, tau, _, _ = dgeqrf(lu.solve(np.eye(n, n - m, -m), 1))  # Z0 = S^-T (0; I)
     Z = dorgqr(qr, tau)[0]
-    return _FixedRows(A, Z, operator(Z), np.arange(m), m)
+    return _FixedRows(A, Z, _PseudoInverse(lu, Z), np.arange(m), m)
 
 
 def _presolve_equalities(A):
@@ -495,12 +454,11 @@ def _presolve_equalities(A):
     exceeds 1e-10 ||A||_2; the kept rows (in sorted order) have full row
     rank, Z spans their null space and A+ is their pseudo-inverse,
     A A+ = I, with columns in the kept order.  A+ is anything with ``@`` and
-    ``.T @`` on vectors.  For m <= n rows, one band or dense LU of A' gives
-    the value, with A+ a ``_BandPseudoInverse`` or ``_DensePseudoInverse``
-    operator (``_lu_presolve``), when a condition estimate of its factor
-    proves that the rule keeps every row:
-    each |r_ii| >= sigma_min(A) >= sigma_min(A_B) > 1e-10 ||A||_2 for the
-    LU's basis columns A_B.
+    ``.T @`` on vectors.  For m <= n rows, one LU of S = [A' | E_N], in band
+    or dense storage, gives the value, with A+ a ``_PseudoInverse`` operator
+    (``_lu_presolve``), when the condition estimate of S proves that the
+    rule keeps every row: each |r_ii| >= sigma_min(A) >= sigma_min(A_B) >
+    1e-10 ||A||_2 for the LU's basis columns A_B.
     Otherwise (dependent or near-dependent rows, or m > n) the pivoted QR
     itself runs: Z is the trailing part of Q and A+ = Q1 R11^{-T}, formed.
     """

@@ -562,9 +562,11 @@ class _FixedRows(NamedTuple):
 
     A has full row rank, Z is an orthonormal basis of its null space and
     aplus its pseudo-inverse (A aplus = I), as ``ipm._presolve_equalities``
-    builds them: an array, or an operator that applies ``aplus @ v`` and
-    ``aplus.T @ u`` to vectors.  A is the rows ``kept`` of m rows, and the
-    multipliers are reported on all m.  ``none`` has no kept row and Z = I.
+    builds them: the pivoted QR's array, or ``ipm._PseudoInverse``, which
+    applies ``aplus @ v`` and ``aplus.T @ u`` to vectors by solves with one
+    LU of S = [A' | E_N] in band or dense storage.  A is the rows ``kept``
+    of m rows, and the multipliers are reported on all m.  ``none`` has no
+    kept row and Z = I.
     The rows' right-hand side is passed beside the value.
     """
 

@@ -172,13 +172,14 @@ def _attempt(problem, state, xi, config, counters, region=None):
 
     The returned state carries the presolve of its A, built here when the
     state has none or one of another matrix (``fixed.A`` is the A it was
-    built from); a non-finite A gets none, and its solve ends max_iter.
+    built from): the one rule by which a presolve is carried or rebuilt.  A
+    sample whose A or b is not finite gets none, and its solve ends max_iter.
     """
     sp = build_subproblem(problem, state, xi)
     if region is not None:
         sp = replace(sp, region=region)
     if state.fixed is None or state.fixed.A is not sp.A_eq:
-        finite = np.all(np.isfinite(sp.A_eq))
+        finite = np.all(np.isfinite(sp.A_eq)) and np.all(np.isfinite(sp.b_eq))
         state = replace(state, fixed=_presolve_equalities(sp.A_eq) if finite else None)
     sol = solve_subproblem(sp, config.solver_opts, state.z, state.fixed)
     counters.solver_iters += sol.iterations
@@ -201,11 +202,11 @@ def _carried(problem, z, A, is_g_jac, config, counters):
 
 def _refresh_state(problem, state, config, counters):
     """Hold the iterate, rebuild the models from an exact Jacobian; the held
-    x keeps its certified distance, and the presolve of the old A is dropped."""
+    x keeps its certified distance."""
     A = full_jacobian(problem, state.z.x, config.jacobian.fd_step, counters, state.g_x)
     is_g_jac = problem.g_jac is not None
     m, adj = _carried(problem, state.z, A, is_g_jac, config, counters)
-    return replace(state, A=A, A_is_g_jac=is_g_jac, m_corr=m, adj_y=adj, fixed=None)
+    return replace(state, A=A, A_is_g_jac=is_g_jac, m_corr=m, adj_y=adj)
 
 
 def _model_update(problem, state, config, sol, counters):
@@ -217,9 +218,9 @@ def _model_update(problem, state, config, sol, counters):
     A is g_jac at the new x.  Frozen and secant strategies never see a
     full Jacobian evaluation here.  The new state keeps the solve's
     certified region distance, except under rtgn, whose region is the
-    linearised one, and the presolve of A when update_jacobian returns the
-    same A (a frozen model, a skipped secant step; a fresh evaluation is a
-    new array, ``checked_output``).
+    linearised one, and the presolve it carries, which the next solve keeps
+    when update_jacobian returns the same A (a frozen model, a skipped
+    secant step; a fresh evaluation is a new array, ``checked_output``).
     """
     z_new = PrimalDual(sol.x, sol.y)
     counters.g_evals += 1
@@ -234,8 +235,7 @@ def _model_update(problem, state, config, sol, counters):
     dist = None if config.variant == "rtgn" else sol.residuals.region_distance
     return IterateState(
         z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new,
-        A_is_g_jac=is_g_jac, region_distance=dist,
-        fixed=state.fixed if A_new is state.A else None,
+        A_is_g_jac=is_g_jac, region_distance=dist, fixed=state.fixed,
     )
 
 

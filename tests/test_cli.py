@@ -100,8 +100,20 @@ def test_track_abort_writes_partial_trace(tmp_path):
     assert "infeasible" in lines[-1]
 
 
-def test_track_nan_sample_writes_partial_trace(tmp_path):
-    # a nan parameter makes that sample's subproblem data non-finite
+def test_track_nan_sample_writes_partial_trace(tmp_path, monkeypatch):
+    # a nan parameter makes that sample's subproblem data non-finite, and
+    # that sample is not presolved
+    from scptrack import ipm, tracking
+
+    presolved = []
+    presolve = ipm._presolve_equalities
+
+    def counted(A):
+        presolved.append(A)
+        return presolve(A)
+
+    monkeypatch.setattr(ipm, "_presolve_equalities", counted)
+    monkeypatch.setattr(tracking, "_presolve_equalities", counted)
     out = tmp_path / "nan.csv"
     cfg = _write(
         tmp_path / "run.cfg",
@@ -116,6 +128,7 @@ def test_track_nan_sample_writes_partial_trace(tmp_path):
     # header + start + two clean samples + the failed sample, nothing after
     assert len(lines) == 5
     assert lines[-1].split(",")[2:4] == ["max_iter", "0"]
+    assert len(presolved) == 2  # one per exact model of a clean sample
 
 
 def test_track_oracle_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):

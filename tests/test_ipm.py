@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+from scipy.linalg.lapack import dgecon
 
 from conftest import feasible_samples, random_subproblem
 from scptrack import ClosedLoopPlant, JacobianStrategy, TrackerConfig, steady_start, track
@@ -19,9 +20,8 @@ from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
 from scptrack.ipm import (
     _Cones,
     _NullSpaceKKT,
-    _BandPseudoInverse,
-    _DensePseudoInverse,
     _bands,
+    _inverse_norm1,
     _Scaling,
     _lu_presolve,
     _polish_duals,
@@ -518,7 +518,12 @@ def _cascade_jacobian(n_tanks, horizon):
     return cascade_problem(cfg, steady).g_jac(steady_start(cfg, steady).x)
 
 
-_OPERATORS = {"band": _BandPseudoInverse, "dense": _DensePseudoInverse, "qr": np.ndarray}
+def _storage(aplus):
+    """How the presolve holds A+: "band" or "dense" for the LU of S, read from
+    its factor, or "qr" for the pivoted QR's array."""
+    if isinstance(aplus, np.ndarray):
+        return "qr"
+    return "dense" if aplus.lu.bands is None else "band"
 
 
 def _force_path(monkeypatch, path):
@@ -542,10 +547,7 @@ def test_presolve_gives_an_orthonormal_null_basis_and_the_pseudo_inverse(monkeyp
         m, n = A.shape
         fixed = _presolve_equalities(A)
         Z, aplus = fixed.Z, fixed.aplus
-        if path == "lu":
-            assert isinstance(aplus, (_BandPseudoInverse, _DensePseudoInverse)), name
-        else:
-            assert isinstance(aplus, _OPERATORS[path]), name
+        assert _storage(aplus) in (("band", "dense") if path == "lu" else (path,)), name
         np.testing.assert_array_equal(fixed.kept, _spectral_rule(A)[0])
         np.testing.assert_array_equal(fixed.A, A)
         assert np.linalg.norm(A @ Z) <= 1e-12 * np.linalg.norm(A), name
@@ -567,18 +569,18 @@ def test_the_band_lu_is_taken_where_its_solves_are_cheaper():
     coupled = np.vstack([wide, np.eye(wide.shape[1])[0] - np.eye(wide.shape[1])[-1]])
     dx = rng.normal(size=wide.shape[1])
     secant = wide + np.outer(rng.normal(size=wide.shape[0]) - wide @ dx, dx) / (dx @ dx)
-    cases = {"cascade-8x24": (wide, _BandPseudoInverse),
-             "cascade-8x40": (_cascade_jacobian(8, 40), _BandPseudoInverse),
-             "cascade-3x8": (_cascade_jacobian(3, 8), _DensePseudoInverse),
-             "coupled-8x24": (coupled, _DensePseudoInverse),
-             "secant-8x24": (secant, _DensePseudoInverse),
-             "dense": (rng.normal(size=(20, 60)), _DensePseudoInverse)}
-    for name, (A, operator) in cases.items():
+    cases = {"cascade-8x24": (wide, "band"),
+             "cascade-8x40": (_cascade_jacobian(8, 40), "band"),
+             "cascade-3x8": (_cascade_jacobian(3, 8), "dense"),
+             "coupled-8x24": (coupled, "dense"),
+             "secant-8x24": (secant, "dense"),
+             "dense": (rng.normal(size=(20, 60)), "dense")}
+    for name, (A, storage) in cases.items():
         m, n = A.shape
         kl, ku, _ = _bands(A)
-        assert (n * (2 * kl + ku) < m * m) is (operator is _BandPseudoInverse), name
+        assert (n * (2 * kl + ku) < m * m) is (storage == "band"), name
         fixed = _presolve_equalities(A)
-        assert isinstance(fixed.aplus, operator), name
+        assert _storage(fixed.aplus) == storage, name
         assert np.linalg.norm(A @ fixed.Z) <= 1e-12 * np.linalg.norm(A), name
         _close(fixed.aplus @ np.ones(m), np.linalg.pinv(A) @ np.ones(m), 1e-12)
 
@@ -598,7 +600,7 @@ def test_presolve_takes_the_pivoted_qr_for_near_dependent_rows():
         if M.shape[0] <= M.shape[1]:
             assert _lu_presolve(M) is None
         fixed = _presolve_equalities(M)
-        assert isinstance(fixed.aplus, np.ndarray)
+        assert _storage(fixed.aplus) == "qr"
         np.testing.assert_array_equal(fixed.kept, _spectral_rule(M)[0])
         np.testing.assert_array_equal(fixed.A, M[fixed.kept])
     assert _presolve_equalities(cases[0]).kept.size == 4  # one copy of the duplicate dropped
@@ -646,11 +648,10 @@ def test_band_presolve_matches_the_dense_references(monkeypatch, name):
     A = _banded(rng, m, n, lo, hi)
     fixed = _presolve_equalities(A)
     aplus = fixed.aplus
-    assert isinstance(aplus, _BandPseudoInverse)
-    assert (aplus.kl, aplus.ku) == (max(hi, 0), max(-lo, 0))
+    assert aplus.lu.bands == (max(hi, 0), max(-lo, 0))
     p, _, _ = scipy.linalg.lu(A.T)
     basis = np.argmax(p, axis=0)[:m]
-    np.testing.assert_array_equal(_pivot_rows(aplus.ipiv[:m], n), basis)
+    np.testing.assert_array_equal(_pivot_rows(aplus.lu.ipiv[:m], n), basis)
     np.testing.assert_array_equal(fixed.kept, np.arange(m))
     assert np.linalg.norm(A @ fixed.Z) <= 1e-12 * np.linalg.norm(A)
     assert np.linalg.norm(fixed.Z.T @ fixed.Z - np.eye(n - m)) <= 1e-12
@@ -658,16 +659,49 @@ def test_band_presolve_matches_the_dense_references(monkeypatch, name):
     _close(np.column_stack([aplus @ e for e in np.eye(m)]), pinv, 1e-12)
     _close(np.column_stack([aplus.T @ e for e in np.eye(n)]), pinv.T, 1e-12)
     _force_path(monkeypatch, "dense")  # which picks the same basis columns
-    np.testing.assert_array_equal(_presolve_equalities(A).aplus.basis, basis)
+    dense = _presolve_equalities(A).aplus.lu
+    assert dense.bands is None
+    np.testing.assert_array_equal(_pivot_rows(dense.ipiv[:m], n), basis)
     _force_path(monkeypatch, "band")
     if m > 1:
         near = np.array(A)
         near[-1] = A[-2] + 1e-13 * np.linalg.norm(A) * rng.normal(size=n)
         assert _lu_presolve(near) is None
         fixed = _presolve_equalities(near)
-        assert isinstance(fixed.aplus, np.ndarray)
+        assert _storage(fixed.aplus) == "qr"
         np.testing.assert_array_equal(fixed.kept, _spectral_rule(near)[0])
         assert fixed.kept.size == m - 1
+
+
+@pytest.mark.parametrize("name", sorted(_BAND_CASES) + ["cascade-3x8", "cascade-8x24"])
+def test_the_condition_estimate_is_gecons_on_either_storage(monkeypatch, name):
+    # on dense storage, 1 / _inverse_norm1 is LAPACK gecon's rcond of the
+    # completed factor of S = [A' | E_N] (these A have no ties for the
+    # estimator's largest entry); band storage factors the same S, so its
+    # estimate is the same.  The estimate is at most ||S^-1||_1, which is at
+    # least ||A_B^-T||_1: the rank proof of _lu_presolve
+    if name.startswith("cascade"):
+        A = _cascade_jacobian(*map(int, name.split("-")[1].split("x")))
+    else:
+        m, n, lo, hi = _BAND_CASES[name]
+        A = _banded(np.random.default_rng(sum(map(ord, name))), m, n, lo, hi)
+    m, n = A.shape
+    lus = {}
+    for storage in ("band", "dense"):
+        _force_path(monkeypatch, storage)
+        lus[storage] = _presolve_equalities(A).aplus.lu
+    est = {storage: _inverse_norm1(lu.solve, n) for storage, lu in lus.items()}
+    rcond, info = dgecon(lus["dense"].factor, 1.0)
+    assert info == 0
+    _close(1.0 / est["dense"], rcond, 1e-12)
+    _close(est["band"], est["dense"], 1e-12)
+    rows = _pivot_rows(lus["dense"].ipiv, n)  # B, then N in the order of S's unit columns
+    S = np.zeros((n, n))
+    S[:, :m] = A.T
+    S[rows[m:], np.arange(m, n)] = 1.0
+    norm = np.linalg.norm(np.linalg.inv(S), 1)
+    assert est["dense"] <= norm * (1.0 + 1e-12)
+    assert np.linalg.norm(np.linalg.inv(A[:, rows[:m]]).T, 1) <= norm * (1.0 + 1e-12)
 
 
 def _close(got, want, rtol):

@@ -617,8 +617,10 @@ def test_linearize_region_tangent_rows():
     assert lin.affine == ()
 
 
-def test_non_finite_sample_aborts_with_finished_records():
-    # a nan parameter reaches the subproblem through its equality right-hand side
+def test_non_finite_sample_aborts_with_finished_records(monkeypatch):
+    # a nan parameter reaches the subproblem through its equality right-hand
+    # side; that sample's finite A is not presolved for a solve that cannot run
+    presolved, _ = _presolve_probe(monkeypatch)
     problem = tutorial_problem()
     z0, _ = tutorial_solution(1.2)
     xs = _sweep(5)
@@ -628,6 +630,7 @@ def test_non_finite_sample_aborts_with_finished_records():
     ok = SolveStatus.OPTIMAL
     assert [r.step_status for r in trace.records] == [None, ok, ok, ok, SolveStatus.MAX_ITER]
     assert trace.records[-1].solver_iters == 0
+    assert len(presolved) == 3  # one per exact model of a finished sample
 
 
 def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):

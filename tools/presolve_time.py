@@ -13,8 +13,10 @@ so that the bands of A' span all of A.  For each matrix it times
 pseudo-inverse it returns, ``aplus @ v`` and ``aplus.T @ u``, with
 ``timeit``: R runs of N calls (N presolves, 20 N applications), the best
 run reported per call.  BLAS and OpenMP pools are pinned to one thread
-before numpy loads, as perfbench pins them.  It prints one row per matrix
-and, last, one JSON object with the same figures.
+before numpy loads, as perfbench pins them.  It prints one row per matrix,
+with the storage the presolve took (``band`` or ``dense`` for the LU of
+S = [A' | E_N], ``qr`` for the pivoted QR), and, last, one JSON object
+with the same figures.
 """
 
 from __future__ import annotations
@@ -38,6 +40,17 @@ SIZES = ((3, 8), (8, 24), (8, 40))
 def _best(call, number, repeat):
     """Seconds per call of the best of repeat runs of number calls."""
     return min(timeit.repeat(call, number=number, repeat=repeat)) / number
+
+
+def _storage(aplus):
+    """"band" or "dense" for the LU presolve's operator, "qr" for the QR's
+    array; the class name for a checkout with one operator class per storage."""
+    if isinstance(aplus, np.ndarray):
+        return "qr"
+    bands = getattr(aplus.lu, "bands", aplus)
+    if bands is aplus:
+        return type(aplus).__name__
+    return "dense" if bands is None else "band"
 
 
 def main(argv=None):
@@ -69,12 +82,12 @@ def main(argv=None):
         number = 20 * args.number
         apply_us = _best(lambda: fixed.aplus @ v, number, args.repeat) * 1e6
         apply_t_us = _best(lambda: fixed.aplus.T @ u, number, args.repeat) * 1e6
-        rows[name] = {"shape": list(A.shape), "operator": type(fixed.aplus).__name__,
+        rows[name] = {"shape": list(A.shape), "storage": _storage(fixed.aplus),
                       "ms_per_call": round(ms, 4), "aplus_us": round(apply_us, 2),
                       "aplus_t_us": round(apply_t_us, 2)}
         print(f"{name:<13} A {A.shape[0]}x{A.shape[1]:<4} {ms:8.4f} ms per presolve"
               f"  A+ v {apply_us:7.2f} us  A+' u {apply_t_us:7.2f} us"
-              f"  ({type(fixed.aplus).__name__})")
+              f"  ({_storage(fixed.aplus)})")
     print(json.dumps({"src": str(args.src), "number": args.number, "repeat": args.repeat,
                       "sizes": rows}))
 
