@@ -20,9 +20,9 @@ block matrix is formed.
 The equality rows are presolved (``_presolve_equalities``) into one
 ``region._FixedRows`` value that depends on A alone: the kept rows, an
 orthonormal basis Z of their null space and their pseudo-inverse A+.  Every
-solve attempt and every consumer below takes that value.  The tracker builds
-it at the first solve of a Jacobian model, carries it while the model is
-unchanged and passes it to ``solve_subproblem``, which builds it without one.
+solve attempt and every consumer below takes that value: ``solve_subproblem``
+builds it unless given that of this very A (``fixed.A is sp.A_eq``), and
+reports it as ``SubproblemSolution.fixed`` for the tracker to pass on.
 A row is kept when its pivot in a pivoted QR of A' exceeds 1e-10 ||A||_2.
 That QR runs only for dependent or near-dependent rows.  Otherwise one LU
 with partial pivoting of A' picks basis columns B of A, and unit columns on
@@ -66,9 +66,10 @@ ends other than optimal, the tikhonov retry and the 1e-12 shift of a
 singular reduced Hessian.  The two certification rescues reuse the
 presolve's value, so neither solves a system that stacks the equality rows
 (``_polish_duals``, ``_primal_polish``).  A certification projection that
-verifies no point raises ``ProjectionError``, and the solve then returns
-max_iter with no iterate.  Regions with no cone at all are solved as an
-equality-constrained QP on the same null space.
+verifies no point raises ``ProjectionError``: a warm attempt then goes to
+the cold retry, and a cold one returns max_iter with no iterate.  Regions
+with no cone at all are solved as an equality-constrained QP on the same
+null space.
 """
 
 from __future__ import annotations
@@ -182,6 +183,13 @@ class _Cones:
             out[h] = a[h:e] @ b[h:e]
             out[t:e] = a.item(h) * b[t:e] + b.item(h) * a[t:e]
         return out
+
+    def interior(self, u):
+        """Whether ``inv_prod`` can divide by u: its orthant entries, block
+        heads and each u0^2 - ||ut||^2 positive in floating point."""
+        return (not self.l or u[: self.l].min() > 0.0) and all(
+            u.item(h) > 0.0 and u.item(h) * u.item(h) - float(u[t:e] @ u[t:e]) > 0.0
+            for h, t, e in self.blocks)
 
     def inv_prod(self, lam, d):
         """Solve lam o x = d blockwise."""
@@ -629,7 +637,7 @@ def _finish(sp, x, y, fixed, s, z, verdict, iters, tol):
     within = stat <= 10.0 * tol and eq <= tol and dist <= tol
     status = verdict or (SolveStatus.OPTIMAL if within else SolveStatus.MAX_ITER)
     return SubproblemSolution(x=x, y=y, status=status, iterations=iters,
-                              residuals=SubproblemResiduals(stat, eq, dist, gap))
+                              residuals=SubproblemResiduals(stat, eq, dist, gap), fixed=fixed)
 
 
 def _solve_no_cones(sp, fixed, b, tol):
@@ -665,9 +673,14 @@ def _ipm(sp, opts, warm, fixed):
 
     if warm is not None:
         x = np.array(warm.x, dtype=float)
-        s = h - G @ x
-        shift = max(0.0, 1e-4 * (1.0 + np.linalg.norm(h, np.inf)) - cones.margin(s))
-        s = s + shift * e
+        # a point far outside the region can overflow here, or shift s onto the
+        # boundary in floating point; such a start is taken cold
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = h - G @ x
+            s = s + max(0.0, 1e-4 * (1.0 + np.linalg.norm(h, np.inf)) - cones.margin(s)) * e
+        if not (np.all(np.isfinite(x)) and cones.interior(s)):
+            warm = None
+    if warm is not None:
         z = 1e-2 * cones.inv_prod(s, e)  # centred dual guess: s o z ~ 1e-2 e
         if cones.margin(z) <= 0.0:
             z = np.array(e)
@@ -677,7 +690,7 @@ def _ipm(sp, opts, warm, fixed):
             # min 0.5 x'Px + q'x + 0.5 ||Gx - h||^2
             x, zhat, _ = kkt.solve(kkt.particular(q, -b), -h)
         except np.linalg.LinAlgError:
-            return _unsolved(sp)
+            return _unsolved(sp, fixed)
         s = -zhat
         ms = cones.margin(s)
         if ms <= 0.0:
@@ -735,7 +748,9 @@ def _ipm(sp, opts, warm, fixed):
             rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
             dlam = cones.inv_prod(lam, rhs_comp)
             dx, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, ZeroDivisionError):
+            # a singular reduced Hessian, or a scaled point lam that rounding
+            # puts on a cone's boundary, where lam o x = d is singular too
             break
 
         # no margin check follows: 0.99 of the way to the boundary keeps s and z
@@ -753,38 +768,41 @@ def _ipm(sp, opts, warm, fixed):
     return _finish(sp, x, y, fixed, s, z, verdict, it, opts.tol)
 
 
-def _unsolved(sp):
+def _unsolved(sp, fixed=None):
     """No certified point: max_iter at x_ref after no iteration, residuals infinite."""
-    return SubproblemSolution(x=np.array(sp.x_ref), y=np.zeros(sp.m), status=SolveStatus.MAX_ITER,
-                              iterations=0, residuals=SubproblemResiduals(*[np.inf] * 4))
+    return SubproblemSolution(np.array(sp.x_ref), np.zeros(sp.m), SolveStatus.MAX_ITER, 0,
+                              SubproblemResiduals(*[np.inf] * 4), fixed=fixed)
 
 
 def solve_subproblem(sp, opts=None, warm=None, fixed=None):
     """Solve one convex subproblem to opts.tol within opts.max_iter iterations.
 
-    The equality rows are presolved once, for every attempt below: fixed is
-    that value, ``_presolve_equalities(sp.A_eq)``, when the caller holds it
-    (the tracker carries it while its Jacobian model is unchanged), and it
-    is built here when fixed is None.  Dropped rows that disagree with the
-    kept ones are ``infeasible`` with no attempt.
+    The equality rows are presolved once, for every attempt below, and the
+    solution reports that value as ``fixed``: the given fixed only when it was
+    built from this very matrix (``fixed.A is sp.A_eq``), else one built here.
+    Dropped rows that disagree with the kept ones are ``infeasible`` with no
+    attempt.
     The iteration warm-starts from warm.x (warm a PrimalDual, whose y is not
-    read) when one is given and starts cold otherwise; a warm-started solve
-    that ends other than optimal is repeated once from the cold start, and
-    the solution reports the iterations of both.  When the curvature model
-    is zero and the solve diverges toward an unbounded ray, it is solved
-    once more with H = tik I, tik = 1e-6 (1 + ||c||), centred at x_ref like
-    its own curvature; that solution is flagged ``regularized``, certified
-    on the regularized subproblem and reports the iterations of every
-    attempt.  opts.tikhonov_retry = False returns the raw verdict.  Data
-    with a nan or inf entry, a cold start whose KKT system cannot be solved,
-    and a certification projection that verifies no point (ProjectionError)
-    return status max_iter with 0 iterations, x = x_ref, y = 0 and infinite
-    residuals; the tracker then ends its trace as aborted.
+    read) when one is given and starts cold otherwise, or when warm.x is not
+    finite or too far outside the region for a strictly interior slack in
+    floating point; a warm-started solve that ends other than optimal, or
+    whose certification raises ProjectionError (its iterations then count
+    as 0), is repeated once from the cold start, and the solution reports
+    the iterations of both.  When the curvature model is zero and the solve
+    diverges toward an unbounded ray, it is solved once more with H = tik I,
+    tik = 1e-6 (1 + ||c||), centred at x_ref like its own curvature; that
+    solution is flagged ``regularized``, certified on the regularized
+    subproblem and reports the iterations of every attempt.
+    opts.tikhonov_retry = False returns the raw verdict.  Data with a nan or
+    inf entry (fixed None), a cold start whose KKT system cannot be solved,
+    and a certification projection of the cold start that verifies no point
+    (ProjectionError) return status max_iter with 0 iterations, x = x_ref,
+    y = 0 and infinite residuals; the tracker then ends its trace as aborted.
     """
     opts = opts or SolverOptions()
     if not all(np.all(np.isfinite(a)) for a in (sp.c, sp.m_corr, sp.H, sp.x_ref, sp.A_eq, sp.b_eq)):
         return _unsolved(sp)
-    if fixed is None:
+    if fixed is None or fixed.A is not sp.A_eq:
         fixed = _presolve_equalities(sp.A_eq)
     try:
         if fixed.kept.size < sp.m:
@@ -793,7 +811,12 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
             if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
                 return _finish(sp, x_ls, np.zeros(sp.m), fixed, None, None,
                                SolveStatus.INFEASIBLE, 0, opts.tol)
-        sol = _ipm(sp, opts, warm, fixed)
+        try:
+            sol = _ipm(sp, opts, warm, fixed)
+        except ProjectionError:
+            if warm is None:
+                raise
+            sol = _unsolved(sp, fixed)
         if warm is not None and sol.status is not SolveStatus.OPTIMAL:
             # rescue: an iteration warm-started far outside the region can stall
             # into a false verdict; the cold start does not depend on warm
@@ -805,5 +828,5 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
             reg = _ipm(replace(sp, H=tik * np.eye(sp.n)), opts, warm, fixed)
             sol = replace(reg, iterations=sol.iterations + reg.iterations, regularized=True)
     except ProjectionError:
-        return _unsolved(sp)
+        return _unsolved(sp, fixed)
     return sol

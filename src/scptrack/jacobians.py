@@ -92,7 +92,7 @@ class IterateState:
     adj_y: Optional[np.ndarray] = None  # cached g'(x)^T y, when a step computed it
     A_is_g_jac: bool = False  # A is g_jac evaluated at z.x itself
     region_distance: Optional[float] = None  # ||x - P(x)||, when the step certified it
-    fixed: Any = None  # the last solve's presolve; a solve rebuilds it unless fixed.A is A
+    fixed: Any = None  # the last solve's sol.fixed; a solve rebuilds it unless fixed.A is A
 
 
 def adjoint_product(problem, x, y):

@@ -4,8 +4,8 @@ projection onto the intersection.
 
 Member projections solve a 1D secular equation in the Lagrange multiplier
 (eigendecomposition cached per member); Dykstra then combines them, unless
-the point lies outside one set only: if that set's projection lands in the
-region, it is the region's projection (``project_region``).  Cone
+the projection onto one of the sets that the point violates lands in the
+region: it is then the region's projection (``project_region``).  Cone
 members and ellipsoids share one secular solver, ``SecondOrderCone.project``:
 an ellipsoid projects through its cone form.  The equation decreases up to
 its pole, so that branch is bracketed from a Newton step and refined by
@@ -720,10 +720,10 @@ def _polish_projection(region, v, x, scale):
 def project_region(region, v):
     """Euclidean projection of v onto the region via Dykstra's iteration.
 
-    v violating exactly one set S (the box or one member) first tries P_S(v):
-    when P_S(v) lies in the region C, a subset of S, it is P_C(v) as well.
-    The check ``_verify_projection`` decides that, as it does for every
-    Dykstra iterate; a rejected candidate leaves the iteration to run.
+    v outside the region first tries P_S(v) for each set S (the box or one
+    member) that it violates: when P_S(v) lies in the region C, a subset of
+    S, it is P_C(v) as well.  The check ``_verify_projection`` decides that,
+    as it does for every Dykstra iterate; if it rejects each, Dykstra runs.
     Sweeps cycle through the box and every member.  An iterate that a sweep
     moves by at most ``_DYKSTRA_STOP`` (1e-10, in the max norm) is returned
     once it passes the exact optimality check ``_verify_projection``.
@@ -744,8 +744,8 @@ def project_region(region, v):
 
     scale = 1.0 + float(np.linalg.norm(v))
     projectors = [region.clip_box] + [m.project for m in members]
-    if len(violated) == 1:
-        cand = _verify_projection(region, v, projectors[violated[0]](v), scale)
+    for i in violated:
+        cand = _verify_projection(region, v, projectors[i](v), scale)
         if cand is not None:
             return cand
     x = np.array(v)

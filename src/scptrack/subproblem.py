@@ -7,7 +7,7 @@ s.t. A_eq (x - x_ref) + b_eq = 0,   x in region
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,12 +95,16 @@ class SubproblemResiduals:
 
 @dataclass(frozen=True, eq=False)
 class SubproblemSolution:
+    """A solve's result.  fixed is the equality presolve it used (None for data
+    that are not finite), which a next solve of the same A_eq takes as given."""
+
     x: np.ndarray
     y: np.ndarray
     status: SolveStatus
     iterations: int
     residuals: SubproblemResiduals
     regularized: bool = False
+    fixed: object = field(default=None, repr=False)
 
 
 def build_subproblem(problem, state, xi):

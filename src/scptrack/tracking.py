@@ -32,7 +32,7 @@ from .jacobians import (
     update_hessian,
     update_jacobian,
 )
-from .ipm import _presolve_equalities, solve_subproblem
+from .ipm import solve_subproblem
 from .problem import KKTResidual, PrimalDual, checked_output, kkt_residual
 from .region import AffineInequality, ConvexRegion, region_violation
 from .subproblem import SolveStatus, SolverOptions, build_subproblem
@@ -168,22 +168,17 @@ def _linearize_region(region, x):
 
 
 def _attempt(problem, state, xi, config, counters, region=None):
-    """One subproblem solve at xi around the carried iterate: (state, solution).
+    """One subproblem solve at xi around the carried iterate.
 
-    The returned state carries the presolve of its A, built here when the
-    state has none or one of another matrix (``fixed.A`` is the A it was
-    built from): the one rule by which a presolve is carried or rebuilt.  A
-    sample whose A or b is not finite gets none, and its solve ends max_iter.
+    The solve takes the state's presolve only if it is that of its A, and
+    reports the one it used as ``sol.fixed`` for ``_model_update`` to carry.
     """
     sp = build_subproblem(problem, state, xi)
     if region is not None:
         sp = replace(sp, region=region)
-    if state.fixed is None or state.fixed.A is not sp.A_eq:
-        finite = np.all(np.isfinite(sp.A_eq)) and np.all(np.isfinite(sp.b_eq))
-        state = replace(state, fixed=_presolve_equalities(sp.A_eq) if finite else None)
     sol = solve_subproblem(sp, config.solver_opts, state.z, state.fixed)
     counters.solver_iters += sol.iterations
-    return state, sol
+    return sol
 
 
 def _carried(problem, z, A, is_g_jac, config, counters):
@@ -218,9 +213,9 @@ def _model_update(problem, state, config, sol, counters):
     A is g_jac at the new x.  Frozen and secant strategies never see a
     full Jacobian evaluation here.  The new state keeps the solve's
     certified region distance, except under rtgn, whose region is the
-    linearised one, and the presolve it carries, which the next solve keeps
-    when update_jacobian returns the same A (a frozen model, a skipped
-    secant step; a fresh evaluation is a new array, ``checked_output``).
+    linearised one, and the presolve the solve reported (``sol.fixed``),
+    which the next solve keeps when update_jacobian returns the same A (a
+    frozen model, a skipped secant step; a fresh evaluation is a new array).
     """
     z_new = PrimalDual(sol.x, sol.y)
     counters.g_evals += 1
@@ -235,7 +230,7 @@ def _model_update(problem, state, config, sol, counters):
     dist = None if config.variant == "rtgn" else sol.residuals.region_distance
     return IterateState(
         z=z_new, A=A_new, H=H_new, m_corr=m_new, k=k_new, g_x=g_new, adj_y=adj_new,
-        A_is_g_jac=is_g_jac, region_distance=dist, fixed=state.fixed,
+        A_is_g_jac=is_g_jac, region_distance=dist, fixed=sol.fixed,
     )
 
 
@@ -247,10 +242,10 @@ def _tracked_step(problem, state, xi, config, counters=None):
         counters.g_evals += 1
         state = replace(state, g_x=checked_output("g", problem.g(state.z.x), (problem.m,)))
     region = _linearize_region(problem.region, state.z.x) if config.variant == "rtgn" else None
-    state, sol = _attempt(problem, state, xi, config, counters, region)
+    sol = _attempt(problem, state, xi, config, counters, region)
     if sol.status is not SolveStatus.OPTIMAL and config.retry_fresh_jacobian:
         state = _refresh_state(problem, state, config, counters)
-        state, sol = _attempt(problem, state, xi, config, counters, region)
+        sol = _attempt(problem, state, xi, config, counters, region)
     if sol.status is not SolveStatus.OPTIMAL:
         raise StepError(
             f"subproblem returned {sol.status.value} at sample {state.k + 1}",

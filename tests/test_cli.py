@@ -103,7 +103,7 @@ def test_track_abort_writes_partial_trace(tmp_path):
 def test_track_nan_sample_writes_partial_trace(tmp_path, monkeypatch):
     # a nan parameter makes that sample's subproblem data non-finite, and
     # that sample is not presolved
-    from scptrack import ipm, tracking
+    from scptrack import ipm
 
     presolved = []
     presolve = ipm._presolve_equalities
@@ -113,7 +113,6 @@ def test_track_nan_sample_writes_partial_trace(tmp_path, monkeypatch):
         return presolve(A)
 
     monkeypatch.setattr(ipm, "_presolve_equalities", counted)
-    monkeypatch.setattr(tracking, "_presolve_equalities", counted)
     out = tmp_path / "nan.csv"
     cfg = _write(
         tmp_path / "run.cfg",
@@ -129,6 +128,21 @@ def test_track_nan_sample_writes_partial_trace(tmp_path, monkeypatch):
     assert len(lines) == 5
     assert lines[-1].split(",")[2:4] == ["max_iter", "0"]
     assert len(presolved) == 2  # one per exact model of a clean sample
+
+
+def test_track_from_a_start_far_outside_the_region_completes(tmp_path):
+    # record 0 projects a point outside both the box and the cone, whose own
+    # projection lands in the region; the run is not cut short at record 0
+    out = tmp_path / "far.csv"
+    cfg = _write(
+        tmp_path / "run.cfg",
+        SWEEP.format(variant="pcscp", jacobian="exact", oracle="false", out=out)
+        + "start = perturbed\nstart.magnitude = 1e4\nseed = 42\n",
+    )
+    assert main(["track", cfg]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 11  # start record + 10 samples
+    assert all(r[2] == "optimal" for r in rows[1:])
 
 
 def test_track_oracle_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):

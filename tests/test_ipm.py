@@ -11,12 +11,21 @@ import scipy.sparse
 from scipy.linalg.lapack import dgecon
 
 from conftest import feasible_samples, random_subproblem
-from scptrack import ClosedLoopPlant, JacobianStrategy, TrackerConfig, steady_start, track
+from scptrack import (
+    ClosedLoopPlant,
+    HessianStrategy,
+    JacobianStrategy,
+    TrackerConfig,
+    steady_start,
+    track,
+)
 from scptrack import ipm as ipm_module
 from scptrack import region as region_module
 from scptrack.errors import ProjectionError
 from scptrack.problem import PrimalDual
 from scptrack.cascade import CascadeConfig, cascade_problem, steady_state
+from scptrack.jacobians import init_state
+from scptrack.tutorial import tutorial_problem, tutorial_solution
 from scptrack.ipm import (
     _Cones,
     _NullSpaceKKT,
@@ -37,7 +46,7 @@ from scptrack.region import (
     project_region,
     region_violation,
 )
-from scptrack.subproblem import ConvexSubproblem, SolveStatus, SolverOptions
+from scptrack.subproblem import ConvexSubproblem, SolveStatus, SolverOptions, build_subproblem
 
 
 def _plain(c, region, H=None, A=None, b=None, x_ref=None):
@@ -499,6 +508,19 @@ def test_presolve_keeps_the_spectral_norm_rule_rows():
     assert banded == {A.shape[0] - 1, A.shape[0]}
     for empty in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3))):
         assert _presolve_equalities(empty).kept.size == 0
+    # small integer matrices, full of exact ties, where the condition estimate
+    # of the LU path can read low by a factor 2-3 (the first one: 1.17 against
+    # ||S^-1||_1 = 3); the rule's factor 1000 of margin keeps the QR's rows
+    rng = np.random.default_rng(29)
+    tied = [np.array([[0.0, 0.0, -1.0, 1.0], [-1.0, -1.0, -1.0, 1.0]])]
+    for _ in range(2000):
+        m, n = rng.integers(1, 5), rng.integers(1, 8)
+        tied.append(rng.integers(-2, 3, size=(m, n)).astype(float))
+    for A in tied:
+        fixed = _presolve_equalities(A)
+        np.testing.assert_array_equal(fixed.kept, _spectral_rule(A)[0])
+        eye = np.eye(fixed.kept.size)
+        assert all(np.abs(fixed.A @ (fixed.aplus @ c) - c).max() <= 1e-12 for c in eye)
 
 
 def _full_rank_cases():
@@ -948,6 +970,88 @@ def test_non_finite_data_return_max_iter(bad):
             assert sol.status is SolveStatus.MAX_ITER
             assert sol.iterations == 0
             assert sol.residuals.total == np.inf
+            assert sol.fixed is None  # no presolve is built for such data
+
+
+def _tracked_subproblem(name):
+    """(subproblem, warm start) of a tracking step from an exact ``init_state``:
+    the tutorial from its solution at xi = 1.2 to the sample 1.45, or the 3x8
+    cascade from its steady start to 1.2 times the steady sample."""
+    if name == "tutorial":
+        (z0, _), problem, xi = tutorial_solution(1.2), tutorial_problem(), np.array([1.45])
+    else:
+        cfg = CascadeConfig(n_tanks=3, horizon=8)
+        steady = steady_state(cfg, 1.0)
+        problem, z0, xi = cascade_problem(cfg, steady), steady_start(cfg, steady), 1.2 * steady[0]
+    state = init_state(problem, z0, JacobianStrategy("exact"), HessianStrategy(), None)
+    return build_subproblem(problem, state, xi), state.z
+
+
+def test_a_stale_presolve_is_rebuilt():
+    # the presolve of another A (rows 3 and up scaled by 1.0001) is not used:
+    # the solve builds the presolve of its own A and is the fixed=None solve
+    # bit for bit; a presolve of this very A is used as given
+    sp, warm = _tracked_subproblem("cascade")
+    A = sp.A_eq.copy()
+    A[3:] *= 1.0001
+    sol = solve_subproblem(sp, None, warm, _presolve_equalities(A))
+    fresh = solve_subproblem(sp, None, warm)
+    assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations) == (
+        SolveStatus.OPTIMAL, 6)
+    assert sol.x.tobytes() == fresh.x.tobytes() and sol.y.tobytes() == fresh.y.tobytes()
+    assert sol.fixed.A is sp.A_eq and fresh.fixed.A is sp.A_eq
+    assert solve_subproblem(sp, None, warm, fresh.fixed).fixed is fresh.fixed
+
+
+@pytest.mark.parametrize("value", [1e18, 1e100, 1e200, np.nan])
+@pytest.mark.parametrize("name", ["tutorial", "cascade"])
+def test_a_warm_start_far_outside_the_region_starts_cold(name, value):
+    # a warm.x this far out is not finite, overflows, or shifts the slack onto
+    # a cone's boundary in floating point: the solve is the cold one
+    sp, warm = _tracked_subproblem(name)
+    cold = solve_subproblem(sp)
+    sol = solve_subproblem(sp, warm=PrimalDual(np.full(sp.n, value), warm.y))
+    assert cold.status is SolveStatus.OPTIMAL
+    assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+    assert sol.x.tobytes() == cold.x.tobytes()
+
+
+def test_a_projection_error_in_the_warm_attempt_takes_the_cold_retry(monkeypatch):
+    calls = []
+    project = ipm_module.project_region
+
+    def failing_first(region, v):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ProjectionError("no verified projection")
+        return project(region, v)
+
+    sp, warm = _tracked_subproblem("tutorial")
+    cold = solve_subproblem(sp)
+    monkeypatch.setattr(ipm_module, "project_region", failing_first)
+    sol = solve_subproblem(sp, warm=warm)
+    assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+    assert sol.x.tobytes() == cold.x.tobytes()
+
+
+def test_a_scaled_point_on_a_cone_boundary_ends_the_attempt(monkeypatch):
+    # rounding can put the scaled point lam on a cone's boundary, where
+    # lam o x = d divides by zero; the attempt then ends as at a singular step
+    calls = []
+    inv_prod = _Cones.inv_prod
+
+    def singular_second(self, lam, d):
+        calls.append(None)
+        if len(calls) == 2:  # the warm attempt's first corrector, after its dual guess
+            raise ZeroDivisionError("float division by zero")
+        return inv_prod(self, lam, d)
+
+    sp, warm = _tracked_subproblem("tutorial")
+    cold = solve_subproblem(sp)
+    monkeypatch.setattr(_Cones, "inv_prod", singular_second)
+    sol = solve_subproblem(sp, warm=warm)
+    assert (sol.status, sol.iterations) == (cold.status, 1 + cold.iterations)
+    assert sol.x.tobytes() == cold.x.tobytes()
 
 
 def test_certification_where_an_ellipsoid_crosses_a_box_corner():

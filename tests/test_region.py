@@ -29,6 +29,7 @@ from scptrack.region import (
     quadratic_epigraph,
     region_violation,
 )
+from scptrack.tutorial import tutorial_problem
 
 
 def test_box_projection_is_clip():
@@ -1014,7 +1015,8 @@ def _counted_ellipsoid_projections(monkeypatch):
     ([1.5, 1.5], [True, True]),
 ])
 def test_projection_outside_the_one_set_shortcut_takes_dykstra(monkeypatch, v, violated):
-    # the box [-1, 1]^2 and the ball of radius 1.2 about (2, 0) meet in a lens
+    # the box [-1, 1]^2 and the ball of radius 1.2 about (2, 0) meet in a lens;
+    # no violated set's own projection lands in it
     ball = Ellipsoid([2.0, 0.0], np.eye(2), 1.44)
     region = ConvexRegion([-1.0, -1.0], [1.0, 1.0], ellipsoids=(ball,))
     v = np.array(v)
@@ -1029,3 +1031,25 @@ def test_projection_outside_the_one_set_shortcut_takes_dykstra(monkeypatch, v, v
     ref = _reference_projection(region, v, [(lambda x: (x - ball.center) @ (x - ball.center) - 1.44,
                                              lambda x: 2.0 * (x - ball.center))])
     assert np.linalg.norm(p - ref) <= 1e-7
+
+
+def test_a_point_outside_two_sets_takes_the_projection_that_lands_in_the_region(monkeypatch):
+    # record 0 of the tutorial's pcscp track from a start perturbed by 1e4 (seed
+    # 42) projects v, which lies outside the box and the cone; the box's clip
+    # leaves the cone, but the cone's own projection lies in the box, so it is
+    # the region's projection and no Dykstra sweep runs
+    region = tutorial_problem().region
+    v = np.array([874.9037836943053, -1222.0808364743227])
+    cone = region.cones[0]
+    assert region_violation(ConvexRegion(region.lower, region.upper), v) > 0.0
+    assert cone.violation(v) > 0.0
+    scale = 1.0 + np.linalg.norm(v)
+    assert _verify_projection(region, v, region.clip_box(v), scale) is None
+    sweeps = []
+    verify = region_module._verify_projection
+    monkeypatch.setattr(region_module, "_verify_projection",
+                        lambda *args: (sweeps.append(None), verify(*args))[1])
+    p = project_region(region, v)
+    assert p.tobytes() == cone.project(v).tobytes()
+    assert len(sweeps) == 2  # one check per violated set, none for a sweep
+    np.testing.assert_allclose(p, [1.0205, 1.4288], atol=1e-4)
