@@ -188,6 +188,35 @@ def rk4_step(f, s, u, dt, n_substeps=4):
     return _rk4_stages(f, s, u, dt, n_substeps)[0]
 
 
+def _tangents(f, lin, shape, nu, h):
+    """(dw_next/ds, dw_next/du) from _rk4_stages's stages linearized by f."""
+    nw = shape[-1]
+    seeds = np.eye(nw + nu)
+    du = seeds[nw:]
+    T = np.broadcast_to(seeds[:nw], shape + (nw + nu,))
+    for l1, l2, l3, l4 in lin:
+        d1 = f.tangent(l1, T, du)
+        d2 = f.tangent(l2, T + 0.5 * h * d1, du)
+        d3 = f.tangent(l3, T + 0.5 * h * d2, du)
+        d4 = f.tangent(l4, T + h * d3, du)
+        T = T + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
+    return T[..., :nw], T[..., nw:]
+
+
+def _cotangents(f, lin, lam, h):
+    """(lam.dw_next/ds, lam.dw_next/du) from _rk4_stages's stages linearized by f."""
+    s_bar = np.asarray(lam, dtype=float)
+    u_bar = 0.0
+    for l1, l2, l3, l4 in lin[::-1]:
+        b4, c4 = f.cotangent(l4, (h / 6.0) * s_bar)
+        b3, c3 = f.cotangent(l3, (h / 3.0) * s_bar + h * b4)
+        b2, c2 = f.cotangent(l2, (h / 3.0) * s_bar + 0.5 * h * b3)
+        b1, c1 = f.cotangent(l1, (h / 6.0) * s_bar + 0.5 * h * b2)
+        s_bar = s_bar + (b1 + b2 + b3 + b4)
+        u_bar = u_bar + (c1 + c2 + c3 + c4)
+    return s_bar, u_bar
+
+
 def rk4_step_with_tangents(f, s, u, dt, n_substeps=4):
     """Shooting-interval integration with exact discrete tangents.
 
@@ -199,19 +228,8 @@ def rk4_step_with_tangents(f, s, u, dt, n_substeps=4):
     columns of one (..., n_tanks, n_tanks + n_u) tangent.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    w_next, stages = _rk4_stages(f, s, u, dt, n_substeps)
-    nw, nu = w_next.shape[-1], u.shape[-1]
-    seeds = np.eye(nw + nu)
-    du = seeds[nw:]
-    T = np.broadcast_to(seeds[:nw], w_next.shape + (nw + nu,))
-    h = dt / n_substeps
-    for l1, l2, l3, l4 in f.linearize(np.array(stages)):
-        d1 = f.tangent(l1, T, du)
-        d2 = f.tangent(l2, T + 0.5 * h * d1, du)
-        d3 = f.tangent(l3, T + 0.5 * h * d2, du)
-        d4 = f.tangent(l4, T + h * d3, du)
-        T = T + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
-    return w_next, T[..., :nw], T[..., nw:]
+    w, stages = _rk4_stages(f, s, u, dt, n_substeps)
+    return (w,) + _tangents(f, f.linearize(np.array(stages)), w.shape, u.shape[-1], dt / n_substeps)
 
 
 def rk4_step_adjoint(f, s, u, lam, dt, n_substeps=4):
@@ -223,18 +241,8 @@ def rk4_step_adjoint(f, s, u, lam, dt, n_substeps=4):
     integration and no tangent matrix is formed.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    w_next, stages = _rk4_stages(f, s, u, dt, n_substeps)
-    h = dt / n_substeps
-    s_bar = np.asarray(lam, dtype=float)
-    u_bar = 0.0
-    for l1, l2, l3, l4 in f.linearize(np.array(stages))[::-1]:
-        b4, c4 = f.cotangent(l4, (h / 6.0) * s_bar)
-        b3, c3 = f.cotangent(l3, (h / 3.0) * s_bar + h * b4)
-        b2, c2 = f.cotangent(l2, (h / 3.0) * s_bar + 0.5 * h * b3)
-        b1, c1 = f.cotangent(l1, (h / 6.0) * s_bar + 0.5 * h * b2)
-        s_bar = s_bar + (b1 + b2 + b3 + b4)
-        u_bar = u_bar + (c1 + c2 + c3 + c4)
-    return w_next, s_bar, u_bar
+    w, stages = _rk4_stages(f, s, u, dt, n_substeps)
+    return (w,) + _cotangents(f, f.linearize(np.array(stages)), lam, dt / n_substeps)
 
 
 def steady_state(cfg, u_s):
@@ -373,15 +381,25 @@ def cascade_problem(cfg, steady):
     jac_fixed[np.arange(nw), s_idx[0]] = 1.0
     jac_fixed[chain, s_idx[1:]] = -1.0
 
+    last = (None, None, None, None)  # key, w_next, stage states, linearization
+
+    def forward(x, linearized=False):
+        """w_next of every interval at x, or its stages' linearization, from a
+        one-entry memo keyed on the bytes of x's nodes and controls: a point
+        that differs anywhere, even in the sign of a zero, is integrated anew."""
+        nonlocal last
+        key = x[:n].tobytes()
+        if key != last[0]:
+            last = (key, *_rk4_stages(dyn, x[s_idx[:-1]], x[u_idx], dt, sub), None)
+        if linearized and last[3] is None:
+            last = last[:3] + (dyn.linearize(np.array(last[2])),)
+        return last[3] if linearized else last[1]
+
     def g(x):
-        s = x[s_idx]
-        out = np.empty(m)
-        out[:nw] = s[0]
-        out[nw:] = (rk4_step(dyn, s[:-1], x[u_idx], dt, sub) - s[1:]).ravel()
-        return out
+        return np.concatenate([x[s_idx[0]], (forward(x) - x[s_idx[1:]]).ravel()])
 
     def g_jac(x):
-        _, A, B = rk4_step_with_tangents(dyn, x[s_idx[:-1]], x[u_idx], dt, sub)
+        A, B = _tangents(dyn, forward(x, linearized=True), (H, nw), 1, dt / sub)
         jac = jac_fixed.copy()
         jac[chain[..., None], s_idx[:-1, None, :]] = A
         jac[chain[..., None], u_idx[:, None, :]] = B
@@ -389,13 +407,11 @@ def cascade_problem(cfg, steady):
 
     def g_adjoint(x, y):
         lam = y[nw:].reshape(H, nw)
-        _, s_bar, u_bar = rk4_step_adjoint(dyn, x[s_idx[:-1]], x[u_idx], lam, dt, sub)
-        nodes_bar = np.zeros((H + 1, nw))
-        nodes_bar[:-1] = s_bar
-        nodes_bar[1:] -= lam
-        nodes_bar[0] += y[:nw]
+        s_bar, u_bar = _cotangents(dyn, forward(x, linearized=True), lam, dt / sub)
         out = np.zeros(n)
-        out[s_idx] = nodes_bar
+        out[s_idx[:-1]] = s_bar
+        out[s_idx[1:]] -= lam
+        out[s_idx[0]] += y[:nw]
         out[u_idx] = u_bar
         return out
 

@@ -33,17 +33,20 @@ one operator that is never formed (``_PseudoInverse``).  Only the factor's
 storage depends on A: LAPACK's band storage (gbtrf, at the bands of A's
 nonzero pattern) when its solves cost fewer flops than dense ones, as on
 the shooting-structured cascade at 8 tanks and 24 steps, and dense (getrf)
-otherwise.  The LU path is taken only when one condition estimate of S,
-on either storage (``_inverse_norm1``), proves that the QR would keep every
-row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).  Each
-iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of order
-n minus the number of kept rows, instead of the bordered KKT matrix; the
-cold start factors it at the NT scaling of (e, e), which is exactly the
-identity.  Each iteration computes one particular solution -A+ ry, which the
-predictor and the corrector share; G dx comes from the kept G Z, and a zero
-P takes part in no product (``_NullSpaceKKT``).  The conic rows are built
-once per region (``ConvexRegion.conic``), as CSR arrays when G is large (the
-8x24 cascade: 475 x 225, 1% nonzero).
+otherwise.  The LU path is taken only when LAPACK's condition estimate of S,
+on either storage (gecon, gbcon: ``_LU.rcond``), proves that the QR would keep
+every row: each of its pivots is at least sigma_min(A) >= sigma_min(A_B).
+Each iteration LU-factors only the reduced Hessian Z' (P + G' W^-2 G) Z, of
+order n minus the number of kept rows, instead of the bordered KKT matrix;
+the cold start factors it at the NT scaling of (e, e), which is exactly the
+identity.  It and ``region``'s least-squares fits call LAPACK directly, as
+the presolve does (getrf, getrs, gelsy): scipy.linalg's wrappers cost more
+than LAPACK at these small orders and give the same bits.  Each iteration
+computes one particular solution -A+ ry, which the predictor and the
+corrector share; G dx comes from the kept G Z, and a zero P takes part in no
+product (``_NullSpaceKKT``).  The conic rows are built once per region
+(``ConvexRegion.conic``), as CSR arrays when G is large (the 8x24 cascade:
+475 x 225, 1% nonzero).
 
 The equality multipliers are fitted, never iterated: Z' A' y = 0 moves none
 of x, s and z, and an iterated y, after a step of any length alpha, keeps
@@ -75,13 +78,12 @@ null space.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dgetrf, dgetrs, dorgqr
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import ProjectionError
 from .region import (
@@ -98,6 +100,8 @@ from .subproblem import (
     SubproblemSolution,
 )
 
+# older SciPy releases, which pyproject.toml allows, lack gbcon: dense storage only
+dgbcon = getattr(scipy.linalg.lapack, "dgbcon", None)
 _DIVERGE_DUAL = 1e10
 _DIVERGE_OBJ = -1e10
 _STALL_PRES = 1e-6
@@ -300,6 +304,12 @@ class _LU(NamedTuple):
             return dgetrs(self.factor, self.ipiv, b, trans=trans)[0]
         return dgbtrs(self.factor, *self.bands, b, self.ipiv, trans=trans)[0]
 
+    def rcond(self):
+        """1 / LAPACK's estimate of ||S^-1||_1 (gecon, gbcon), at most the norm."""
+        if self.bands is None:
+            return dgecon(self.factor, 1.0)[0]
+        return dgbcon(*self.bands, self.factor, self.ipiv, 1.0)[0]
+
 
 class _PseudoInverse:
     """The pseudo-inverse A+ = (I - Z Z') R of a full-row-rank m x n A, never formed.
@@ -355,45 +365,10 @@ def _narrow_bands(A):
     m (kl + ku + 1) nonzeros, so A with m (m^2 / n + 1) or more is not read.
     """
     m, n = A.shape
-    if np.count_nonzero(A != 0.0) * n >= m * (m * m + n):
+    if dgbcon is None or np.count_nonzero(A != 0.0) * n >= m * (m * m + n):
         return None
     kl, ku, _ = bands = _bands(A)
     return bands if n * (2 * kl + ku) < m * m else None
-
-
-def _inverse_norm1(solve, n):
-    """An estimate from below of ||S^-1||_1 for an n x n S, with S^-1 b and
-    S^-T b applied by solve(b, trans).
-
-    Hager's method as LAPACK's lacn2 runs it for the condition routines
-    (Higham, ACM TOMS 14(4), 1988): each trial is ||S^-1 x||_1 for a unit
-    vector x, moved to the largest entry of S^-T sign(S^-1 x), for at most
-    four trials after x = e / n; then Higham's alternating-sign vector.
-    gecon runs the same steps on (P S)^-1, a column permutation of S^-1, so
-    over a dense factor the two estimates agree unless a tie in the largest
-    entry or the alternating vector decides; either is at most ||S^-1||_1.
-    """
-    y = solve(np.full(n, 1.0 / n))
-    est = np.abs(y).sum()
-    signs = np.where(y >= 0.0, 1.0, -1.0)
-    j = np.argmax(np.abs(solve(signs, 1)))
-    for _ in range(4):
-        x = np.zeros(n)
-        x[j] = 1.0
-        y = solve(x)
-        old, est = est, np.abs(y).sum()
-        trial = np.where(y >= 0.0, 1.0, -1.0)
-        # lacn2's stops: a repeated sign vector, a trial that does not grow
-        # (whose value it keeps), and a largest entry that stays
-        if np.array_equal(trial, signs) or est <= old:
-            break
-        signs = trial
-        z = solve(signs, 1)
-        last, j = j, np.argmax(np.abs(z))
-        if z[last] == abs(z[j]):
-            break
-    alt = np.where(np.arange(n) % 2, -1.0, 1.0) * (1.0 + np.arange(n) / max(n - 1, 1))
-    return max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * n))
 
 
 def _lu_presolve(A):
@@ -421,7 +396,7 @@ def _lu_presolve(A):
     those before it), sigma_min(A) >= sigma_min(A_B) (A A' >= A_B A_B'), and
     sigma_min(A_B) >= 1 / (sqrt(m) ||A_B^-T||_1).  The first m rows of S^-1
     hold A_B^-T on the columns B, so ||S^-1||_1 >= ||A_B^-T||_1, and
-    1 / ``_inverse_norm1`` of S is an estimate from above of a number below
+    ``_LU.rcond`` of S is an estimate from above of a number below
     1 / ||A_B^-T||_1.  The estimate is in practice within a small factor of
     the norm it bounds, so rcond > 1e-7 sqrt(m) ||A||_F leaves a factor 1000
     over 1e-10 ||A||_F.
@@ -446,7 +421,7 @@ def _lu_presolve(A):
     factor[:, :m] = lu
     factor[diagonal, np.arange(m, n)] = 1.0
     lu = _LU(factor, np.concatenate([piv, np.arange(m, n, dtype=piv.dtype)]), bands)
-    rcond = 1.0 / _inverse_norm1(lu.solve, n)
+    rcond = lu.rcond()
     if not rcond > 1e-7 * np.sqrt(m) * np.linalg.norm(A):
         return None
     qr, tau, _, _ = dgeqrf(lu.solve(np.eye(n, n - m, -m), 1))  # Z0 = S^-T (0; I)
@@ -528,12 +503,10 @@ class _NullSpaceKKT:
         # that misses them still reaches the solve's check
         for reg in (0.0, 1e-12):
             Hs = Hr + reg * max(1.0, np.abs(Hr).max()) * np.eye(len(Hr)) if reg else Hr
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(Hs, check_finite=False)
-            pivots = np.diagonal(lu[0])
+            lu, piv, _ = dgetrf(Hs) if len(Hs) else (Hs, None, 0)  # LAPACK takes no order 0
+            pivots = np.diagonal(lu)
             if np.isfinite(pivots).all() and pivots.all():
-                self.lu = lu
+                self.lu = lu, piv
                 return reg
         raise np.linalg.LinAlgError("reduced KKT matrix is numerically singular")
 
@@ -549,8 +522,8 @@ class _NullSpaceKKT:
         """(dx, dz, ds) for the last factored W."""
         xp, gxp, t = part
         rzc = rz + rc
-        w = scipy.linalg.lu_solve(self.lu, t - self.GZ.T @ self.W.mul_winv2(gxp + rzc),
-                                  check_finite=False)
+        w = t - self.GZ.T @ self.W.mul_winv2(gxp + rzc)
+        w = dgetrs(*self.lu, w, overwrite_b=1)[0] if len(w) else w
         gdx = gxp + self.GZ @ w
         dx, dz = xp + self.Z @ w, self.W.mul_winv2(gdx + rzc)
         if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
@@ -602,34 +575,39 @@ def _primal_polish(sp, x, fixed):
 def _finish(sp, x, y, fixed, s, z, verdict, iters, tol):
     """The solution at (x, y), and the only place that decides ``optimal``: with no
     verdict, refit, polish and return ``optimal`` within the contract, else
-    ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone."""
-    grad0 = sp.gradient(x)
-    rescue = verdict is None
-    # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
-    # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
-    # that, the interior point's y is projected too and the smaller residual is kept
-    y2 = _polish_duals(sp, x, grad0, fixed) if rescue else None
-    stat = stat2 = np.inf
-    if y2 is not None:
-        stat2 = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y2))))
-    if not stat2 <= 10.0 * tol:
-        stat = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y))))
-    if stat2 < stat:
-        y, stat = y2, stat2
-    dist = None
-    if stat > 10.0 * tol and rescue:
-        # rescue: an x only sqrt(mu)-accurate because a curved member is active
-        pol = _primal_polish(sp, x, fixed)
-        if pol is not None:
-            x3, y3 = pol
-            grad3 = sp.gradient(x3) + sp.A_eq.T @ y3
-            stat3 = float(np.linalg.norm(x3 - project_region(sp.region, x3 - grad3)))
-            dist3 = float(np.linalg.norm(x3 - project_region(sp.region, x3)))
-            if stat3 < stat and dist3 <= tol:
-                x, y, stat, dist = x3, y3, stat3, dist3
-    eq = float(np.linalg.norm(sp.A_eq @ (x - sp.x_ref) + sp.b_eq))
-    if dist is None:
-        dist = float(np.linalg.norm(x - project_region(sp.region, x)))
+    ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone.
+    A ProjectionError of a certification projection carries iters as ``iterations``."""
+    try:
+        grad0 = sp.gradient(x)
+        rescue = verdict is None
+        # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
+        # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
+        # that, the interior point's y is projected too and the smaller residual is kept
+        y2 = _polish_duals(sp, x, grad0, fixed) if rescue else None
+        stat = stat2 = np.inf
+        if y2 is not None:
+            stat2 = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y2))))
+        if not stat2 <= 10.0 * tol:
+            stat = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y))))
+        if stat2 < stat:
+            y, stat = y2, stat2
+        dist = None
+        if stat > 10.0 * tol and rescue:
+            # rescue: an x only sqrt(mu)-accurate because a curved member is active
+            pol = _primal_polish(sp, x, fixed)
+            if pol is not None:
+                x3, y3 = pol
+                grad3 = sp.gradient(x3) + sp.A_eq.T @ y3
+                stat3 = float(np.linalg.norm(x3 - project_region(sp.region, x3 - grad3)))
+                dist3 = float(np.linalg.norm(x3 - project_region(sp.region, x3)))
+                if stat3 < stat and dist3 <= tol:
+                    x, y, stat, dist = x3, y3, stat3, dist3
+        eq = float(np.linalg.norm(sp.A_eq @ (x - sp.x_ref) + sp.b_eq))
+        if dist is None:
+            dist = float(np.linalg.norm(x - project_region(sp.region, x)))
+    except ProjectionError as err:
+        err.iterations = iters  # for the cold retry of a warm attempt to count
+        raise
     gap = float(s @ z) if s is not None else 0.0
     # the internal conic gap is reported but never gated on: natural-map
     # stationarity of the returned (x, y) already certifies complementarity,
@@ -768,10 +746,10 @@ def _ipm(sp, opts, warm, fixed):
     return _finish(sp, x, y, fixed, s, z, verdict, it, opts.tol)
 
 
-def _unsolved(sp, fixed=None):
-    """No certified point: max_iter at x_ref after no iteration, residuals infinite."""
-    return SubproblemSolution(np.array(sp.x_ref), np.zeros(sp.m), SolveStatus.MAX_ITER, 0,
-                              SubproblemResiduals(*[np.inf] * 4), fixed=fixed)
+def _unsolved(sp, fixed=None, iterations=0):
+    """No certified point: max_iter at x_ref, residuals infinite."""
+    return SubproblemSolution(np.array(sp.x_ref), np.zeros(sp.m), SolveStatus.MAX_ITER,
+                              iterations, SubproblemResiduals(*[np.inf] * 4), fixed=fixed)
 
 
 def solve_subproblem(sp, opts=None, warm=None, fixed=None):
@@ -786,13 +764,13 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
     read) when one is given and starts cold otherwise, or when warm.x is not
     finite or too far outside the region for a strictly interior slack in
     floating point; a warm-started solve that ends other than optimal, or
-    whose certification raises ProjectionError (its iterations then count
-    as 0), is repeated once from the cold start, and the solution reports
-    the iterations of both.  When the curvature model is zero and the solve
-    diverges toward an unbounded ray, it is solved once more with H = tik I,
-    tik = 1e-6 (1 + ||c||), centred at x_ref like its own curvature; that
-    solution is flagged ``regularized``, certified on the regularized
-    subproblem and reports the iterations of every attempt.
+    whose certification raises ProjectionError, is repeated once from the
+    cold start, and the solution reports the iterations of both.  When the
+    curvature model is zero and the solve diverges toward an unbounded ray,
+    it is solved once more with H = tik I, tik = 1e-6 (1 + ||c||), centred at
+    x_ref like its own curvature; that solution is flagged ``regularized``,
+    certified on the regularized subproblem and reports the iterations of
+    every attempt.
     opts.tikhonov_retry = False returns the raw verdict.  Data with a nan or
     inf entry (fixed None), a cold start whose KKT system cannot be solved,
     and a certification projection of the cold start that verifies no point
@@ -813,10 +791,10 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
                                SolveStatus.INFEASIBLE, 0, opts.tol)
         try:
             sol = _ipm(sp, opts, warm, fixed)
-        except ProjectionError:
+        except ProjectionError as err:
             if warm is None:
                 raise
-            sol = _unsolved(sp, fixed)
+            sol = _unsolved(sp, fixed, getattr(err, "iterations", 0))
         if warm is not None and sol.status is not SolveStatus.OPTIMAL:
             # rescue: an iteration warm-started far outside the region can stall
             # into a false verdict; the cold start does not depend on warm

@@ -53,8 +53,8 @@ from functools import cached_property
 from typing import Any, NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgelsy, dgelsy_lwork
 from scipy.optimize import brentq, nnls
 
 from .errors import DimensionError, ProjectionError, UsageError
@@ -548,13 +548,19 @@ def _verify_projection(region, v, cand, scale):
 
 def _min_norm_lstsq(M, rhs):
     """Minimum-norm least-squares solution of M z = rhs by complete orthogonal
-    factorization (gelsy), with numpy's rank cutoff eps * max(M.shape); None
-    when M or rhs is not finite."""
+    factorization, with numpy's rank cutoff eps * max(M.shape); None when M or
+    rhs is not finite.  LAPACK's gelsy is called as scipy.linalg.lstsq calls it
+    (its workspace query, zeros for an empty M), so the two give the same bits."""
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
         return None
-    z, *_ = scipy.linalg.lstsq(M, rhs, cond=np.finfo(float).eps * max(M.shape),
-                               check_finite=False, lapack_driver="gelsy")
-    return z
+    m, n = M.shape
+    if m == 0 or n == 0:
+        return np.zeros(n)
+    cond = np.finfo(float).eps * max(m, n)
+    lwork = int(dgelsy_lwork(m, n, 1, cond)[0])
+    b = np.zeros(max(m, n))  # gelsy writes the n-vector z over rhs
+    b[:m] = rhs
+    return dgelsy(M, b, np.zeros(n, dtype=np.int32), cond, lwork)[1][:n]
 
 
 class _FixedRows(NamedTuple):

@@ -1,5 +1,7 @@
 """Tank cascade benchmark: dynamics, terminal set, problem assembly."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_discrete_are
 
+from scptrack import JacobianStrategy, TrackerConfig, track
+from scptrack import cascade as cascade_module
 from scptrack.cascade import (
     CascadeConfig,
     CascadeDynamics,
@@ -16,6 +20,7 @@ from scptrack.cascade import (
     cascade_weights,
     control_slice,
     rk4_step,
+    rk4_step_adjoint,
     rk4_step_with_tangents,
     state_slice,
     steady_primal,
@@ -105,6 +110,12 @@ def test_rk4_tangents_match_finite_differences():
     )
     assert np.max(np.abs(A - A_fd)) <= 1e-6
     assert np.max(np.abs(B - B_fd)) <= 1e-6
+    # the reverse sweep is the transposed tangent
+    lam = np.array([0.4, -1.1, 0.7])
+    w2, s_bar, u_bar = rk4_step_adjoint(dyn, w0, u, lam, cfg.dt, cfg.n_substeps)
+    np.testing.assert_array_equal(w2, w1)
+    np.testing.assert_allclose(s_bar, lam @ A, atol=1e-14)
+    np.testing.assert_allclose(u_bar, lam @ B, atol=1e-14)
 
 
 def test_weights_recipe():
@@ -249,6 +260,89 @@ def test_batched_tangents_equal_stacked_intervals():
         np.testing.assert_array_equal(w[i], w_i)
         np.testing.assert_array_equal(A[i], A_i)
         np.testing.assert_array_equal(B[i], B_i)
+
+
+def _count_passes(monkeypatch):
+    """The list that gets one entry per forward pass (``_rk4_stages``) from now on."""
+    passes = []
+    stages = cascade_module._rk4_stages
+
+    def counted(*args):
+        passes.append(None)
+        return stages(*args)
+
+    monkeypatch.setattr(cascade_module, "_rk4_stages", counted)
+    return passes
+
+
+def test_one_point_is_integrated_once_for_g_its_jacobian_and_its_adjoint(monkeypatch):
+    # in any order, and whatever point came before, g, g_jac and g_adjoint at
+    # x share one forward pass and return the same bytes as each alone
+    cfg, steady = _default()
+    problem = cascade_problem(cfg, steady)
+    rng = np.random.default_rng(37)
+    x = steady_primal(cfg, steady) + rng.normal(size=problem.n) * 0.05
+    y = rng.normal(size=problem.m)
+    other = steady_primal(cfg, steady)
+    evals = {"g": lambda: problem.g(x), "g_jac": lambda: problem.g_jac(x),
+             "g_adjoint": lambda: problem.g_adjoint(x, y)}
+    want = {}
+    for name, evaluate in evals.items():
+        problem.g(other)
+        want[name] = evaluate().tobytes()
+    passes = _count_passes(monkeypatch)
+    for order in itertools.permutations(evals):
+        problem.g(other)
+        del passes[:]
+        assert [evals[name]().tobytes() for name in order] == [want[name] for name in order]
+        assert len(passes) == 1
+    # a point that differs in any one node or control coordinate, or only in
+    # the sign of a zero, is integrated afresh; the objective slack is not read
+    for i in range(cfg.n_x):
+        near = np.array(x)
+        near[i] = np.nextafter(x[i], np.inf)
+        problem.g(x)
+        del passes[:]
+        problem.g_jac(near)
+        assert len(passes) == 1, i
+    zero, signed = np.array(x), np.array(x)
+    zero[control_slice(cfg, 3)] = 0.0
+    signed[control_slice(cfg, 3)] = -0.0
+    del passes[:]
+    for point in (zero, signed, zero):
+        problem.g_adjoint(point, y)
+    assert len(passes) == 3
+    slack = np.array(x)
+    slack[-1] += 1.0
+    assert problem.g(slack).tobytes() == problem.g(x).tobytes()
+    assert len(passes) == 4
+
+
+@pytest.mark.parametrize("variant, jacobian, size", [("apcscp", "frozen", (3, 8)),
+                                                     ("pcscp", "exact", (8, 24))])
+def test_a_track_integrates_each_point_once(monkeypatch, variant, jacobian, size):
+    # the frozen loop evaluates g, the adjoint and the record's g_jac at each
+    # new iterate, the exact loop g and g_jac: one forward pass per iterate
+    cfg = CascadeConfig(n_tanks=size[0], horizon=size[1])
+    steady = steady_state(cfg, 1.0)
+    problem = cascade_problem(cfg, steady)
+    points = []
+
+    def logged(fn):
+        def wrapped(x, *rest):
+            points.append(x[: cfg.n_x].tobytes())
+            return fn(x, *rest)
+        return wrapped
+
+    problem = dataclasses.replace(problem, g=logged(problem.g), g_jac=logged(problem.g_jac),
+                                  g_adjoint=logged(problem.g_adjoint))
+    passes = _count_passes(monkeypatch)
+    schedule = [steady[0] * (1.0 + 0.02 * k) for k in range(6)]
+    config = TrackerConfig(variant=variant, jacobian=JacobianStrategy(jacobian))
+    trace = track(problem, schedule, steady_start(cfg, steady), config)
+    assert not trace.aborted and len(trace.records) == 1 + len(schedule)
+    # the start and one iterate per sample
+    assert len(passes) == len(set(points)) == 1 + len(schedule)
 
 
 def test_problem_has_first_order_model_only():

@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-from scipy.linalg.lapack import dgecon
 
 from conftest import feasible_samples, random_subproblem
 from scptrack import (
@@ -30,7 +29,6 @@ from scptrack.ipm import (
     _Cones,
     _NullSpaceKKT,
     _bands,
-    _inverse_norm1,
     _Scaling,
     _lu_presolve,
     _polish_duals,
@@ -508,9 +506,10 @@ def test_presolve_keeps_the_spectral_norm_rule_rows():
     assert banded == {A.shape[0] - 1, A.shape[0]}
     for empty in (np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 3))):
         assert _presolve_equalities(empty).kept.size == 0
-    # small integer matrices, full of exact ties, where the condition estimate
-    # of the LU path can read low by a factor 2-3 (the first one: 1.17 against
-    # ||S^-1||_1 = 3); the rule's factor 1000 of margin keeps the QR's rows
+    # small integer matrices, full of exact ties, where a condition estimate
+    # can read low by a factor 2-3 (Hager's method read 1.17 on the first one,
+    # against ||S^-1||_1 = 3); the rule's factor 1000 of margin keeps the QR's
+    # rows, and the LU path is taken exactly when the rows are independent
     rng = np.random.default_rng(29)
     tied = [np.array([[0.0, 0.0, -1.0, 1.0], [-1.0, -1.0, -1.0, 1.0]])]
     for _ in range(2000):
@@ -519,6 +518,8 @@ def test_presolve_keeps_the_spectral_norm_rule_rows():
     for A in tied:
         fixed = _presolve_equalities(A)
         np.testing.assert_array_equal(fixed.kept, _spectral_rule(A)[0])
+        independent = A.shape[0] <= A.shape[1] and np.linalg.matrix_rank(A) == A.shape[0]
+        assert (_storage(fixed.aplus) != "qr") == independent
         eye = np.eye(fixed.kept.size)
         assert all(np.abs(fixed.A @ (fixed.aplus @ c) - c).max() <= 1e-12 for c in eye)
 
@@ -697,11 +698,11 @@ def test_band_presolve_matches_the_dense_references(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(_BAND_CASES) + ["cascade-3x8", "cascade-8x24"])
 def test_the_condition_estimate_is_gecons_on_either_storage(monkeypatch, name):
-    # on dense storage, 1 / _inverse_norm1 is LAPACK gecon's rcond of the
-    # completed factor of S = [A' | E_N] (these A have no ties for the
-    # estimator's largest entry); band storage factors the same S, so its
-    # estimate is the same.  The estimate is at most ||S^-1||_1, which is at
-    # least ||A_B^-T||_1: the rank proof of _lu_presolve
+    # 1 / rcond is LAPACK's estimate of ||S^-1||_1 for the completed factor of
+    # S = [A' | E_N], gecon's on dense storage and gbcon's on band storage;
+    # both factor the same S, and these A have no ties for the estimator's
+    # largest entry, so the two agree.  Either is at most ||S^-1||_1, which
+    # is at least ||A_B^-T||_1: the rank proof of _lu_presolve
     if name.startswith("cascade"):
         A = _cascade_jacobian(*map(int, name.split("-")[1].split("x")))
     else:
@@ -712,17 +713,14 @@ def test_the_condition_estimate_is_gecons_on_either_storage(monkeypatch, name):
     for storage in ("band", "dense"):
         _force_path(monkeypatch, storage)
         lus[storage] = _presolve_equalities(A).aplus.lu
-    est = {storage: _inverse_norm1(lu.solve, n) for storage, lu in lus.items()}
-    rcond, info = dgecon(lus["dense"].factor, 1.0)
-    assert info == 0
-    _close(1.0 / est["dense"], rcond, 1e-12)
+    est = {storage: 1.0 / lu.rcond() for storage, lu in lus.items()}
     _close(est["band"], est["dense"], 1e-12)
     rows = _pivot_rows(lus["dense"].ipiv, n)  # B, then N in the order of S's unit columns
     S = np.zeros((n, n))
     S[:, :m] = A.T
     S[rows[m:], np.arange(m, n)] = 1.0
     norm = np.linalg.norm(np.linalg.inv(S), 1)
-    assert est["dense"] <= norm * (1.0 + 1e-12)
+    assert max(est.values()) <= norm * (1.0 + 1e-12)
     assert np.linalg.norm(np.linalg.inv(A[:, rows[:m]]).T, 1) <= norm * (1.0 + 1e-12)
 
 
@@ -959,6 +957,41 @@ def test_singular_reduced_hessian_takes_the_shift(monkeypatch):
     assert 1e-12 in shifts
 
 
+def test_the_reduced_hessian_lu_is_scipys_to_the_bit():
+    # dgetrf and dgetrs, called directly, give scipy.linalg.lu_factor's factor
+    # and lu_solve's step byte for byte: on a regular reduced Hessian, and on
+    # the exactly singular one above, where lu_factor warns and the 1e-12
+    # shift fires
+    rng = np.random.default_rng(67)
+    region = _mixed_region(rng, 7)
+    G, _, _, cones = assemble_cones(region)
+    B = rng.normal(size=(7, 7))
+    W = _Scaling(cones, _interior(cones, rng), _interior(cones, rng))
+    regular = (0.1 * B @ B.T, G, _presolve_equalities(rng.normal(size=(3, 7))), W, 0.0)
+    box = ConvexRegion(lower=[0.0, -1.0, -np.inf], upper=[1.0, 1.0, np.inf])
+    G, _, _, cones = assemble_cones(box)
+    W = _Scaling(cones, np.ones(cones.dim), np.ones(cones.dim))
+    singular = (None, G, _presolve_equalities(np.zeros((0, 3))), W, 1e-12)
+    for P, G, fixed, W, shift in (regular, singular):
+        kkt = _NullSpaceKKT(P, G, fixed)
+        assert kkt.factor(W) == shift
+        Hr = kkt.reduced_hessian(W)
+        if shift:
+            with pytest.warns(scipy.linalg.LinAlgWarning):
+                scipy.linalg.lu_factor(Hr)
+            Hr = Hr + shift * max(1.0, np.abs(Hr).max()) * np.eye(len(Hr))
+        lu, piv = scipy.linalg.lu_factor(Hr)
+        assert kkt.lu[0].tobytes() == lu.tobytes() and kkt.lu[1].tobytes() == piv.tobytes()
+        n, m = fixed.Z.shape[0], fixed.kept.size
+        rx, ry, rz, rc = (rng.normal(size=k) for k in (n, m, G.shape[0], G.shape[0]))
+        part = xp, gxp, t = kkt.particular(rx, ry)
+        rzc = rz + rc
+        w = scipy.linalg.lu_solve((lu, piv), t - kkt.GZ.T @ W.mul_winv2(gxp + rzc))
+        gdx = gxp + kkt.GZ @ w
+        want = (xp + fixed.Z @ w, W.mul_winv2(gdx + rzc), -rz - gdx)
+        assert [v.tobytes() for v in kkt.solve(part, rz, rc)] == [v.tobytes() for v in want]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_data_return_max_iter(bad):
     region = ConvexRegion(lower=-np.ones(3), upper=np.ones(3))
@@ -1026,11 +1059,14 @@ def test_a_projection_error_in_the_warm_attempt_takes_the_cold_retry(monkeypatch
             raise ProjectionError("no verified projection")
         return project(region, v)
 
+    # the warm solve's first certification is its last, so the attempt that
+    # raises there has run as many iterations as the warm solve; both count
     sp, warm = _tracked_subproblem("tutorial")
-    cold = solve_subproblem(sp)
+    cold, warm_only = solve_subproblem(sp), solve_subproblem(sp, warm=warm)
     monkeypatch.setattr(ipm_module, "project_region", failing_first)
     sol = solve_subproblem(sp, warm=warm)
-    assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+    assert len(calls) > 1 and warm_only.iterations == 14
+    assert (sol.status, sol.iterations) == (cold.status, warm_only.iterations + cold.iterations)
     assert sol.x.tobytes() == cold.x.tobytes()
 
 

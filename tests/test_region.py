@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from scipy.optimize import minimize, root
 
@@ -553,6 +554,21 @@ def test_newton_kernel_rejects_non_finite_systems():
         # the least-squares kernel itself, on a non-finite matrix or rhs
         for M, rhs in ((np.diag([1.0, bad, 1.0]), np.ones(3)), (np.eye(3), np.array([bad, 1.0, 1.0]))):
             assert _min_norm_lstsq(M, rhs) is None
+
+
+def test_the_least_squares_kernel_is_scipys_gelsy_to_the_bit():
+    # gelsy called directly, on regular, rank-deficient, wide, tall and empty
+    # systems, gives scipy.linalg.lstsq's gelsy solution byte for byte
+    rng = np.random.default_rng(43)
+    low = rng.normal(size=(7, 3)) @ rng.normal(size=(3, 5))
+    systems = [rng.normal(size=(5, 5)), rng.normal(size=(8, 4)), rng.normal(size=(3, 9)),
+               low, low.T, np.zeros((4, 6)), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))]
+    for M in systems:
+        rhs = rng.normal(size=M.shape[0])
+        want, *_ = scipy.linalg.lstsq(M, rhs, cond=np.finfo(float).eps * max(M.shape),
+                                      lapack_driver="gelsy")
+        got = _min_norm_lstsq(M, rhs)
+        assert got.shape == (M.shape[1],) and got.tobytes() == want.tobytes(), M.shape
 
 
 def _fixed_kkt_case(rng, n, A, H, box):
