@@ -232,19 +232,6 @@ def rk4_step_with_tangents(f, s, u, dt, n_substeps=4):
     return (w,) + _tangents(f, f.linearize(np.array(stages)), w.shape, u.shape[-1], dt / n_substeps)
 
 
-def rk4_step_adjoint(f, s, u, lam, dt, n_substeps=4):
-    """Reverse sweep: (w_next, lam.dw_next/ds, lam.dw_next/du).
-
-    Batched like rk4_step_with_tangents, with lam shaped like s.  The
-    forward pass keeps its stage states and the sweep runs back through
-    them with f.cotangent, so the cost is a small multiple of one
-    integration and no tangent matrix is formed.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    w, stages = _rk4_stages(f, s, u, dt, n_substeps)
-    return (w,) + _cotangents(f, f.linearize(np.array(stages)), lam, dt / n_substeps)
-
-
 def steady_state(cfg, u_s):
     """Levels that pass a constant inflow u_s through every tank."""
     u = float(u_s)

@@ -60,19 +60,20 @@ equality and region distance within tol); every other end of the loop is
 ``max_iter``.  The loop decides only ``unbounded`` (a diverging objective or
 x) and ``infeasible`` (a diverging sum |z|, or a stall above
 ``_STALL_PRES``); ``solve_subproblem`` decides dropped equality rows that
-disagree with the kept ones as ``infeasible`` once, before any attempt.  The
-dual refit's y is certified first; the interior point's fitted y is
-projected only when the refit's residual exceeds 10 tol.  The rescue paths
-that remain all fire in the test suite: the dual refit, the primal polish
-(the working-set solve of ``region``), the cold retry of a warm start that
-ends other than optimal, the tikhonov retry and the 1e-12 shift of a
-singular reduced Hessian.  The two certification rescues reuse the
-presolve's value, so neither solves a system that stacks the equality rows
-(``_polish_duals``, ``_primal_polish``).  A certification projection that
-verifies no point raises ``ProjectionError``: a warm attempt then goes to
-the cold retry, and a cold one returns max_iter with no iterate.  Regions
-with no cone at all are solved as an equality-constrained QP on the same
-null space.
+disagree with the kept ones as ``infeasible`` once, before any attempt.
+``_finish`` certifies one multiplier candidate, with one projection: the dual
+refit's y when the refit gives one, else the interior point's fitted y.  A
+stationarity above 10 tol goes to the primal polish, whose pair is kept when
+its stationarity is lower.  The rescue paths that remain all fire in the
+test suite: the dual refit, the primal polish (the working-set solve of
+``region``), the cold retry of a warm start that ends other than optimal,
+the tikhonov retry and the 1e-12 shift of a singular reduced Hessian.  The
+two certification rescues reuse the presolve's value, so neither solves a
+system that stacks the equality rows (``_polish_duals``, ``_primal_polish``).
+A certification projection that verifies no point raises ``ProjectionError``:
+a warm attempt then goes to the cold retry, and a cold one returns max_iter
+with no iterate.  Regions with no cone at all are solved as an
+equality-constrained QP on the same null space.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgecon, dgeqrf, dgetrf, dgetrs, dorgqr
 
 from .errors import ProjectionError
+from .problem import KKTResidual
 from .region import (
     _active_normals,
     _FixedRows,
@@ -93,12 +95,7 @@ from .region import (
     _working_set_solve,
     project_region,
 )
-from .subproblem import (
-    SolveStatus,
-    SolverOptions,
-    SubproblemResiduals,
-    SubproblemSolution,
-)
+from .subproblem import SolveStatus, SolverOptions, SubproblemSolution
 
 # older SciPy releases, which pyproject.toml allows, lack gbcon: dense storage only
 dgbcon = getattr(scipy.linalg.lapack, "dgbcon", None)
@@ -572,26 +569,24 @@ def _primal_polish(sp, x, fixed):
                               1e-12 * scale)
 
 
-def _finish(sp, x, y, fixed, s, z, verdict, iters, tol):
-    """The solution at (x, y), and the only place that decides ``optimal``: with no
-    verdict, refit, polish and return ``optimal`` within the contract, else
-    ``max_iter``.  A verdict keeps its status, with the residuals of (x, y) alone.
-    A ProjectionError of a certification projection carries iters as ``iterations``."""
+def _finish(sp, x, y, fixed, verdict, iters, tol):
+    """The solution at (x, y), and the only place that decides ``optimal``.
+
+    With no verdict, one multiplier candidate is certified: the dual refit's y
+    when ``_polish_duals`` gives one, else the given y, the interior point's fit.
+    A stationarity above 10 tol goes to the primal polish, whose pair is kept
+    when its stationarity is lower; the result is ``optimal`` within the
+    contract, else ``max_iter``.  A verdict keeps its status, with the residuals
+    of (x, y) alone.  A ProjectionError of a certification projection carries
+    iters as ``iterations``."""
     try:
         grad0 = sp.gradient(x)
         rescue = verdict is None
-        # rescue: conic duals of constraints on zero rows of G lag behind x, so the refit
-        # goes first.  Within 10 tol no later step (polish, status) tells its y apart; past
-        # that, the interior point's y is projected too and the smaller residual is kept
-        y2 = _polish_duals(sp, x, grad0, fixed) if rescue else None
-        stat = stat2 = np.inf
-        if y2 is not None:
-            stat2 = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y2))))
-        if not stat2 <= 10.0 * tol:
-            stat = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y))))
-        if stat2 < stat:
-            y, stat = y2, stat2
-        dist = None
+        # rescue: conic duals of constraints on zero rows of G lag behind x
+        refit = _polish_duals(sp, x, grad0, fixed) if rescue else None
+        if refit is not None:
+            y = refit
+        stat = float(np.linalg.norm(x - project_region(sp.region, x - (grad0 + sp.A_eq.T @ y))))
         if stat > 10.0 * tol and rescue:
             # rescue: an x only sqrt(mu)-accurate because a curved member is active
             pol = _primal_polish(sp, x, fixed)
@@ -599,23 +594,17 @@ def _finish(sp, x, y, fixed, s, z, verdict, iters, tol):
                 x3, y3 = pol
                 grad3 = sp.gradient(x3) + sp.A_eq.T @ y3
                 stat3 = float(np.linalg.norm(x3 - project_region(sp.region, x3 - grad3)))
-                dist3 = float(np.linalg.norm(x3 - project_region(sp.region, x3)))
-                if stat3 < stat and dist3 <= tol:
-                    x, y, stat, dist = x3, y3, stat3, dist3
+                if stat3 < stat:
+                    x, y, stat = x3, y3, stat3
         eq = float(np.linalg.norm(sp.A_eq @ (x - sp.x_ref) + sp.b_eq))
-        if dist is None:
-            dist = float(np.linalg.norm(x - project_region(sp.region, x)))
+        dist = float(np.linalg.norm(x - project_region(sp.region, x)))
     except ProjectionError as err:
         err.iterations = iters  # for the cold retry of a warm attempt to count
         raise
-    gap = float(s @ z) if s is not None else 0.0
-    # the internal conic gap is reported but never gated on: natural-map
-    # stationarity of the returned (x, y) already certifies complementarity,
-    # while s.z can stall above tol when a cone is active at the solution
     within = stat <= 10.0 * tol and eq <= tol and dist <= tol
     status = verdict or (SolveStatus.OPTIMAL if within else SolveStatus.MAX_ITER)
     return SubproblemSolution(x=x, y=y, status=status, iterations=iters,
-                              residuals=SubproblemResiduals(stat, eq, dist, gap), fixed=fixed)
+                              residuals=KKTResidual(stat, eq, dist), fixed=fixed)
 
 
 def _solve_no_cones(sp, fixed, b, tol):
@@ -630,10 +619,9 @@ def _solve_no_cones(sp, fixed, b, tol):
         lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0)
         null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
         if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
-            return _finish(sp, x_ls, np.zeros(sp.m), fixed, None, None,
-                           SolveStatus.UNBOUNDED, 0, tol)
+            return _finish(sp, x_ls, np.zeros(sp.m), fixed, SolveStatus.UNBOUNDED, 0, tol)
         x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, fixed.fit(P @ x + q), fixed, None, None, None, 0, tol)
+    return _finish(sp, x, fixed.fit(P @ x + q), fixed, None, 0, tol)
 
 
 def _ipm(sp, opts, warm, fixed):
@@ -698,7 +686,7 @@ def _ipm(sp, opts, warm, fixed):
         # the natural-map residuals of the (x, y) pair that is actually returned
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol):
-            sol = _finish(sp, x, fixed.fit(rx), fixed, s, z, None, it, opts.tol)
+            sol = _finish(sp, x, fixed.fit(rx), fixed, None, it, opts.tol)
             if sol.status is SolveStatus.OPTIMAL:
                 return sol
 
@@ -743,13 +731,13 @@ def _ipm(sp, opts, warm, fixed):
             break
 
     y = fixed.fit((q if P is None else P @ x + q) + Gt @ z)
-    return _finish(sp, x, y, fixed, s, z, verdict, it, opts.tol)
+    return _finish(sp, x, y, fixed, verdict, it, opts.tol)
 
 
 def _unsolved(sp, fixed=None, iterations=0):
     """No certified point: max_iter at x_ref, residuals infinite."""
     return SubproblemSolution(np.array(sp.x_ref), np.zeros(sp.m), SolveStatus.MAX_ITER,
-                              iterations, SubproblemResiduals(*[np.inf] * 4), fixed=fixed)
+                              iterations, KKTResidual(np.inf, np.inf, np.inf), fixed=fixed)
 
 
 def solve_subproblem(sp, opts=None, warm=None, fixed=None):
@@ -787,8 +775,7 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
             b_all = sp.A_eq @ sp.x_ref - sp.b_eq
             x_ls = fixed.aplus @ b_all[fixed.kept]
             if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
-                return _finish(sp, x_ls, np.zeros(sp.m), fixed, None, None,
-                               SolveStatus.INFEASIBLE, 0, opts.tol)
+                return _finish(sp, x_ls, np.zeros(sp.m), fixed, SolveStatus.INFEASIBLE, 0, opts.tol)
         try:
             sol = _ipm(sp, opts, warm, fixed)
         except ProjectionError as err:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .problem import checked_output
+from .problem import KKTResidual, checked_output
 from .region import ConvexRegion
 
 
@@ -76,21 +76,8 @@ class ConvexSubproblem:
         return float(self.c @ x + self.m_corr @ dx + 0.5 * dx @ self.H @ dx)
 
 
-@dataclass(frozen=True)
-class SubproblemResiduals:
-    """Residuals of a returned solution.  comp_gap is s.z of the last
-    interior-point iterate, even when x and y came from a polish: total
-    counts it, the optimal status does not, so an optimal total can sit
-    above tol."""
-
-    stationarity: float
-    equality: float
-    region_distance: float
-    comp_gap: float
-
-    @property
-    def total(self):
-        return max(self.stationarity, self.equality, self.region_distance, self.comp_gap)
+# a solution's residuals are the natural-map KKT residuals of its (x, y)
+SubproblemResiduals = KKTResidual
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +89,7 @@ class SubproblemSolution:
     y: np.ndarray
     status: SolveStatus
     iterations: int
-    residuals: SubproblemResiduals
+    residuals: KKTResidual
     regularized: bool = False
     fixed: object = field(default=None, repr=False)
 

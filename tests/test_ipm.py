@@ -260,13 +260,14 @@ def test_iteration_budget_is_respected():
     opts = SolverOptions(max_iter=1, tikhonov_retry=False)
     sol = solve_subproblem(sp, opts)
     assert sol.iterations <= 1
-    # a spent budget is max_iter unless the returned pair is certified: the
-    # conic gap is reported, not gated, so the contract is on the other three
+    # a spent budget is max_iter unless the returned pair is certified, and a
+    # certified pair reports the residuals it was certified on
     assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER)
     res = sol.residuals
     if sol.status is SolveStatus.OPTIMAL:
         assert res.stationarity <= 10.0 * opts.tol
         assert max(res.equality, res.region_distance) <= opts.tol
+        assert res.total <= 10.0 * opts.tol
 
 
 def _assemble_rows_reference(region):
@@ -426,7 +427,7 @@ def _finish_with_spy(monkeypatch, sp, x, y, opts):
 
     monkeypatch.setattr(ipm_module, "project_region", spy)
     fixed = _presolve_equalities(sp.A_eq)
-    sol = ipm_module._finish(sp, x, y, fixed, None, None, None, 1, opts.tol)
+    sol = ipm_module._finish(sp, x, y, fixed, None, 1, opts.tol)
     return sol, seen
 
 
@@ -450,36 +451,45 @@ def test_dual_refit_within_ten_tol_skips_the_interior_point_projection(monkeypat
     np.testing.assert_array_equal(seen[1], x)
 
 
-@pytest.mark.parametrize("case", ["refit-none", "refit-worse"])
-def test_interior_point_y_is_kept_when_the_refit_falls_short(monkeypatch, case):
-    if case == "refit-none":
-        # no equality row and no active normal: there is nothing to refit
-        region = ConvexRegion(np.zeros(2), np.ones(2))
-        sp = _plain(np.array([-0.5, -0.25]), region, H=np.eye(2))
-        x, y_ipm, opts = np.array([0.5, 0.25]), np.zeros(0), SolverOptions()
-        assert _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(sp.A_eq)) is None
-    else:
-        # x_0 sits 2e-6 above its active lower bound, beyond the refit's 1e-7
-        # active test: the refit misses that normal and smears its multiplier
-        # into y, while the interior point's y = -1 is exact
-        region = ConvexRegion([0.0, -np.inf, -np.inf], np.full(3, np.inf))
-        x, A = np.array([2e-6, 0.3, 0.4]), np.array([[1.0, 1.0, 0.0]])
-        sp = _plain(np.array([2.0, 1.0, 0.0]), region, A=A, b=-(A @ x))
-        y_ipm, opts = np.array([-1.0]), SolverOptions(tol=1e-6)
-        y_refit = _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(A))
-        assert _natural_map(sp, x, sp.gradient(x) + A.T @ y_refit) > 10.0 * opts.tol
-    stat = float(_natural_map(sp, x, sp.gradient(x) + sp.A_eq.T @ y_ipm))
-    assert stat <= 10.0 * opts.tol
+def test_interior_point_y_is_certified_when_there_is_no_refit(monkeypatch):
+    # no equality row and no active normal: there is nothing to refit
+    region = ConvexRegion(np.zeros(2), np.ones(2))
+    sp = _plain(np.array([-0.5, -0.25]), region, H=np.eye(2))
+    x, y_ipm, opts = np.array([0.5, 0.25]), np.zeros(0), SolverOptions()
+    assert _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(sp.A_eq)) is None
     sol, seen = _finish_with_spy(monkeypatch, sp, x, y_ipm, opts)
     assert sol.status is SolveStatus.OPTIMAL
     np.testing.assert_array_equal(sol.x, x)
     np.testing.assert_array_equal(sol.y, y_ipm)
-    assert sol.residuals.stationarity == stat
-    # the interior point's y, the region distance and, when there is a refit,
-    # the refit's natural map
-    assert len(seen) == (2 if case == "refit-none" else 3)
-    ipm_point = x - (sp.gradient(x) + sp.A_eq.T @ y_ipm)
-    assert any(np.array_equal(v, ipm_point) for v in seen)
+    assert sol.residuals.stationarity == _natural_map(sp, x, sp.gradient(x))
+    # the interior point's natural map and the region distance
+    assert len(seen) == 2
+    np.testing.assert_array_equal(seen[0], x - sp.gradient(x))
+    np.testing.assert_array_equal(seen[1], x)
+
+
+def test_a_refit_that_falls_short_goes_to_the_primal_polish(monkeypatch):
+    # x_0 sits 2e-6 above its active lower bound, beyond the refit's 1e-7
+    # active test: the refit misses that normal and smears its multiplier into
+    # y.  That y is the one candidate (the interior point's y = -1, within
+    # 10 tol, is not projected), so the polish runs and certifies x_0 on its
+    # bound; the curvature centred at x gives its Newton step a unique answer
+    region = ConvexRegion([0.0, -np.inf, -np.inf], np.full(3, np.inf))
+    x, A = np.array([2e-6, 0.3, 0.4]), np.array([[1.0, 1.0, 0.0]])
+    sp = _plain(np.array([2.0, 1.0, 0.0]), region, H=np.eye(3), A=A, b=np.zeros(1), x_ref=x)
+    y_ipm, opts = np.array([-1.0]), SolverOptions(tol=1e-6)
+    y_refit = _polish_duals(sp, x, sp.gradient(x), _presolve_equalities(A))
+    assert _natural_map(sp, x, sp.gradient(x) + A.T @ y_refit) > 10.0 * opts.tol
+    assert _natural_map(sp, x, sp.gradient(x) + A.T @ y_ipm) <= 10.0 * opts.tol
+    sol, seen = _finish_with_spy(monkeypatch, sp, x, y_ipm, opts)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert abs(sol.x[0]) <= 1e-15  # on its bound to rounding
+    assert sol.residuals.total <= 10.0 * opts.tol
+    # the refit's natural map, the polished pair's and the region distance
+    assert len(seen) == 3
+    np.testing.assert_array_equal(seen[0], x - (sp.gradient(x) + A.T @ y_refit))
+    np.testing.assert_array_equal(seen[2], sol.x)
+    assert not any(np.array_equal(v, x - (sp.gradient(x) + A.T @ y_ipm)) for v in seen)
 
 
 def _spectral_rule(A):

@@ -127,7 +127,9 @@ def test_correction_enters_gradient_not_equality():
 
 
 def test_residual_total_is_worst_component():
-    r = SubproblemResiduals(1e-9, 3e-8, 2e-9, 5e-10)
+    # a solution reports the subproblem's natural-map KKT residual
+    assert SubproblemResiduals is scptrack.KKTResidual
+    r = SubproblemResiduals(1e-9, 3e-8, 2e-9)
     assert r.total == pytest.approx(3e-8)
 
 

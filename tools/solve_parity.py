@@ -10,18 +10,23 @@ with this file loaded as a pytest plugin (``-p solve_parity``).  The plugin
 wraps ``scptrack.ipm._ipm`` through ``*args``, so it logs every attempt
 whatever its arity, and writes one JSON line per test that runs and one per
 call: the test id, the call's index within its test, the status, the
-iteration count, x and y, and a SHA-256 of the bytes of each (or the
-exception the call raised).
+iteration count, x and y, and a SHA-256 of the bytes of each, and the three
+natural-map residuals (``residuals.stationarity``, ``.equality`` and
+``.region_distance``, read by name, so a residual type with more fields logs
+the same three) as the exact hex form of each float (or the exception the
+call raised).
 
 The two logs are matched test by test.  Within a test the calls are aligned
 as sequences (``difflib``), so a call that one side makes and the other does
 not shows as that call alone, not as a shift of every later one.  The script
 prints each difference: a status or iteration count that differs, a call on
-one side only, x or y bytes that differ, and a test that runs on one side
-only (with its call count).  A line on x or y bytes gives the difference
+one side only, x or y bytes that differ, residuals that differ in a call
+whose status, iterations, x and y are identical, and a test that runs on one
+side only (with its call count).  A line on x or y bytes gives the difference
 as ||d||_inf / (1 + ||x_parent||_inf), and the last lines give the largest
 such difference of x and of y.  It exits 1 on a difference of the first two
-kinds; otherwise 0.  The suites' own pass/fail counts are printed too.
+kinds; otherwise 0, whatever else is listed.  The suites' own pass/fail
+counts are printed too.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from collections import defaultdict
 from pathlib import Path
 
 _LOG_ENV = "SOLVE_PARITY_LOG"
+_RESIDUALS = ("stationarity", "equality", "region_distance")
 _state = {"test": None, "index": 0, "log": None}
 
 
@@ -58,13 +64,15 @@ def pytest_configure(config):
         try:
             sol = inner(*args, **kwargs)
         except Exception as err:
-            entry.update(status=f"raised {type(err).__name__}", iterations=None, x=None, y=None)
+            entry.update(status=f"raised {type(err).__name__}", iterations=None, x=None, y=None,
+                         residuals=None)
             raise
         else:
             entry.update(status=sol.status.value, iterations=int(sol.iterations),
                          x=hashlib.sha256(sol.x.tobytes()).hexdigest(),
                          y=hashlib.sha256(sol.y.tobytes()).hexdigest(),
-                         x_values=sol.x.tolist(), y_values=sol.y.tolist())
+                         x_values=sol.x.tolist(), y_values=sol.y.tolist(),
+                         residuals={k: float(getattr(sol.residuals, k)).hex() for k in _RESIDUALS})
         finally:
             _state["log"].write(json.dumps(entry) + "\n")
         return sol
@@ -129,10 +137,21 @@ def _difference(ea, eb, key):
     return max((abs(u - v) for u, v in zip(a, b)), default=0.0) / scale
 
 
+def _residuals_line(test, ea, eb):
+    """The residuals of two calls that match in everything else, or None when equal."""
+    ra, rb = ea["residuals"], eb["residuals"]
+    if ra == rb:
+        return None
+    parts = [f"{k} {float.fromhex(ra[k]):.3e} -> {float.fromhex(rb[k]):.3e}"
+             for k in _RESIDUALS if ra[k] != rb[k]]
+    return f"{test}: {_describe(ea)} residuals only: {', '.join(parts)} (change call {eb['index']})"
+
+
 def compare(parent, change):
     """(lines that fail parity, lines that list other differences, identical call
     count, the largest difference of x and of y among calls that differ only in
-    their bytes)."""
+    their bytes).  A call identical in all but its residuals is listed, not
+    counted as identical."""
     failing, listed, same = [], [], 0
     worst = {"x": 0.0, "y": 0.0}
     for test in sorted(set(parent) | set(change), key=str):
@@ -146,7 +165,12 @@ def compare(parent, change):
         matcher = difflib.SequenceMatcher(None, keys_a, keys_b, autojunk=False)
         for op, i1, i2, j1, j2 in matcher.get_opcodes():
             if op == "equal":
-                same += i2 - i1
+                for ea, eb in zip(a[i1:i2], b[j1:j2]):
+                    line = _residuals_line(test, ea, eb)
+                    if line is None:
+                        same += 1
+                    else:
+                        listed.append(line)
                 continue
             if op == "replace" and i2 - i1 == j2 - j1:
                 for ea, eb in zip(a[i1:i2], b[j1:j2]):
@@ -191,7 +215,7 @@ def main(argv=None):
     failing, listed, same, worst = compare(parent, change)
     for line in failing + listed:
         print(line)
-    print(f"{same} calls identical in status, iterations and x and y bytes;"
+    print(f"{same} calls identical in status, iterations, x and y bytes and residuals;"
           f" {len(failing)} status, iteration or one-side call differences;"
           f" {len(listed)} other differences listed")
     print(f"largest difference of calls that differ only in their bytes, as"
