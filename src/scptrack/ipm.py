@@ -70,10 +70,16 @@ test suite: the dual refit, the primal polish (the working-set solve of
 the tikhonov retry and the 1e-12 shift of a singular reduced Hessian.  The
 two certification rescues reuse the presolve's value, so neither solves a
 system that stacks the equality rows (``_polish_duals``, ``_primal_polish``).
-A certification projection that verifies no point raises ``ProjectionError``:
-a warm attempt then goes to the cold retry, and a cold one returns max_iter
-with no iterate.  Regions with no cone at all are solved as an
-equality-constrained QP on the same null space.
+
+Every attempt returns a solution.  A step that is singular, divides by zero
+on a cone's boundary, or overflows or turns invalid in floating point
+(``np.errstate`` raises it) ends the loop.  A certification projection that
+verifies no point (``ProjectionError``) ends the attempt as max_iter at
+x_ref, with infinite residuals and the iterations it ran; a warm attempt
+then goes to the cold retry.  A region with no cone at all starts cold, and
+its cold-start step, on the null space at W = I, is the equality-constrained
+QP's solution; a step that does not certify ran along a descent direction
+with no curvature, and the attempt is ``unbounded`` at A+ b.
 """
 
 from __future__ import annotations
@@ -577,8 +583,9 @@ def _finish(sp, x, y, fixed, verdict, iters, tol):
     A stationarity above 10 tol goes to the primal polish, whose pair is kept
     when its stationarity is lower; the result is ``optimal`` within the
     contract, else ``max_iter``.  A verdict keeps its status, with the residuals
-    of (x, y) alone.  A ProjectionError of a certification projection carries
-    iters as ``iterations``."""
+    of (x, y) alone.  A certification projection that verifies no point
+    (ProjectionError) ends the attempt: max_iter at x_ref after iters
+    iterations, with infinite residuals (``_unsolved``)."""
     try:
         grad0 = sp.gradient(x)
         rescue = verdict is None
@@ -598,30 +605,12 @@ def _finish(sp, x, y, fixed, verdict, iters, tol):
                     x, y, stat = x3, y3, stat3
         eq = float(np.linalg.norm(sp.A_eq @ (x - sp.x_ref) + sp.b_eq))
         dist = float(np.linalg.norm(x - project_region(sp.region, x)))
-    except ProjectionError as err:
-        err.iterations = iters  # for the cold retry of a warm attempt to count
-        raise
+    except ProjectionError:
+        return _unsolved(sp, fixed, iters)
     within = stat <= 10.0 * tol and eq <= tol and dist <= tol
     status = verdict or (SolveStatus.OPTIMAL if within else SolveStatus.MAX_ITER)
     return SubproblemSolution(x=x, y=y, status=status, iterations=iters,
                               residuals=KKTResidual(stat, eq, dist), fixed=fixed)
-
-
-def _solve_no_cones(sp, fixed, b, tol):
-    """Equality-constrained QP on the null space, for regions without members."""
-    Z = fixed.Z
-    P, q = sp.H, sp.grad_const
-    x_ls = fixed.aplus @ b
-    Hr = Z.T @ P @ Z
-    gr = Z.T @ (P @ x_ls + q)
-    x = x_ls
-    if Hr.size:
-        lam, u = np.linalg.eigh((Hr + Hr.T) / 2.0)
-        null_mask = lam <= 1e-12 * max(1.0, abs(lam[-1]))
-        if np.any(null_mask) and np.linalg.norm((u[:, null_mask].T @ gr)) > 1e-10:
-            return _finish(sp, x_ls, np.zeros(sp.m), fixed, SolveStatus.UNBOUNDED, 0, tol)
-        x = x_ls - Z @ (u @ np.divide(u.T @ gr, lam, out=np.zeros_like(lam), where=~null_mask))
-    return _finish(sp, x, fixed.fit(P @ x + q), fixed, None, 0, tol)
 
 
 def _ipm(sp, opts, warm, fixed):
@@ -629,8 +618,7 @@ def _ipm(sp, opts, warm, fixed):
     A, b = fixed.A, (sp.A_eq @ sp.x_ref - sp.b_eq)[fixed.kept]
     G, Gt, h, cones = assemble_cones(sp.region)
     if cones.dim == 0:
-        # a region with no finite bound and no member leaves no cone to step in
-        return _solve_no_cones(sp, fixed, b, opts.tol)
+        warm = None  # no cone to step in: the cold-start step is the whole solve
     if not np.any(P):
         P = None  # zero curvature: every product with P is skipped
 
@@ -657,6 +645,15 @@ def _ipm(sp, opts, warm, fixed):
             x, zhat, _ = kkt.solve(kkt.particular(q, -b), -h)
         except np.linalg.LinAlgError:
             return _unsolved(sp, fixed)
+        if cones.dim == 0:
+            # the step minimises the QP on the null space of the equality rows,
+            # which are consistent; one that does not certify ran along a
+            # descent direction with no curvature
+            sol = _finish(sp, x, fixed.fit(q if P is None else P @ x + q), fixed, None, 0, opts.tol)
+            if sol.status is SolveStatus.OPTIMAL:
+                return sol
+            return _finish(sp, fixed.aplus @ b, np.zeros(sp.m), fixed, SolveStatus.UNBOUNDED, 0,
+                           opts.tol)
         s = -zhat
         ms = cones.margin(s)
         if ms <= 0.0:
@@ -687,7 +684,8 @@ def _ipm(sp, opts, warm, fixed):
         tol = opts.tol * 0.5
         if pres <= tol and (gap <= tol * max(1.0, abs(pobj)) or mu <= tol):
             sol = _finish(sp, x, fixed.fit(rx), fixed, None, it, opts.tol)
-            if sol.status is SolveStatus.OPTIMAL:
+            # certified, or a certification projection failed (infinite residuals)
+            if sol.status is SolveStatus.OPTIMAL or sol.residuals.total == np.inf:
                 return sol
 
         if pobj < _DIVERGE_OBJ * max(1.0, q_scale) or x @ x > 1e24:
@@ -697,31 +695,35 @@ def _ipm(sp, opts, warm, fixed):
             verdict = SolveStatus.INFEASIBLE
             break
 
-        W = _Scaling(cones, s, z)
-        lam = W.lam
         try:
-            kkt.factor(W)
-            part = kkt.particular(rx, ry)
+            # an overflowing or invalid step raises rather than warns
+            with np.errstate(over="raise", invalid="raise"):
+                W = _Scaling(cones, s, z)
+                lam = W.lam
+                kkt.factor(W)
+                part = kkt.particular(rx, ry)
 
-            # predictor: target zero complementarity, dlam = -lam
-            _, dz, ds = kkt.solve(part, rz, -W.mul_w(lam))
-            alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
-            gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
-            sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
+                # predictor: target zero complementarity, dlam = -lam
+                _, dz, ds = kkt.solve(part, rz, -W.mul_w(lam))
+                alpha_aff = min(cones.max_step(s, ds), cones.max_step(z, dz), 1.0)
+                gap_aff = float((s + alpha_aff * ds) @ (z + alpha_aff * dz))
+                sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
 
-            # corrector: recentre and compensate the affine cross term
-            corr = cones.prod(W.mul_winv(ds), W.mul_w(dz))  # (W^-1 ds) o (W dz)
-            rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
-            dlam = cones.inv_prod(lam, rhs_comp)
-            dx, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
-        except (np.linalg.LinAlgError, ZeroDivisionError):
-            # a singular reduced Hessian, or a scaled point lam that rounding
-            # puts on a cone's boundary, where lam o x = d is singular too
+                # corrector: recentre and compensate the affine cross term
+                corr = cones.prod(W.mul_winv(ds), W.mul_w(dz))  # (W^-1 ds) o (W dz)
+                rhs_comp = sigma * mu * e - cones.prod(lam, lam) - corr
+                dlam = cones.inv_prod(lam, rhs_comp)
+                dx, dz, ds = kkt.solve(part, rz, W.mul_w(dlam))
+
+                # no margin check follows: 0.99 of the way to the boundary keeps s
+                # and z interior (test_ipm.py::test_fraction_to_boundary_step_stays_interior)
+                alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
+        except (np.linalg.LinAlgError, ZeroDivisionError, FloatingPointError):
+            # a singular reduced Hessian, a scaled point lam that rounding puts
+            # on a cone's boundary, where lam o x = d is singular too, or a step
+            # that overflows on badly scaled data
             break
 
-        # no margin check follows: 0.99 of the way to the boundary keeps s and z
-        # interior (test_ipm.py::test_fraction_to_boundary_step_stays_interior)
-        alpha = min(1.0, _STEP_FRACTION * min(cones.max_step(s, ds), cones.max_step(z, dz)))
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz
@@ -748,21 +750,21 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
     built from this very matrix (``fixed.A is sp.A_eq``), else one built here.
     Dropped rows that disagree with the kept ones are ``infeasible`` with no
     attempt.
-    The iteration warm-starts from warm.x (warm a PrimalDual, whose y is not
-    read) when one is given and starts cold otherwise, or when warm.x is not
-    finite or too far outside the region for a strictly interior slack in
-    floating point; a warm-started solve that ends other than optimal, or
-    whose certification raises ProjectionError, is repeated once from the
-    cold start, and the solution reports the iterations of both.  When the
-    curvature model is zero and the solve diverges toward an unbounded ray,
-    it is solved once more with H = tik I, tik = 1e-6 (1 + ||c||), centred at
-    x_ref like its own curvature; that solution is flagged ``regularized``,
-    certified on the regularized subproblem and reports the iterations of
-    every attempt.
-    opts.tikhonov_retry = False returns the raw verdict.  Data with a nan or
-    inf entry (fixed None), a cold start whose KKT system cannot be solved,
-    and a certification projection of the cold start that verifies no point
-    (ProjectionError) return status max_iter with 0 iterations, x = x_ref,
+    Every attempt returns a solution, and the attempts form one ladder.  The
+    first warm-starts from warm.x (warm a PrimalDual, whose y is not read)
+    when one is given and starts cold otherwise, or when warm.x is not finite
+    or too far outside the region for a strictly interior slack in floating
+    point.  A warm-started attempt that ends other than optimal is repeated
+    once from the cold start.  When the curvature model is zero and the solve
+    diverges toward an unbounded ray, it is solved once more with
+    H = tik I, tik = 1e-6 (1 + ||c||), centred at x_ref like its own
+    curvature; that solution is flagged ``regularized`` and certified on the
+    regularized subproblem.  Each rung reports the iterations of every
+    attempt before it too.  opts.tikhonov_retry = False returns the raw
+    verdict.  An attempt whose certification projection verifies no point
+    (ProjectionError) ends as max_iter after the iterations it ran, and a
+    cold start whose KKT system cannot be solved as max_iter after 0
+    iterations, as do data with a nan or inf entry (fixed None): x = x_ref,
     y = 0 and infinite residuals; the tracker then ends its trace as aborted.
     """
     opts = opts or SolverOptions()
@@ -770,28 +772,20 @@ def solve_subproblem(sp, opts=None, warm=None, fixed=None):
         return _unsolved(sp)
     if fixed is None or fixed.A is not sp.A_eq:
         fixed = _presolve_equalities(sp.A_eq)
-    try:
-        if fixed.kept.size < sp.m:
-            b_all = sp.A_eq @ sp.x_ref - sp.b_eq
-            x_ls = fixed.aplus @ b_all[fixed.kept]
-            if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
-                return _finish(sp, x_ls, np.zeros(sp.m), fixed, SolveStatus.INFEASIBLE, 0, opts.tol)
-        try:
-            sol = _ipm(sp, opts, warm, fixed)
-        except ProjectionError as err:
-            if warm is None:
-                raise
-            sol = _unsolved(sp, fixed, getattr(err, "iterations", 0))
-        if warm is not None and sol.status is not SolveStatus.OPTIMAL:
-            # rescue: an iteration warm-started far outside the region can stall
-            # into a false verdict; the cold start does not depend on warm
-            cold = _ipm(sp, opts, None, fixed)
-            sol = replace(cold, iterations=sol.iterations + cold.iterations)
-        if sol.status is SolveStatus.UNBOUNDED and opts.tikhonov_retry and not np.any(sp.H):
-            # rescue: a zero curvature model whose linear objective runs off a ray
-            tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
-            reg = _ipm(replace(sp, H=tik * np.eye(sp.n)), opts, warm, fixed)
-            sol = replace(reg, iterations=sol.iterations + reg.iterations, regularized=True)
-    except ProjectionError:
-        return _unsolved(sp, fixed)
+    if fixed.kept.size < sp.m:
+        b_all = sp.A_eq @ sp.x_ref - sp.b_eq
+        x_ls = fixed.aplus @ b_all[fixed.kept]
+        if np.linalg.norm(sp.A_eq @ x_ls - b_all) > 1e-8 * (1.0 + np.linalg.norm(b_all)):
+            return _finish(sp, x_ls, np.zeros(sp.m), fixed, SolveStatus.INFEASIBLE, 0, opts.tol)
+    sol = _ipm(sp, opts, warm, fixed)
+    if warm is not None and sol.status is not SolveStatus.OPTIMAL:
+        # rescue: an iteration warm-started far outside the region can stall
+        # into a false verdict; the cold start does not depend on warm
+        cold = _ipm(sp, opts, None, fixed)
+        sol = replace(cold, iterations=sol.iterations + cold.iterations)
+    if sol.status is SolveStatus.UNBOUNDED and opts.tikhonov_retry and not np.any(sp.H):
+        # rescue: a zero curvature model whose linear objective runs off a ray
+        tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
+        reg = _ipm(replace(sp, H=tik * np.eye(sp.n)), opts, warm, fixed)
+        sol = replace(reg, iterations=sol.iterations + reg.iterations, regularized=True)
     return sol

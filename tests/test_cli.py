@@ -130,19 +130,29 @@ def test_track_nan_sample_writes_partial_trace(tmp_path, monkeypatch):
     assert len(presolved) == 2  # one per exact model of a clean sample
 
 
-def test_track_from_a_start_far_outside_the_region_completes(tmp_path):
+@pytest.mark.parametrize("magnitude, oracle, code, samples", [
     # record 0 projects a point outside both the box and the cone, whose own
     # projection lands in the region; the run is not cut short at record 0
+    ("1e4", "false", 0, 10),
+    # every warm attempt whose step overflows goes to the cold retry
+    ("1e3", "true", 0, 10),
+    # sample 3's cold retry ends max_iter too: an aborted trace (exit 2) with
+    # the records so far, where an overflow warning used to escape the step
+    ("1e5", "false", 2, 3),
+], ids=["1e4", "1e3-oracle", "1e5"])
+def test_track_from_a_start_far_outside_the_region_completes(tmp_path, magnitude, oracle, code,
+                                                             samples):
     out = tmp_path / "far.csv"
     cfg = _write(
         tmp_path / "run.cfg",
-        SWEEP.format(variant="pcscp", jacobian="exact", oracle="false", out=out)
-        + "start = perturbed\nstart.magnitude = 1e4\nseed = 42\n",
+        SWEEP.format(variant="pcscp", jacobian="exact", oracle=oracle, out=out)
+        + f"start = perturbed\nstart.magnitude = {magnitude}\nseed = 42\n",
     )
-    assert main(["track", cfg]) == 0
+    assert main(["track", cfg]) == code
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 11  # start record + 10 samples
-    assert all(r[2] == "optimal" for r in rows[1:])
+    assert [int(r[0]) for r in rows] == list(range(samples + 1))  # start record + samples
+    last = "optimal" if code == 0 else "max_iter"
+    assert [r[2] for r in rows[1:]] == ["optimal"] * (samples - 1) + [last]
 
 
 def test_track_oracle_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):

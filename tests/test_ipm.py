@@ -186,8 +186,8 @@ def test_consistent_duplicate_rows_solved():
 
 
 def test_unbounded_direction_detected():
-    # a half-open box, and no bound or member at all, which the no-cone path
-    # decides by itself
+    # a half-open box, and no bound or member at all, where the cold start's
+    # step alone decides
     for region in (ConvexRegion(lower=[0.0, -np.inf], upper=[1.0, np.inf]),
                    ConvexRegion.unbounded(2)):
         sp = _plain([0.0, 1.0], region)
@@ -211,6 +211,13 @@ def test_unbounded_direction_detected():
         assert sol.regularized and not retry.regularized
         np.testing.assert_allclose(sol.x, retry.x, rtol=0.0,
                                    atol=1e-9 * (1.0 + np.linalg.norm(retry.x)))
+    # a flat direction with no descent is not a ray: with no cone the cold
+    # step, shifted by 1e-12 on the flat direction, certifies
+    sp = _plain([1.0, 0.0], ConvexRegion.unbounded(2), H=np.diag([2.0, 0.0]))
+    sol = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
+    assert (sol.status, sol.iterations, sol.regularized) == (SolveStatus.OPTIMAL, 0, False)
+    np.testing.assert_allclose(sol.x, [-0.5, 0.0], rtol=0.0, atol=1e-11)
+    assert sol.residuals.total <= 10 * SolverOptions().tol
 
 
 def test_warm_start_reconverges_fast():
@@ -1128,13 +1135,44 @@ def test_projection_error_in_certification_returns_max_iter(monkeypatch):
     def fail(region, v):
         raise ProjectionError("no verified projection")
 
-    monkeypatch.setattr(ipm_module, "project_region", fail)
+    # the cold solve's first certification is its last, so the attempt that
+    # fails there reports the iterations the cold solve runs
     region = ConvexRegion(lower=-np.ones(2), upper=np.ones(2))
     x_ref = np.array([0.5, -0.5])
-    sol = solve_subproblem(_plain([1.0, -1.0], region, x_ref=x_ref))
+    sp = _plain([1.0, -1.0], region, x_ref=x_ref)
+    cold = solve_subproblem(sp)
+    monkeypatch.setattr(ipm_module, "project_region", fail)
+    sol = solve_subproblem(sp)
+    assert cold.status is SolveStatus.OPTIMAL and cold.iterations == 6
     assert sol.status is SolveStatus.MAX_ITER
-    assert sol.iterations == 0
+    assert sol.iterations == cold.iterations
     np.testing.assert_array_equal(sol.x, x_ref)
+    assert sol.residuals.total == np.inf
+
+
+def test_projection_error_in_a_regularized_retry_keeps_every_attempt(monkeypatch):
+    # the zero-curvature LP runs off a ray, and the certification of its
+    # tikhonov retry fails: the result is that retry's, flagged regularized,
+    # and counts the iterations of both attempts
+    sp = _plain([0.0, 1.0], ConvexRegion(lower=[0.0, -np.inf], upper=[1.0, np.inf]))
+    tik = 1e-6 * (1.0 + np.linalg.norm(sp.c))
+    raw = solve_subproblem(sp, SolverOptions(tikhonov_retry=False))
+    retry = solve_subproblem(replace(sp, H=tik * np.eye(2)))
+    assert raw.status is SolveStatus.UNBOUNDED and retry.status is SolveStatus.OPTIMAL
+    ipm, project = ipm_module._ipm, ipm_module.project_region
+
+    def fail(region, v):
+        raise ProjectionError("no verified projection")
+
+    def curved(sp, opts, warm, fixed):
+        monkeypatch.setattr(ipm_module, "project_region", fail if np.any(sp.H) else project)
+        return ipm(sp, opts, warm, fixed)
+
+    monkeypatch.setattr(ipm_module, "_ipm", curved)
+    sol = solve_subproblem(sp)
+    assert (sol.status, sol.regularized) == (SolveStatus.MAX_ITER, True)
+    assert sol.iterations == raw.iterations + retry.iterations > raw.iterations
+    np.testing.assert_array_equal(sol.x, sp.x_ref)
     assert sol.residuals.total == np.inf
 
 

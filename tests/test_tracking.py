@@ -634,25 +634,35 @@ def test_non_finite_sample_aborts_with_finished_records(monkeypatch):
 
 
 def test_projection_error_in_a_solve_aborts_with_finished_records(monkeypatch):
-    # the third sample's interior-point solve raises ProjectionError in its warm
-    # attempt and again in the cold retry that a warm attempt's failure gets
-    calls = []
-    ipm = ipm_module._ipm
+    # the third sample's certification projections fail in its warm attempt
+    # and again in the cold retry that a warm attempt's failure gets; each
+    # attempt ends as max_iter with the iterations it ran
+    calls, iters = [], []
+    ipm, project = ipm_module._ipm, ipm_module.project_region
 
-    def flaky(sp, opts, warm, fixed):
+    def counted(sp, opts, warm, fixed):
         calls.append(None)
+        sol = ipm(sp, opts, warm, fixed)
+        if len(calls) in (3, 4):
+            iters.append(sol.iterations)
+        return sol
+
+    def failing(region, v):
         if len(calls) in (3, 4):
             raise ProjectionError("no verified projection")
-        return ipm(sp, opts, warm, fixed)
+        return project(region, v)
 
-    monkeypatch.setattr(ipm_module, "_ipm", flaky)
+    monkeypatch.setattr(ipm_module, "_ipm", counted)
+    monkeypatch.setattr(ipm_module, "project_region", failing)
     problem = tutorial_problem()
     z0, _ = tutorial_solution(1.2)
     trace = track(problem, _sweep(5), z0, TrackerConfig())
     assert trace.aborted
     ok = SolveStatus.OPTIMAL
     assert [r.step_status for r in trace.records] == [None, ok, ok, SolveStatus.MAX_ITER]
-    assert trace.records[-1].solver_iters == 0
+    # the failure record counts the warm attempt and the cold retry
+    assert len(calls) == 4 and min(iters) > 0
+    assert trace.records[-1].solver_iters == sum(iters)
     # the failure record holds the last good iterate
     np.testing.assert_array_equal(trace.records[-1].x, trace.records[-2].x)
 

@@ -13,6 +13,10 @@ BLAS pinned to one thread, the tree first on PYTHONPATH).  The matrix:
   on, xi = 1.2 + 0.25 k for 10 samples).  pcscp and rtgn reject a frozen
   Jacobian, so those four are config errors on both sides;
 - tutorial apcscp with a Broyden Jacobian, without and with reset 3;
+- tutorial pcscp/exact from badly scaled perturbed starts (seed 42):
+  magnitude 1e3 with the oracle on, and 1e5 with it off.  Their warm
+  attempts fail and go to the cold retry, and at 1e5 sample 3's cold retry
+  fails too, so the run aborts with exit 2;
 - one fascp solve of the tutorial at xi = 1.5 (perturbed start, oracle on);
 - cascade 3x8: apcscp/frozen, apcscp/Broyden reset 3 and pcscp/fd;
   cascade 8x24: pcscp/exact, rtgn/exact and apcscp/frozen.  Both start at
@@ -68,6 +72,11 @@ def matrix():
                  f"{TUTORIAL}variant = apcscp\njacobian = broyden\n"))
     runs.append(("tutorial-apcscp-broyden-reset3", "track",
                  f"{TUTORIAL}variant = apcscp\njacobian = broyden\njacobian.reset = 3\n"))
+    for magnitude, oracle in (("1e3", "true"), ("1e5", "false")):
+        text = TUTORIAL.replace("oracle = true", f"oracle = {oracle}")
+        runs.append((f"tutorial-pcscp-exact-start{magnitude}", "track",
+                     f"{text}variant = pcscp\njacobian = exact\nstart.magnitude = {magnitude}\n"
+                     f"seed = 42\n"))
     runs.append(("tutorial-fascp", "solve",
                  "problem = tutorial\nvariant = fascp\nxi.schedule = explicit\nxi.values = 1.5\n"
                  "start = perturbed\noracle = true\n"))
